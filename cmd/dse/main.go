@@ -492,8 +492,10 @@ func cmdPareto(e *core.Explorer, out io.Writer, targets int, simulate bool, csvD
 	}
 	fmt.Fprintln(out, report.Table2(results))
 	if csvDir != "" {
-		for bench, r := range results {
-			r := r
+		// Benchmark order, not map order: a write error mid-run leaves the
+		// same files behind every time.
+		for _, bench := range e.Benchmarks() {
+			r := results[bench]
 			if err := writeCSV(csvDir, "figure2_"+bench+".csv", func(w io.Writer) error {
 				return report.Figure2CSV(w, e.StudySpace, r)
 			}); err != nil {

@@ -203,3 +203,30 @@ func TestCSVOutput(t *testing.T) {
 		t.Fatalf("figure2 has only %d rows", lines)
 	}
 }
+
+func TestParetoCSVWriteErrorStopsInBenchmarkOrder(t *testing.T) {
+	// A directory where the last benchmark's scatter belongs makes that
+	// write fail. The files go out in -benchmarks order, so every earlier
+	// benchmark's are complete and nothing after the failure is written.
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "figure2_twolf.csv"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	args := fastArgs("-benchmarks", "gzip,mcf,mesa,twolf", "-nosim", "-delaytargets", "5", "-csvdir", dir, "pareto")
+	var out bytes.Buffer
+	if err := run(args, &out); err == nil {
+		t.Fatal("pareto succeeded with an unwritable CSV path")
+	}
+	for _, bench := range []string{"gzip", "mcf", "mesa"} {
+		for _, name := range []string{"figure2_" + bench + ".csv", "figure3_" + bench + ".csv"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Fatalf("%s not written before the failure: %v", name, err)
+			}
+		}
+	}
+	for _, name := range []string{"figure3_twolf.csv", "table2.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			t.Fatalf("%s written after the failure", name)
+		}
+	}
+}

@@ -260,16 +260,19 @@ type SuiteAverage struct {
 	BestBoundDepth    int
 }
 
-// Average aggregates per-benchmark depth studies.
+// Average aggregates per-benchmark depth studies. Benchmarks are taken
+// in name order, so the floating-point sums behind each mean, and the
+// averages' last bits, do not depend on map iteration order.
 func Average(results map[string]*Result) (*SuiteAverage, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("depthstudy: no results to average")
 	}
-	var depths []int
-	for _, r := range results {
-		depths = r.depthList()
-		break
+	benches := make([]string, 0, len(results))
+	for b := range results {
+		benches = append(benches, b)
 	}
+	sort.Strings(benches)
+	depths := results[benches[0]].depthList()
 	nd := len(depths)
 	avg := &SuiteAverage{
 		Depths:            depths,
@@ -286,7 +289,8 @@ func Average(results map[string]*Result) (*SuiteAverage, error) {
 	simulated := true
 	for di := 0; di < nd; di++ {
 		var orig, bound, med, q1, q3, maxRel, frac, origSim, boundSim []float64
-		for _, r := range results {
+		for _, b := range benches {
+			r := results[b]
 			if len(r.Rows) != nd {
 				return nil, fmt.Errorf("depthstudy: inconsistent depth axes")
 			}

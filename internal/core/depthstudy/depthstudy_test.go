@@ -1,10 +1,13 @@
 package depthstudy
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 var shared *core.Explorer
@@ -191,6 +194,68 @@ func TestAverageAggregation(t *testing.T) {
 	}
 	if !onAxis(avg.BestOriginalDepth) || !onAxis(avg.BestBoundDepth) {
 		t.Fatalf("best depths %d/%d not on axis", avg.BestOriginalDepth, avg.BestBoundDepth)
+	}
+}
+
+// syntheticSuite builds per-benchmark results with seeded random
+// efficiencies: enough benchmarks that the order of the geometric means'
+// log sums shows in their last bits.
+func syntheticSuite() []*Result {
+	r := rand.New(rand.NewSource(7))
+	var out []*Result
+	for b := 0; b < 9; b++ {
+		res := &Result{Benchmark: fmt.Sprintf("bench%d", b), OriginalBestEff: 1 + r.Float64()}
+		for _, d := range []int{12, 15, 18, 21, 24, 27, 30} {
+			q1 := 0.3 + r.Float64()
+			res.Rows = append(res.Rows, DepthRow{
+				DepthFO4:          d,
+				OriginalModelEff:  0.5 + r.Float64(),
+				BoundModelEff:     0.5 + 2*r.Float64(),
+				EffBox:            stats.Boxplot{Q1: q1, Med: q1 + r.Float64(), Q3: q1 + 1 + r.Float64(), Max: q1 + 2 + r.Float64()},
+				FracBeatsBaseline: r.Float64(),
+				OriginalSimEff:    0.5 + r.Float64(),
+				BoundSimEff:       0.5 + 2*r.Float64(),
+			})
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
+func TestAverageIndependentOfMapOrder(t *testing.T) {
+	suite := syntheticSuite()
+	series := func(a *SuiteAverage) [][]float64 {
+		return [][]float64{a.OriginalRel, a.BoundRel, a.MedianRel, a.Q1Rel, a.Q3Rel,
+			a.MaxRel, a.FracBeatsBaseline, a.OriginalSimRel, a.BoundSimRel}
+	}
+	var first *SuiteAverage
+	for i := 0; i < 50; i++ {
+		// A fresh map each time, filled in a rotated order, so Go's
+		// randomized iteration order differs between calls.
+		results := make(map[string]*Result, len(suite))
+		for j := range suite {
+			r := suite[(i+j)%len(suite)]
+			results[r.Benchmark] = r
+		}
+		avg, err := Average(results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = avg
+			continue
+		}
+		want := series(first)
+		for s, got := range series(avg) {
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(want[s][k]) {
+					t.Fatalf("call %d: series %d depth %d = %v, first call gave %v", i, s, k, got[k], want[s][k])
+				}
+			}
+		}
+		if avg.BestOriginalDepth != first.BestOriginalDepth || avg.BestBoundDepth != first.BestBoundDepth {
+			t.Fatalf("call %d: best depths moved", i)
+		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"fmt"
 	"io"
-	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -15,118 +13,132 @@ import (
 
 // The CSV emitters in this file serialize each figure's underlying data
 // series so the paper's plots can be regenerated with any plotting tool.
+// Each streams its rows through a csvWriter, so callers may pass an
+// unbuffered file.
 
 // Figure1CSV writes one row per validation observation:
 // benchmark,metric,error.
 func Figure1CSV(w io.Writer, rep *core.ValidationReport) error {
-	rows := make([][]string, 0, 256)
+	c := newCSVWriter(w)
+	c.strs("benchmark", "metric", "relative_error")
 	for _, be := range rep.PerBenchmark {
 		for _, v := range be.Perf {
-			rows = append(rows, []string{be.Benchmark, "performance", formatF(v)})
+			c.str(be.Benchmark)
+			c.str("performance")
+			c.float(v)
+			c.endRow()
 		}
 		for _, v := range be.Power {
-			rows = append(rows, []string{be.Benchmark, "power", formatF(v)})
+			c.str(be.Benchmark)
+			c.str("power")
+			c.float(v)
+			c.endRow()
 		}
 	}
-	return WriteCSV(w, []string{"benchmark", "metric", "relative_error"}, rows)
+	return c.Flush()
 }
 
 // Figure2CSV writes the full exhaustive characterization scatter:
 // index,delay_s,power_w,depth_fo4,width. One row per design (262,500
 // rows), suitable for recreating the paper's scatter plot.
 func Figure2CSV(w io.Writer, space *arch.Space, res *paretostudy.Result) error {
-	rows := make([][]string, 0, len(res.Characterization))
+	c := newCSVWriter(w)
+	c.strs("index", "delay_s", "power_w", "depth_fo4", "width", "l2_kb")
 	for _, p := range res.Characterization {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
 		cfg := space.Config(space.PointAt(p.Index))
-		rows = append(rows, []string{
-			strconv.Itoa(p.Index),
-			formatF(metrics.Delay(p.BIPS)),
-			formatF(p.Watts),
-			strconv.Itoa(cfg.DepthFO4),
-			strconv.Itoa(cfg.Width),
-			strconv.Itoa(cfg.L2KB),
-		})
+		c.int(p.Index)
+		c.float(metrics.Delay(p.BIPS))
+		c.float(p.Watts)
+		c.int(cfg.DepthFO4)
+		c.int(cfg.Width)
+		c.int(cfg.L2KB)
+		c.endRow()
 	}
-	return WriteCSV(w, []string{"index", "delay_s", "power_w", "depth_fo4", "width", "l2_kb"}, rows)
+	return c.Flush()
 }
 
 // Figure3CSV writes the frontier: model and simulated coordinates.
 func Figure3CSV(w io.Writer, res *paretostudy.Result) error {
-	rows := make([][]string, 0, len(res.Frontier))
+	c := newCSVWriter(w)
+	c.strs("index", "model_delay_s", "model_power_w", "sim_delay_s", "sim_power_w")
 	for _, fp := range res.Frontier {
-		rows = append(rows, []string{
-			strconv.Itoa(fp.Index),
-			formatF(fp.ModelDelay), formatF(fp.ModelPower),
-			formatF(fp.SimDelay), formatF(fp.SimPower),
-		})
+		c.int(fp.Index)
+		c.float(fp.ModelDelay)
+		c.float(fp.ModelPower)
+		c.float(fp.SimDelay)
+		c.float(fp.SimPower)
+		c.endRow()
 	}
-	return WriteCSV(w, []string{"index", "model_delay_s", "model_power_w", "sim_delay_s", "sim_power_w"}, rows)
+	return c.Flush()
 }
 
 // Figure5aCSV writes the depth-efficiency series: one row per depth with
 // the original line and the enhanced distribution's quartiles.
 func Figure5aCSV(w io.Writer, avg *depthstudy.SuiteAverage) error {
-	rows := make([][]string, 0, len(avg.Depths))
+	c := newCSVWriter(w)
+	c.strs("depth_fo4", "original_rel", "q1", "median", "q3", "max", "bound_rel", "frac_beats_baseline")
 	for i, d := range avg.Depths {
-		rows = append(rows, []string{
-			strconv.Itoa(d),
-			formatF(avg.OriginalRel[i]),
-			formatF(avg.Q1Rel[i]),
-			formatF(avg.MedianRel[i]),
-			formatF(avg.Q3Rel[i]),
-			formatF(avg.MaxRel[i]),
-			formatF(avg.BoundRel[i]),
-			formatF(avg.FracBeatsBaseline[i]),
-		})
+		c.int(d)
+		c.float(avg.OriginalRel[i])
+		c.float(avg.Q1Rel[i])
+		c.float(avg.MedianRel[i])
+		c.float(avg.Q3Rel[i])
+		c.float(avg.MaxRel[i])
+		c.float(avg.BoundRel[i])
+		c.float(avg.FracBeatsBaseline[i])
+		c.endRow()
 	}
-	return WriteCSV(w, []string{
-		"depth_fo4", "original_rel", "q1", "median", "q3", "max", "bound_rel", "frac_beats_baseline",
-	}, rows)
+	return c.Flush()
 }
 
 // Figure9CSV writes per-benchmark gains by cluster count.
 func Figure9CSV(w io.Writer, res *heterostudy.Result, benches []string) error {
-	headers := []string{"clusters", "avg_model_gain", "avg_sim_gain"}
-	headers = append(headers, benches...)
-	base := []string{"0", "1", "1"}
+	c := newCSVWriter(w)
+	c.strs(append([]string{"clusters", "avg_model_gain", "avg_sim_gain"}, benches...)...)
+	// Zero clusters is the baseline: every gain is 1.
+	c.int(0)
+	c.int(1)
+	c.int(1)
 	for range benches {
-		base = append(base, "1")
+		c.int(1)
 	}
-	rows := [][]string{base}
+	c.endRow()
 	for _, lvl := range res.Levels {
-		row := []string{strconv.Itoa(lvl.K), formatF(lvl.AvgModelGain), formatF(lvl.AvgSimGain)}
+		c.int(lvl.K)
+		c.float(lvl.AvgModelGain)
+		c.float(lvl.AvgSimGain)
 		for _, b := range benches {
-			row = append(row, formatF(lvl.ModelGain[b]))
+			c.float(lvl.ModelGain[b])
 		}
-		rows = append(rows, row)
+		c.endRow()
 	}
-	return WriteCSV(w, headers, rows)
+	return c.Flush()
 }
 
 // Table2CSV writes the per-benchmark optima.
 func Table2CSV(w io.Writer, results map[string]*paretostudy.Result) error {
-	rows := make([][]string, 0, len(results))
+	c := newCSVWriter(w)
+	c.strs("benchmark", "depth_fo4", "width", "gpr", "resv_br", "il1_kb", "dl1_kb", "l2_kb",
+		"model_delay_s", "delay_err", "model_power_w", "power_err")
 	for _, bench := range sortedKeys(results) {
 		o := results[bench].Best
-		c := o.Config
-		rows = append(rows, []string{
-			bench,
-			strconv.Itoa(c.DepthFO4), strconv.Itoa(c.Width), strconv.Itoa(c.GPR),
-			strconv.Itoa(c.ResvBR), strconv.Itoa(c.IL1KB), strconv.Itoa(c.DL1KB),
-			strconv.Itoa(c.L2KB),
-			formatF(o.ModelDelay), formatF(o.DelayErr),
-			formatF(o.ModelPower), formatF(o.PowerErr),
-		})
+		cfg := o.Config
+		c.str(bench)
+		c.int(cfg.DepthFO4)
+		c.int(cfg.Width)
+		c.int(cfg.GPR)
+		c.int(cfg.ResvBR)
+		c.int(cfg.IL1KB)
+		c.int(cfg.DL1KB)
+		c.int(cfg.L2KB)
+		c.float(o.ModelDelay)
+		c.float(o.DelayErr)
+		c.float(o.ModelPower)
+		c.float(o.PowerErr)
+		c.endRow()
 	}
-	return WriteCSV(w, []string{
-		"benchmark", "depth_fo4", "width", "gpr", "resv_br", "il1_kb", "dl1_kb", "l2_kb",
-		"model_delay_s", "delay_err", "model_power_w", "power_err",
-	}, rows)
-}
-
-func formatF(v float64) string {
-	return fmt.Sprintf("%g", v)
+	return c.Flush()
 }

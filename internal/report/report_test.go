@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -52,23 +51,6 @@ func TestAddRowfFormats(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
 		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteCSV(&buf, []string{"a", "b"}, [][]string{
-		{"1", "plain"},
-		{"2", "with,comma"},
-		{"3", "with\"quote"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	want := "a,b\n1,plain\n2,\"with,comma\"\n3,\"with\"\"quote\"\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
 	}
 }
 

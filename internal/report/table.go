@@ -5,9 +5,11 @@
 package report
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/stats"
@@ -90,35 +92,77 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// WriteCSV emits headers and rows as comma-separated values. Cells
-// containing commas or quotes are quoted.
-func WriteCSV(w io.Writer, headers []string, rows [][]string) error {
-	writeLine := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
+// csvWriter streams comma-separated rows through a 64 KiB buffer. Each
+// row is assembled in one reused byte slice and handed to the buffer
+// whole, so a row costs no allocation and the destination sees one write
+// per buffer fill. Cells containing commas, quotes or newlines are
+// quoted; floats format as %g. The first write error sticks: later rows
+// are dropped and Flush returns it.
+type csvWriter struct {
+	w   *bufio.Writer
+	row []byte
+	err error
+}
+
+// newCSVWriter buffers w, reusing it when it is already a *bufio.Writer.
+func newCSVWriter(w io.Writer) *csvWriter {
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		bw = bufio.NewWriterSize(w, 64<<10)
 	}
-	if err := writeLine(headers); err != nil {
-		return err
+	return &csvWriter{w: bw, row: make([]byte, 0, 256)}
+}
+
+// str appends a string cell, quoting it when it holds a comma, quote or
+// newline.
+func (c *csvWriter) str(s string) {
+	if strings.ContainsAny(s, ",\"\n") {
+		s = "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
 	}
-	for _, row := range rows {
-		if err := writeLine(row); err != nil {
-			return err
-		}
+	c.row = append(c.row, s...)
+	c.row = append(c.row, ',')
+}
+
+func (c *csvWriter) int(v int) {
+	c.row = strconv.AppendInt(c.row, int64(v), 10)
+	c.row = append(c.row, ',')
+}
+
+// float appends v exactly as fmt's %g formats it.
+func (c *csvWriter) float(v float64) {
+	c.row = strconv.AppendFloat(c.row, v, 'g', -1, 64)
+	c.row = append(c.row, ',')
+}
+
+// strs writes a whole row of string cells, such as a header.
+func (c *csvWriter) strs(cells ...string) {
+	for _, s := range cells {
+		c.str(s)
 	}
-	return nil
+	c.endRow()
+}
+
+// endRow terminates the row and hands it to the buffer. Every cell ends
+// in its separator, so the last one becomes the newline.
+func (c *csvWriter) endRow() {
+	if n := len(c.row); n > 0 {
+		c.row[n-1] = '\n'
+	} else {
+		c.row = append(c.row, '\n')
+	}
+	if c.err == nil {
+		_, c.err = c.w.Write(c.row)
+	}
+	c.row = c.row[:0]
+}
+
+// Flush writes out the buffer and returns the first error the writer
+// met.
+func (c *csvWriter) Flush() error {
+	if c.err == nil {
+		c.err = c.w.Flush()
+	}
+	return c.err
 }
 
 // RenderBoxplot draws a boxplot as a one-line ASCII gauge over [lo, hi]:
