@@ -1,8 +1,8 @@
 // Command dsed is the evaluation-as-a-service daemon: it loads (or
 // trains) the per-benchmark regression models once and then serves
 // predict / simulate / sweep / pareto / healthz queries over HTTP/JSON,
-// coalescing concurrent requests into engine batches. docs/API.md is the
-// endpoint reference.
+// each predict or simulate request as one engine batch. docs/API.md is
+// the endpoint reference.
 //
 // Usage:
 //
@@ -16,12 +16,12 @@
 // swaps the models from -loadmodels without dropping in-flight requests.
 //
 // Operational flags: -maxinflight (admission control, 429 beyond it),
-// -coalesce/-coalescemax (batching window), -deadline (per-request 504),
-// -drain (shutdown grace), -prewarm (build the default sweep/pareto
-// views in the background after every load/reload), plus the standard
-// observability trio -trace/-manifest/-pprof. The run manifest written at exit carries
-// per-endpoint request counters and engine-stat deltas for the whole
-// serving session.
+// -deadline (per-request 504), -drain (shutdown grace), -prewarm (build
+// the default sweep/pareto views in the background after every
+// load/reload), plus the standard observability trio
+// -trace/-manifest/-pprof. The run manifest written at exit carries
+// per-endpoint request counters and the engine work of every model
+// generation served during the session.
 package main
 
 import (
@@ -72,8 +72,6 @@ func run(args []string, out io.Writer, ctrl *control) error {
 	checkpointDir := fs.String("checkpoint", "", "crash-safe checkpoints for startup training (see dse -checkpoint)")
 	resume := fs.Bool("resume", false, "resume startup training from -checkpoint")
 	maxInflight := fs.Int("maxinflight", serve.DefaultMaxInFlight, "admission control: concurrent work requests beyond this are rejected with 429 (<0 disables)")
-	coalesce := fs.Duration("coalesce", serve.DefaultCoalesceWindow, "batching window: how long the first request of a batch waits for company (<0 disables waiting)")
-	coalesceMax := fs.Int("coalescemax", serve.DefaultCoalesceMax, "fire a batch early once it holds this many design points")
 	deadline := fs.Duration("deadline", 30*time.Second, "per-request evaluation deadline; expiry returns 504 (0 = none)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-drain grace period on SIGTERM/SIGINT")
 	prewarm := fs.Bool("prewarm", false, "build each generation's default sweep/pareto views in the background after load/reload, so the first request hits the cache")
@@ -207,8 +205,6 @@ func run(args []string, out io.Writer, ctrl *control) error {
 	}
 	srv, err := serve.New(loader, serve.Options{
 		MaxInFlight:    *maxInflight,
-		CoalesceWindow: *coalesce,
-		CoalesceMax:    *coalesceMax,
 		RequestTimeout: *deadline,
 		PrewarmViews:   *prewarm,
 	})
@@ -217,7 +213,7 @@ func run(args []string, out io.Writer, ctrl *control) error {
 	}
 	e, _ := srv.Generation()
 	if man != nil {
-		sim, model := e.StatsEpoch()
+		sim, model := srv.StatsEpoch()
 		pt.End(engineStatsMap(sim, model))
 		man.SpaceSize = e.StudySpace.Size()
 		man.SampleSpaceSize = e.SampleSpace.Size()
@@ -278,8 +274,7 @@ func run(args []string, out io.Writer, ctrl *control) error {
 		st.Requests, st.Rejected, st.Timeouts, st.Errors, st.Reloads, st.Generation)
 
 	if man != nil {
-		e, _ := srv.Generation()
-		sim, model := e.StatsEpoch()
+		sim, model := srv.StatsEpoch()
 		m := engineStatsMap(sim, model)
 		if m == nil {
 			m = make(map[string]int64)
@@ -287,8 +282,10 @@ func run(args []string, out io.Writer, ctrl *control) error {
 		m["serve_requests"] = st.Requests
 		m["serve_rejected"] = st.Rejected
 		m["serve_timeouts"] = st.Timeouts
-		m["serve_predict_batches"] = st.PredictBatches
-		m["serve_predict_coalesced"] = st.PredictCoalesced
+		// Each predict request is one engine batch; both keys are kept
+		// for manifest readers that take their ratio.
+		m["serve_predict_batches"] = st.Predicts
+		m["serve_predict_coalesced"] = st.Predicts
 		m["serve_reloads"] = st.Reloads
 		m["serve_view_hits"] = st.ViewHits
 		m["serve_view_misses"] = st.ViewMisses

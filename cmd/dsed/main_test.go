@@ -134,6 +134,11 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, &out, nil); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// Requests are never held back for batching, so there is no window
+	// to configure.
+	if err := run([]string{"-coalesce", "2ms"}, &out, nil); err == nil {
+		t.Fatal("-coalesce accepted")
+	}
 }
 
 func TestDaemonEndToEnd(t *testing.T) {
@@ -180,6 +185,15 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || rr.Generation != 2 {
 		t.Fatalf("reload = %d %+v", resp.StatusCode, rr)
 	}
+	resp, err = http.Post(url+"/v1/predict", "application/json",
+		strings.NewReader(`{"bench":"gzip","indices":[5]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict after reload = %d", resp.StatusCode)
+	}
 
 	stop()
 	if err := <-done; err != nil {
@@ -216,8 +230,17 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if serveCounters == nil {
 		t.Fatalf("manifest has no serve phase: %s", data)
 	}
-	if serveCounters["serve_requests"] < 1 || serveCounters["serve_reloads"] != 1 {
+	if serveCounters["serve_requests"] != 2 || serveCounters["serve_reloads"] != 1 {
 		t.Fatalf("serve phase counters = %v", serveCounters)
+	}
+	// One predict per generation: the engine work of the generation the
+	// reload retired is reported, not only the live one's.
+	if serveCounters["model_batches"] != 2 {
+		t.Fatalf("model_batches = %d, want 2 (one predict on each generation)", serveCounters["model_batches"])
+	}
+	if serveCounters["serve_predict_batches"] != 2 || serveCounters["serve_predict_coalesced"] != 2 {
+		t.Fatalf("serve_predict_batches/coalesced = %d/%d, want 2/2",
+			serveCounters["serve_predict_batches"], serveCounters["serve_predict_coalesced"])
 	}
 }
 

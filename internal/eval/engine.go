@@ -80,9 +80,8 @@ type EngineStats struct {
 	// uncached one-shot batch mode (they bypass the cache counters).
 	SweptPoints int64
 	// BatchCalls counts EvaluateBatch/EvaluateIndexed invocations (not
-	// the requests inside them). The serving layer coalesces many
-	// concurrent network requests into one engine batch, so the ratio of
-	// coalesced requests to BatchCalls is the measured batching factor.
+	// the requests inside them). The serving layer issues one batch per
+	// predict or simulate request.
 	BatchCalls int64
 	// WarmHits counts simulator runs that restored a memoized warm
 	// cache/BHT state instead of walking the warmup; zero for backends
@@ -134,6 +133,25 @@ func (s EngineStats) Sub(base EngineStats) EngineStats {
 	d.Retries -= base.Retries
 	d.GuardChecks -= base.GuardChecks
 	d.GuardDivergences -= base.GuardDivergences
+	return d
+}
+
+// Add is the inverse of Sub: it returns the counter sums s plus o, with
+// gauges carried from s. A serving layer that retires engines on reload
+// adds each outgoing engine's final epoch to a running total.
+func (s EngineStats) Add(o EngineStats) EngineStats {
+	d := s
+	d.Evaluations += o.Evaluations
+	d.CacheHits += o.CacheHits
+	d.CacheMisses += o.CacheMisses
+	d.SweptPoints += o.SweptPoints
+	d.BatchCalls += o.BatchCalls
+	d.WarmHits += o.WarmHits
+	d.WarmMisses += o.WarmMisses
+	d.PanicsRecovered += o.PanicsRecovered
+	d.Retries += o.Retries
+	d.GuardChecks += o.GuardChecks
+	d.GuardDivergences += o.GuardDivergences
 	return d
 }
 

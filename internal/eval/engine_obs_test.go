@@ -203,4 +203,9 @@ func TestEngineStatsSub(t *testing.T) {
 	if got := cur.Sub(base); got != want {
 		t.Fatalf("Sub = %+v, want %+v", got, want)
 	}
+	// Add undoes Sub on the counters and carries the gauges of its
+	// receiver.
+	if got := want.Add(base); got != cur {
+		t.Fatalf("Add = %+v, want %+v", got, cur)
+	}
 }

@@ -360,8 +360,7 @@ func TestBatchCallsCounter(t *testing.T) {
 	skipUnderFaultPlan(t)
 	e := NewEngine(&countingEvaluator{}, Options{Workers: 2})
 	// Three batches of eight: BatchCalls counts engine invocations, not
-	// the requests inside them — the ratio is the serving layer's
-	// coalescing evidence.
+	// the requests inside them.
 	for i := 0; i < 3; i++ {
 		if _, err := e.EvaluateBatch(context.Background(), testRequests(8)); err != nil {
 			t.Fatal(err)

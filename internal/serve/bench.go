@@ -35,8 +35,8 @@ type BenchOptions struct {
 	// the first benchmark the daemon reports via /v1/healthz.
 	Bench string
 	// PointsPerRequest is how many design points each predict/simulate
-	// request carries (default 1: the worst case for the engine, the
-	// case coalescing exists to fix).
+	// request carries (default 1: the single-design query, where the
+	// serving layer's per-request cost dominates the engine's).
 	PointsPerRequest int
 	// Seed makes the driven index sequence deterministic (default 2007).
 	Seed uint64
@@ -100,9 +100,7 @@ type Report struct {
 
 	Endpoints []EndpointReport `json:"endpoints"`
 
-	// Server-side coalescing evidence, read from /v1/healthz-adjacent
-	// counters before and after the run is not available over the wire;
-	// instead the driver records the healthz snapshot after the run.
+	// Healthz is the server's /v1/healthz snapshot taken after the run.
 	Healthz *HealthzResponse `json:"healthz,omitempty"`
 }
 

@@ -12,10 +12,11 @@
 //
 // The serving mechanics mirror the engine's design goals:
 //
-//   - Coalescing: concurrent predict/simulate requests arriving within a
-//     small window are merged into one eval.EvaluateBatch call, so a
-//     thousand single-point network clients cost the engine a handful of
-//     batches (measurable via eval.EngineStats.BatchCalls).
+//   - One batch per request: a predict or simulate request is one
+//     eval.EvaluateBatch call on the generation it resolved at entry,
+//     issued at once under the request's own deadline. Nothing waits for
+//     other requests; the engine's per-key singleflight still merges
+//     identical points evaluated concurrently.
 //   - Admission control: at most MaxInFlight requests are admitted;
 //     excess load is shed immediately with 429 and a Retry-After header
 //     rather than queued into latency collapse.
@@ -72,15 +73,6 @@ type Options struct {
 	// with 429 and a Retry-After header. 0 means DefaultMaxInFlight;
 	// negative disables admission control.
 	MaxInFlight int
-	// CoalesceWindow is how long the first request of a batch waits for
-	// company before the batch fires into eval.EvaluateBatch. 0 means
-	// DefaultCoalesceWindow; negative disables waiting (concurrent
-	// arrivals still merge, but nothing is delayed for them).
-	CoalesceWindow time.Duration
-	// CoalesceMax fires a batch early once it holds this many design
-	// points, bounding both batch latency and batch memory. 0 means
-	// DefaultCoalesceMax.
-	CoalesceMax int
 	// RequestTimeout bounds each admitted request's evaluation wall
 	// time; expiry returns 504. It is the serving analogue of
 	// core.Options.BatchTimeout. 0 means no deadline.
@@ -97,16 +89,14 @@ type Options struct {
 
 // Defaults for Options fields left zero.
 const (
-	DefaultMaxInFlight    = 256
-	DefaultCoalesceWindow = 2 * time.Millisecond
-	DefaultCoalesceMax    = 512
-	DefaultMaxBodyBytes   = 8 << 20
+	DefaultMaxInFlight  = 256
+	DefaultMaxBodyBytes = 8 << 20
 )
 
 // generation is one immutable serving state: an Explorer plus identity.
-// Requests resolve the current generation once at batch-fire (or
-// handler-entry) time and use it to completion, so a reload mid-request
-// never mixes models within one response.
+// Requests resolve the current generation once at handler entry and use
+// it to completion, so a reload mid-request never mixes models within
+// one response.
 type generation struct {
 	e      *core.Explorer
 	id     int64
@@ -184,12 +174,9 @@ type Stats struct {
 	// that failed and left the previous generation serving.
 	Reloads        int64
 	ReloadFailures int64
-	// PredictBatches/PredictCoalesced are the coalescer's fired-batch and
-	// merged-request counts for /v1/predict; likewise for /v1/simulate.
-	PredictBatches    int64
-	PredictCoalesced  int64
-	SimulateBatches   int64
-	SimulateCoalesced int64
+	// Predicts counts admitted /v1/predict requests; each reaches the
+	// model engine as at most one batch.
+	Predicts int64
 	// ViewHits counts sweep/pareto requests served entirely from a
 	// materialized view (zero recomputation, zero re-encode, including
 	// 304 conditional answers); ViewMisses counts requests that built or
@@ -215,22 +202,24 @@ type Server struct {
 
 	gen      atomic.Pointer[generation]
 	genSeq   atomic.Int64
-	reloadMu sync.Mutex // serializes Reload; requests never take it
+	reloadMu sync.Mutex // serializes Reload and StatsEpoch; requests never take it
+
+	// retiredSim/retiredModel sum the engine counters of generations
+	// swapped out since the last StatsEpoch (guarded by reloadMu).
+	retiredSim, retiredModel eval.EngineStats
 
 	start    time.Time
 	inflight atomic.Int64
 	draining atomic.Bool
 
 	requests atomic.Int64
+	predicts atomic.Int64
 	rejected atomic.Int64
 	timeouts atomic.Int64
 	errs     atomic.Int64
 	panics   atomic.Int64
 	reloads  atomic.Int64
 	reloadNG atomic.Int64
-
-	predictCo  *coalescer
-	simulateCo *coalescer
 
 	// vstats aggregates materialized-view hit/miss/build counters
 	// across generations (views.go).
@@ -257,14 +246,6 @@ func New(loader Loader, opts Options) (*Server, error) {
 	if opts.MaxInFlight == 0 {
 		opts.MaxInFlight = DefaultMaxInFlight
 	}
-	if opts.CoalesceWindow == 0 {
-		opts.CoalesceWindow = DefaultCoalesceWindow
-	} else if opts.CoalesceWindow < 0 {
-		opts.CoalesceWindow = 0
-	}
-	if opts.CoalesceMax <= 0 {
-		opts.CoalesceMax = DefaultCoalesceMax
-	}
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
@@ -283,14 +264,6 @@ func New(loader Loader, opts Options) (*Server, error) {
 	if err := s.swapGeneration(); err != nil {
 		return nil, fmt.Errorf("serve: loading initial models: %w", err)
 	}
-	s.predictCo = newCoalescer("predict", opts, s.generation,
-		func(ctx context.Context, g *generation, reqs []eval.Request) ([]eval.Result, error) {
-			return g.e.PredictBatch(ctx, reqs)
-		})
-	s.simulateCo = newCoalescer("simulate", opts, s.generation,
-		func(ctx context.Context, g *generation, reqs []eval.Request) ([]eval.Result, error) {
-			return g.e.SimulateBatch(ctx, reqs)
-		})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/predict", s.endpoint("predict", s.handlePredict))
@@ -304,7 +277,9 @@ func New(loader Loader, opts Options) (*Server, error) {
 // swapGeneration runs the loader and, on success, installs the result as
 // the next serving generation. The previous generation keeps serving any
 // requests that already resolved it; it is garbage once they finish
-// (explorers hold no background goroutines).
+// (explorers hold no background goroutines). Its engine counters are
+// folded into the retired totals StatsEpoch reports, so engine work is
+// not lost with it. Callers hold reloadMu, or own s outright as New does.
 func (s *Server) swapGeneration() error {
 	if err := fault.Here("serve.reload"); err != nil {
 		return err
@@ -323,18 +298,38 @@ func (s *Server) swapGeneration() error {
 		sweepFlight: make(map[string]*sweepFlight),
 		views:       newViewState(s.vstats),
 	}
-	s.gen.Store(g)
+	if old := s.gen.Swap(g); old != nil {
+		sim, model := old.e.StatsEpoch()
+		s.retiredSim = sim.Add(s.retiredSim)
+		s.retiredModel = model.Add(s.retiredModel)
+	}
 	if s.opts.PrewarmViews {
 		go s.prewarm(g)
 	}
 	return nil
 }
 
+// StatsEpoch returns the simulation and model engine counters
+// accumulated since the previous call (or since New), summed over every
+// generation that served in between, and starts a new epoch. It is
+// core.Explorer.StatsEpoch across reloads: a session with N reloads
+// reports the work of all N+1 generations, not just the live one's.
+// Gauges describe the live generation. Work an outgoing generation
+// finishes after its swap is not counted.
+func (s *Server) StatsEpoch() (sim, model eval.EngineStats) {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	sim, model = s.generation().e.StatsEpoch()
+	sim, model = sim.Add(s.retiredSim), model.Add(s.retiredModel)
+	s.retiredSim, s.retiredModel = eval.EngineStats{}, eval.EngineStats{}
+	return sim, model
+}
+
 // generation returns the current serving generation.
 func (s *Server) generation() *generation { return s.gen.Load() }
 
 // Generation exposes the serving explorer and its generation id —
-// primarily for tests asserting coalescing through the engine counters.
+// primarily for tests asserting on the engine counters.
 func (s *Server) Generation() (*core.Explorer, int64) {
 	g := s.generation()
 	return g.e, g.id
@@ -359,26 +354,21 @@ func (s *Server) Reload() (int64, error) {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
-	pb, pc := s.predictCo.stats()
-	sb, sc := s.simulateCo.stats()
 	return Stats{
-		Requests:          s.requests.Load(),
-		Rejected:          s.rejected.Load(),
-		Timeouts:          s.timeouts.Load(),
-		Errors:            s.errs.Load(),
-		Panics:            s.panics.Load(),
-		Reloads:           s.reloads.Load(),
-		ReloadFailures:    s.reloadNG.Load(),
-		PredictBatches:    pb,
-		PredictCoalesced:  pc,
-		SimulateBatches:   sb,
-		SimulateCoalesced: sc,
-		ViewHits:          s.vstats.hits.Load(),
-		ViewMisses:        s.vstats.misses.Load(),
-		ViewBuilds:        s.vstats.builds.Load(),
-		InFlight:          s.inflight.Load(),
-		Generation:        s.generation().id,
-		Draining:          s.draining.Load(),
+		Requests:       s.requests.Load(),
+		Rejected:       s.rejected.Load(),
+		Timeouts:       s.timeouts.Load(),
+		Errors:         s.errs.Load(),
+		Panics:         s.panics.Load(),
+		Reloads:        s.reloads.Load(),
+		ReloadFailures: s.reloadNG.Load(),
+		Predicts:       s.predicts.Load(),
+		ViewHits:       s.vstats.hits.Load(),
+		ViewMisses:     s.vstats.misses.Load(),
+		ViewBuilds:     s.vstats.builds.Load(),
+		InFlight:       s.inflight.Load(),
+		Generation:     s.generation().id,
+		Draining:       s.draining.Load(),
 	}
 }
 
@@ -490,8 +480,8 @@ func writeError(w http.ResponseWriter, status int, msg string, retryAfterS int) 
 	writeJSON(w, status, errorBody{Status: status, Error: msg, RetryAfterS: retryAfterS})
 }
 
-// retryAfterSeconds is the hint sent with 429/503: long enough for a
-// coalescing window or a drain to make progress, short enough that
+// retryAfterSeconds is the hint sent with 429/503: long enough for
+// in-flight requests or a drain to make progress, short enough that
 // clients retry promptly.
 const retryAfterSeconds = 1
 
@@ -616,13 +606,14 @@ type PointResult struct {
 // PointResponse answers /v1/predict and /v1/simulate.
 type PointResponse struct {
 	Bench string `json:"bench"`
-	// Generation identifies the model generation that served the batch.
+	// Generation identifies the model generation that validated and
+	// answered the request.
 	Generation int64         `json:"generation"`
 	Results    []PointResult `json:"results"`
 }
 
-// decodePoints parses and validates a PointRequest against the current
-// generation, returning the engine requests in response order.
+// decodePoints parses and validates a PointRequest against generation g,
+// returning the engine requests in response order.
 func (s *Server) decodePoints(g *generation, r *http.Request) (string, []eval.Request, error) {
 	var req PointRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -673,12 +664,19 @@ func pointResults(results []eval.Result) []PointResult {
 	return out
 }
 
-func (s *Server) handlePoints(ctx context.Context, co *coalescer, w http.ResponseWriter, r *http.Request) error {
-	bench, reqs, err := s.decodePoints(s.generation(), r)
+// handlePoints resolves the serving generation once, validates the body
+// against it and answers with one engine batch on it, run under the
+// request's own context (which carries RequestTimeout). Validation, the
+// answer and its generation label therefore always come from the same
+// models, even when a reload lands mid-request.
+func (s *Server) handlePoints(ctx context.Context, w http.ResponseWriter, r *http.Request,
+	batch func(e *core.Explorer, ctx context.Context, reqs []eval.Request) ([]eval.Result, error)) error {
+	g := s.generation()
+	bench, reqs, err := s.decodePoints(g, r)
 	if err != nil {
 		return err
 	}
-	results, g, err := co.submit(ctx, reqs)
+	results, err := batch(g.e, ctx, reqs)
 	if err != nil {
 		return err
 	}
@@ -687,11 +685,12 @@ func (s *Server) handlePoints(ctx context.Context, co *coalescer, w http.Respons
 }
 
 func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	return s.handlePoints(ctx, s.predictCo, w, r)
+	s.predicts.Add(1)
+	return s.handlePoints(ctx, w, r, (*core.Explorer).PredictBatch)
 }
 
 func (s *Server) handleSimulate(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
-	return s.handlePoints(ctx, s.simulateCo, w, r)
+	return s.handlePoints(ctx, w, r, (*core.Explorer).SimulateBatch)
 }
 
 // SweepRequest asks for the exhaustive model characterization of one

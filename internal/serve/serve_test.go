@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/fault"
 )
 
@@ -252,28 +253,78 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-// TestPredictCoalesces is the acceptance test for request batching: many
-// concurrent single-point predicts must reach the engine as a handful of
-// EvaluateBatch calls, observable both in eval.EngineStats.BatchCalls and
-// in the server's own coalescer counters.
-func TestPredictCoalesces(t *testing.T) {
+// holdEngine arms a one-shot eval.invoke delay: the next backend
+// evaluation in the process sleeps for d, holding its request in flight
+// past admission and generation resolution. The previous plan is
+// restored when the test ends.
+func holdEngine(t *testing.T, d time.Duration) {
+	t.Helper()
+	prev := fault.Current()
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{
+		{Site: "eval.invoke", Kind: fault.KindDelay, Every: 1, Count: 1, Delay: d},
+	}})
+	t.Cleanup(func() { fault.Enable(prev) })
+}
+
+// waitFor polls cond every millisecond for up to a second.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; !cond(); i++ {
+		if i > 1000 {
+			t.Fatalf("%s never happened", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// wantPredictions requires got to equal PredictBatch on e for the same
+// study-space indices, bit for bit.
+func wantPredictions(t *testing.T, e *core.Explorer, bench string, indices []int, got []PointResult) {
+	t.Helper()
+	reqs := make([]eval.Request, len(indices))
+	for i, idx := range indices {
+		reqs[i] = eval.Request{Config: e.StudySpace.Config(e.StudySpace.PointAt(idx)), Bench: bench}
+	}
+	res, err := e.PredictBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pointResults(res)
+	if len(got) != len(want) {
+		t.Fatalf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("index %d: served %+v, PredictBatch %+v", indices[i], got[i], want[i])
+		}
+	}
+}
+
+// TestPredictOneBatchPerRequest pins the request path: concurrent
+// single-point predicts each reach the engine as their own batch, at
+// once, and every answer is exactly what PredictBatch computes.
+func TestPredictOneBatchPerRequest(t *testing.T) {
 	const n = 16
-	s, ts := newTestServer(t, Options{CoalesceWindow: 100 * time.Millisecond})
+	s, ts := newTestServer(t, Options{})
 	e, _ := s.Generation()
 	base := e.ModelStats().BatchCalls
 
 	var start, done sync.WaitGroup
 	start.Add(1)
 	errs := make(chan error, n)
+	got := make([]PointResult, n)
 	for i := 0; i < n; i++ {
 		done.Add(1)
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
 			resp, body := postJSON(t, ts.URL+"/v1/predict", PointRequest{Bench: "gzip", Indices: []int{i}})
-			if resp.StatusCode != http.StatusOK {
+			var pr PointResponse
+			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || len(pr.Results) != 1 {
 				errs <- fmt.Errorf("predict %d = %d: %s", i, resp.StatusCode, body)
+				return
 			}
+			got[i] = pr.Results[0]
 		}(i)
 	}
 	start.Done()
@@ -283,19 +334,71 @@ func TestPredictCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batches := e.ModelStats().BatchCalls - base
-	if batches < 1 || batches > n/4 {
-		t.Fatalf("%d concurrent predicts cost %d engine batches, want 1..%d (coalescing broken)", n, batches, n/4)
+	if batches := e.ModelStats().BatchCalls - base; batches != n {
+		t.Fatalf("%d concurrent predicts cost %d engine batches, want %d", n, batches, n)
 	}
-	st := s.Stats()
-	if st.PredictCoalesced != n {
-		t.Fatalf("coalesced = %d, want %d", st.PredictCoalesced, n)
+	if st := s.Stats(); st.Predicts != n || st.Requests != n {
+		t.Fatalf("predicts = %d, requests = %d, want %d", st.Predicts, st.Requests, n)
 	}
-	if st.PredictBatches != batches {
-		t.Fatalf("server batches = %d, engine batches = %d — counters disagree", st.PredictBatches, batches)
+	indices := make([]int, n)
+	for i := range indices {
+		indices[i] = i
 	}
-	if st.Requests != n {
-		t.Fatalf("requests = %d, want %d", st.Requests, n)
+	wantPredictions(t, e, "gzip", indices, got)
+}
+
+// TestPointRequestKeepsItsGeneration reloads while a predict is inside
+// the engine: the request was validated on generation 1, so it must be
+// answered and labelled by generation 1 too.
+func TestPointRequestKeepsItsGeneration(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	e1, _ := s.Generation()
+	holdEngine(t, 300*time.Millisecond)
+
+	indices := []int{42}
+	done := make(chan PointResponse, 1)
+	go func() {
+		resp, body := postJSON(t, ts.URL+"/v1/predict", PointRequest{Bench: "gzip", Indices: indices})
+		var pr PointResponse
+		if resp.StatusCode == http.StatusOK {
+			json.Unmarshal(body, &pr) //nolint:errcheck // zero value fails the asserts below
+		}
+		done <- pr
+	}()
+	waitFor(t, "predict reaching the engine", func() bool { return e1.ModelStats().InFlight > 0 })
+	if gen, err := s.Reload(); err != nil || gen != 2 {
+		t.Fatalf("reload = %d, %v; want generation 2", gen, err)
+	}
+
+	pr := <-done
+	if pr.Generation != 1 {
+		t.Fatalf("request validated on generation 1 reported generation %d", pr.Generation)
+	}
+	wantPredictions(t, e1, "gzip", indices, pr.Results)
+}
+
+// TestStatsEpochSpansReloads checks that engine work survives a reload:
+// the epoch after one reload counts the predicts both generations
+// served.
+func TestStatsEpochSpansReloads(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	s.StatsEpoch() // start the epoch after loading
+	predict := func() {
+		if resp, body := postJSON(t, ts.URL+"/v1/predict", PointRequest{Bench: "gzip", Indices: []int{1}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict = %d: %s", resp.StatusCode, body)
+		}
+	}
+	predict()
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	predict()
+	predict()
+	if _, model := s.StatsEpoch(); model.BatchCalls != 3 {
+		t.Fatalf("model batches over a reload = %d, want 3", model.BatchCalls)
+	}
+	if _, model := s.StatsEpoch(); model.BatchCalls != 0 {
+		t.Fatalf("model batches in a fresh epoch = %d, want 0", model.BatchCalls)
 	}
 }
 
@@ -313,9 +416,10 @@ func TestDeadlineReturns504(t *testing.T) {
 }
 
 func TestAdmissionControl429(t *testing.T) {
-	// One admitted slot; a long coalescing window holds the first request
-	// in flight while the second arrives.
-	s, ts := newTestServer(t, Options{MaxInFlight: 1, CoalesceWindow: 500 * time.Millisecond})
+	// One admitted slot; an engine delay holds the first request in
+	// flight while the second arrives.
+	s, ts := newTestServer(t, Options{MaxInFlight: 1})
+	holdEngine(t, 500*time.Millisecond)
 
 	firstDone := make(chan int, 1)
 	go func() {
@@ -325,16 +429,7 @@ func TestAdmissionControl429(t *testing.T) {
 		firstDone <- resp.StatusCode
 	}()
 
-	// Wait until the first request is admitted.
-	for i := 0; ; i++ {
-		if s.Stats().InFlight >= 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("first request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "first request admission", func() bool { return s.Stats().InFlight > 0 })
 
 	resp, body := postJSON(t, ts.URL+"/v1/predict", PointRequest{Bench: "gzip", Indices: []int{1}})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -358,11 +453,11 @@ func TestAdmissionControl429(t *testing.T) {
 }
 
 func TestHotReloadMidTraffic(t *testing.T) {
-	s, ts := newTestServer(t, Options{CoalesceWindow: 200 * time.Millisecond})
+	s, ts := newTestServer(t, Options{})
+	holdEngine(t, 200*time.Millisecond)
 
-	// A request in flight across the swap: admitted on generation 1, its
-	// batch fires after the reload and must still succeed on whichever
-	// generation it resolves.
+	// A request in flight across the swap: admitted on generation 1 and
+	// still running when the reload lands, it must succeed.
 	inflightDone := make(chan PointResponse, 1)
 	go func() {
 		resp, body := postJSON(t, ts.URL+"/v1/predict", PointRequest{Bench: "gzip", Indices: []int{3}})
@@ -372,12 +467,7 @@ func TestHotReloadMidTraffic(t *testing.T) {
 		}
 		inflightDone <- pr
 	}()
-	for i := 0; s.Stats().InFlight == 0; i++ {
-		if i > 1000 {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "request admission", func() bool { return s.Stats().InFlight > 0 })
 
 	resp, body := postJSON(t, ts.URL+"/v1/reload", struct{}{})
 	if resp.StatusCode != http.StatusOK {
@@ -430,7 +520,8 @@ func TestReloadedModelsMatch(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
-	s, ts := newTestServer(t, Options{CoalesceWindow: 300 * time.Millisecond})
+	s, ts := newTestServer(t, Options{})
+	holdEngine(t, 300*time.Millisecond)
 
 	inflightDone := make(chan int, 1)
 	go func() {
@@ -439,12 +530,7 @@ func TestGracefulDrain(t *testing.T) {
 		resp.Body.Close()
 		inflightDone <- resp.StatusCode
 	}()
-	for i := 0; s.Stats().InFlight == 0; i++ {
-		if i > 1000 {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "request admission", func() bool { return s.Stats().InFlight > 0 })
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -452,12 +538,7 @@ func TestGracefulDrain(t *testing.T) {
 		defer cancel()
 		shutdownDone <- s.Shutdown(ctx)
 	}()
-	for i := 0; !s.Stats().Draining; i++ {
-		if i > 1000 {
-			t.Fatal("server never started draining")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "draining", func() bool { return s.Stats().Draining })
 
 	// New work is refused immediately with 503 + Retry-After.
 	resp, body := postJSON(t, ts.URL+"/v1/predict", PointRequest{Bench: "gzip", Indices: []int{1}})
@@ -497,10 +578,11 @@ func TestGracefulDrain(t *testing.T) {
 // TestServeShutdownOnListener exercises the managed-listener path: Serve
 // must return nil after a drain and the in-flight request must finish.
 func TestServeShutdownOnListener(t *testing.T) {
-	s, err := New(testLoader(t), Options{CoalesceWindow: 200 * time.Millisecond})
+	s, err := New(testLoader(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	holdEngine(t, 200*time.Millisecond)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -520,12 +602,7 @@ func TestServeShutdownOnListener(t *testing.T) {
 		resp.Body.Close()
 		inflightDone <- resp.StatusCode
 	}()
-	for i := 0; s.Stats().InFlight == 0; i++ {
-		if i > 1000 {
-			t.Fatal("request never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "request admission", func() bool { return s.Stats().InFlight > 0 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
