@@ -33,6 +33,7 @@ import (
 	"repro/internal/core/heterostudy"
 	"repro/internal/core/paretostudy"
 	"repro/internal/eval"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -198,16 +199,15 @@ func BenchmarkFigure2Characterization(b *testing.B) {
 }
 
 // BenchmarkExhaustivePredictParallel measures the 262,500-point
-// exhaustive sweep as a worker-scaling curve (1, 2 and 4 workers) on all
-// three prediction paths: the blocked structure-of-arrays sweep kernel
-// (the default), the scalar compiled kernel (DisableBlocked) and the
-// interpreted per-request path (DisableCompile). Every (path, workers)
-// combination must produce bit-identical predictions. The measured rates
-// are written to BENCH_sweep.json at the repo root, including num_cpu,
-// the blocked kernel's 2-worker parallel efficiency
-// (parallel_efficiency_2w), the blocked-over-scalar speedup
-// (blocked_speedup), the compiled-over-interpreted speedup at the
-// highest worker count and the overheads of the two always-on
+// exhaustive sweep as a worker-scaling curve (1, 2 and 4 workers) on the
+// sweep kernel (the blocked structure-of-arrays SweepPlan kernel) and on
+// its oracle (the interpreted per-request path, taken by an explorer
+// whose guardrail has tripped). Every (path, workers) combination must
+// produce bit-identical predictions. The measured rates are written to
+// BENCH_sweep.json at the repo root, including num_cpu, the blocked
+// kernel's 2-worker parallel efficiency (parallel_efficiency_2w), the
+// blocked-over-interpreted speedup at the highest worker count
+// (compiled_speedup) and the overheads of the two always-on
 // safety/visibility layers: the fast-path guardrail
 // (guard_overhead_pct, budget <= 8% — see the guard-pair comment) and
 // span tracing
@@ -237,19 +237,22 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 	measured := make(map[rateKey]float64)
 	var order []rateKey
 	var baseline []core.Prediction
-	sweepBench := func(path string, workers int, disableCompile, disableBlocked bool, guardInterval int64) func(b *testing.B) {
+	sweepBench := func(path string, workers int, interpreted bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			opts := benchOptions()
 			opts.Workers = workers
-			opts.DisableCompile = disableCompile
-			opts.DisableBlocked = disableBlocked
-			opts.GuardInterval = guardInterval
+			if interpreted {
+				opts.GuardInterval = 1
+			}
 			ex, err := core.New(opts)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if err := ex.LoadModels(bytes.NewReader(models.Bytes())); err != nil {
 				b.Fatal(err)
+			}
+			if interpreted {
+				tripModelGuard(b, ex, "mcf")
 			}
 			out := make([]core.Prediction, ex.StudySpace.Size())
 			b.ResetTimer()
@@ -280,11 +283,7 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 	}
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("path=blocked/workers=%d", workers),
-			sweepBench("blocked", workers, false, false, 0))
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("path=compiled/workers=%d", workers),
-			sweepBench("compiled", workers, false, true, 0))
+			sweepBench("blocked", workers, false))
 	}
 	// Guardrail overhead on the default (blocked) path, measured paired:
 	// each iteration runs one guarded (default interval) and one
@@ -295,9 +294,9 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 	// sampling cost, recorded as guard_overhead_pct. The guard's
 	// *rate* is the pinned contract (one cross-check per GuardInterval
 	// points, however the sweep is chunked); its *relative* overhead
-	// therefore scales with kernel speed — ~0.6% against the scalar
-	// kernel, ~5% against the 3x-faster blocked kernel, because each
-	// check still costs one interpreted prediction. Budget: <= 8%.
+	// therefore scales with kernel speed — about 5% against the blocked
+	// kernel, because each check still costs one interpreted
+	// prediction. Budget: <= 8%.
 	// Both sides must stay bit-identical to the baseline.
 	noguardWorkers := counts[len(counts)-1]
 	b.Run(fmt.Sprintf("path=guard-pair/workers=%d", noguardWorkers), func(b *testing.B) {
@@ -437,7 +436,7 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 	})
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("path=interpreted/workers=%d", workers),
-			sweepBench("interpreted", workers, true, false, 0))
+			sweepBench("interpreted", workers, true))
 	}
 	// Distributed-sweep overhead, measured paired: each iteration runs one
 	// checkpointed single-process sweep (the predict plus its checkpoint
@@ -544,13 +543,12 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 	blockedRate := measured[rateKey{Path: "blocked", Workers: maxWorkers}]
 	blocked1 := measured[rateKey{Path: "blocked", Workers: 1}]
 	blocked2 := measured[rateKey{Path: "blocked", Workers: 2}]
-	compiledRate := measured[rateKey{Path: "compiled", Workers: maxWorkers}]
 	interpretedRate := measured[rateKey{Path: "interpreted", Workers: maxWorkers}]
 	obsOnRate := measured[rateKey{Path: "blocked-obs-on", Workers: maxWorkers}]
 	obsOffRate := measured[rateKey{Path: "blocked-obs-off", Workers: maxWorkers}]
 	guardedRate := measured[rateKey{Path: "blocked-guarded", Workers: maxWorkers}]
 	noguardRate := measured[rateKey{Path: "blocked-noguard", Workers: maxWorkers}]
-	if blockedRate > 0 && compiledRate > 0 && interpretedRate > 0 {
+	if blockedRate > 0 && interpretedRate > 0 {
 		type rate struct {
 			Path           string  `json:"path"`
 			Workers        int     `json:"workers"`
@@ -571,7 +569,6 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 			NumCPU               int         `json:"num_cpu"`
 			Rates                []rate      `json:"rates"`
 			SpeedupWorkers       int         `json:"speedup_workers"`
-			BlockedSpeedup       float64     `json:"blocked_speedup"`
 			CompiledSpeedup      float64     `json:"compiled_speedup"`
 			ParallelEfficiency2W float64     `json:"parallel_efficiency_2w"`
 			ObsOnOverheadPct     float64     `json:"obs_on_overhead_pct"`
@@ -587,8 +584,7 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 			NumCPU:          runtime.NumCPU(),
 			Rates:           rates,
 			SpeedupWorkers:  maxWorkers,
-			BlockedSpeedup:  blockedRate / compiledRate,
-			CompiledSpeedup: compiledRate / interpretedRate,
+			CompiledSpeedup: blockedRate / interpretedRate,
 		}
 		if blocked1 > 0 && blocked2 > 0 {
 			report.ParallelEfficiency2W = blocked2 / blocked1
@@ -625,9 +621,8 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 			b.Logf("writing BENCH_sweep.json: %v", err)
 		}
 		logFigure(b, fmt.Sprintf(
-			"exhaustive sweep at %d workers: blocked %.3gM predictions/s, scalar compiled %.3gM (%.1fx), interpreted %.3gM (%.1fx total); 2-worker efficiency %.2fx on %d CPU; guard overhead %.2f%%, obs overhead %.2f%%, %d-shard overhead %.2f%% aggregate (wall %.1f%%, merge %.1fms)",
-			maxWorkers, blockedRate/1e6, compiledRate/1e6, report.BlockedSpeedup,
-			interpretedRate/1e6, blockedRate/interpretedRate,
+			"exhaustive sweep at %d workers: blocked %.3gM predictions/s, interpreted %.3gM (%.1fx); 2-worker efficiency %.2fx on %d CPU; guard overhead %.2f%%, obs overhead %.2f%%, %d-shard overhead %.2f%% aggregate (wall %.1f%%, merge %.1fms)",
+			maxWorkers, blockedRate/1e6, interpretedRate/1e6, report.CompiledSpeedup,
 			report.ParallelEfficiency2W, report.NumCPU, report.GuardOverheadPct,
 			report.ObsOnOverheadPct, report.Shards, report.ShardOverheadPct,
 			report.ShardWallOverheadPct, report.ShardMergeMs))
@@ -664,6 +659,25 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 	logFigure(b, fmt.Sprintf(
 		"evaluation engine: %d simulations run, %d cache hits, %d misses (%.1f%% hit rate), %d workers",
 		sim.Evaluations, sim.CacheHits, sim.CacheMisses, 100*sim.HitRate(), sim.Workers))
+}
+
+// tripModelGuard sends one corrupted plan prediction through ex's
+// guardrail, which must check every prediction (GuardInterval 1), so ex
+// answers every later prediction and sweep from the interpreted models.
+func tripModelGuard(b *testing.B, ex *core.Explorer, bench string) {
+	b.Helper()
+	prev := fault.Current()
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{
+		{Site: "eval.model.compiled", Kind: fault.KindFlip, Every: 1},
+	}})
+	_, _, err := ex.Predict(ex.StudySpace.Config(arch.BaselinePoint(ex.StudySpace)), bench)
+	fault.Enable(prev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !ex.ModelStats().Degraded {
+		b.Fatal("model guardrail did not trip")
+	}
 }
 
 // BenchmarkTrainDataset measures dataset-build throughput — the
@@ -1403,27 +1417,32 @@ func BenchmarkPredictionThroughput(b *testing.B) {
 }
 
 // BenchmarkCompiledPredict compares single-point prediction through the
-// three evaluation paths: the interpreted models, the compiled value
-// path (arbitrary configurations) and the compiled level-table path (the
-// sweep hot loop). Each iteration predicts both bips and watts.
+// two evaluation paths: the interpreted models and the compiled plan
+// (the per-request path for on-grid configurations). Each iteration
+// predicts both bips and watts.
 func BenchmarkCompiledPredict(b *testing.B) {
 	e := sharedFixture(b)
 	perf, pow, err := e.Models("gcc")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pair, err := eval.CompilePair(perf, pow, e.StudySpace)
+	plan, err := eval.CompilePair(perf, pow, e.StudySpace)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pt := arch.BaselinePoint(e.StudySpace)
-	cfg := e.StudySpace.Config(pt)
+	cfg := e.StudySpace.Config(arch.BaselinePoint(e.StudySpace))
 	get := arch.PredictorGetter(cfg)
 	want := perf.Predict(get) + pow.Predict(get)
+	// The sinks add the same value b.N times, so they must equal the
+	// same repeated sum bit for bit (want*n rounds differently).
 	check := func(b *testing.B, sink float64, n int) {
 		b.Helper()
-		if sink != want*float64(n) {
-			b.Fatalf("paths diverged: sink %v, want %v", sink, want*float64(n))
+		var total float64
+		for i := 0; i < n; i++ {
+			total += want
+		}
+		if sink != total {
+			b.Fatalf("paths diverged: sink %v, want %v", sink, total)
 		}
 	}
 	b.Run("interpreted", func(b *testing.B) {
@@ -1434,22 +1453,13 @@ func BenchmarkCompiledPredict(b *testing.B) {
 		b.StopTimer()
 		check(b, sink, b.N)
 	})
-	b.Run("compiled-values", func(b *testing.B) {
-		var scratch eval.PairScratch
+	b.Run("plan", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			bips, watts := pair.EvalConfig(cfg, &scratch)
-			sink += bips + watts
-		}
-		b.StopTimer()
-		check(b, sink, b.N)
-	})
-	b.Run("compiled-levels", func(b *testing.B) {
-		var scratch eval.PairScratch
-		lev := pt[:]
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			bips, watts := pair.EvalLevels(lev, &scratch)
+			bips, watts, ok := plan.EvalConfig(cfg)
+			if !ok {
+				b.Fatal("baseline point is off the plan's grid")
+			}
 			sink += bips + watts
 		}
 		b.StopTimer()

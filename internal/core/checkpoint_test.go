@@ -198,7 +198,7 @@ func TestResumeRefusesMismatchedIdentity(t *testing.T) {
 }
 
 // TestSweepGuardTripsOnCorruptionAndRecovers injects bit flips into
-// every compiled sweep result: the per-tile guardrail must catch the
+// every plan sweep result: the per-chunk guardrail must catch the
 // divergence, trip, and re-run the sweep on the interpreted path so the
 // final output is still correct.
 func TestSweepGuardTripsOnCorruptionAndRecovers(t *testing.T) {
@@ -212,14 +212,7 @@ func TestSweepGuardTripsOnCorruptionAndRecovers(t *testing.T) {
 	}
 
 	// Golden output from the interpreted path of an untouched explorer.
-	interp, err := New(func() Options { o := ckptTestOptions(); o.DisableCompile = true; return o }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.Train(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := interp.ExhaustivePredict("gzip")
+	want, err := interpretedExplorer(t, e, nil).ExhaustivePredict("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,16 +51,6 @@ type Options struct {
 	// Spec selects the regression specification; nil means PaperSpec,
 	// the paper's splines + interactions + transformed responses.
 	Spec SpecBuilder
-	// DisableCompile forces every model prediction through the
-	// interpreted regression.Model path instead of the compiled
-	// level-table fast path. Output is bit-identical either way; the
-	// switch exists for benchmarking and as an escape hatch.
-	DisableCompile bool
-	// DisableBlocked forces the compiled exhaustive sweep through the
-	// scalar one-point-at-a-time kernel instead of the blocked SweepPlan
-	// kernel. Output is bit-identical either way; the switch exists for
-	// benchmarking and as an escape hatch. Implied by DisableCompile.
-	DisableBlocked bool
 	// DisableFastSim forces every simulation through the full warmup
 	// walk instead of the pooled, warm-state-memoizing fast path. Output
 	// is bit-identical either way; the switch exists for benchmarking
@@ -160,9 +150,10 @@ type Explorer struct {
 	mu         sync.Mutex
 	sweepCache map[string][]Prediction
 	trainData  map[string]*regression.Dataset
-	// compiled holds each benchmark's fused compiled model pair, rebuilt
-	// whenever the models behind it change. Empty when DisableCompile.
-	compiled map[string]*eval.CompiledPair
+	// plans holds each benchmark's compiled model pair, rebuilt whenever
+	// the models behind it change: a benchmark has a plan exactly when it
+	// has models.
+	plans map[string]*eval.PairPlan
 
 	perf map[string]*regression.Model
 	pow  map[string]*regression.Model
@@ -198,7 +189,7 @@ func New(opts Options) (*Explorer, error) {
 		benchmarks:  benches,
 		sweepCache:  make(map[string][]Prediction),
 		trainData:   make(map[string]*regression.Dataset),
-		compiled:    make(map[string]*eval.CompiledPair),
+		plans:       make(map[string]*eval.PairPlan),
 		perf:        make(map[string]*regression.Model),
 		pow:         make(map[string]*regression.Model),
 	}
@@ -212,7 +203,7 @@ func New(opts Options) (*Explorer, error) {
 		eval.Options{Workers: opts.Workers, Name: "sim", BatchTimeout: opts.BatchTimeout},
 	)
 	e.modelsBackend = eval.NewModels(e.Models)
-	e.modelsBackend.LookupCompiled = e.compiledPair
+	e.modelsBackend.LookupCompiled = e.pairPlan
 	if opts.GuardInterval != 0 {
 		e.modelsBackend.SetGuardInterval(opts.GuardInterval)
 	}
@@ -300,12 +291,14 @@ func (e *Explorer) TrainContext(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("core: fitting power model for %s: %w", bench, err)
 		}
-		e.perf[bench] = perfModel
-		e.pow[bench] = powModel
-		if err := e.compileBench(bench, perfModel, powModel); err != nil {
-			return err
+		plan, err := eval.CompilePair(perfModel, powModel, e.StudySpace)
+		if err != nil {
+			return fmt.Errorf("core: compiling models for %s: %w", bench, err)
 		}
 		e.mu.Lock()
+		e.perf[bench] = perfModel
+		e.pow[bench] = powModel
+		e.plans[bench] = plan
 		e.trainData[bench] = ds
 		e.mu.Unlock()
 	}
@@ -313,29 +306,12 @@ func (e *Explorer) TrainContext(ctx context.Context) error {
 	return nil
 }
 
-// compileBench lowers a benchmark's freshly-fitted models into the fused
-// compiled pair (a no-op under DisableCompile). Callers must follow up
-// with modelsBackend.Reset() once the batch of model swaps is complete.
-func (e *Explorer) compileBench(bench string, perf, pow *regression.Model) error {
-	if e.opts.DisableCompile {
-		return nil
-	}
-	pair, err := eval.CompilePair(perf, pow, e.StudySpace)
-	if err != nil {
-		return fmt.Errorf("core: compiling models for %s: %w", bench, err)
-	}
-	e.mu.Lock()
-	e.compiled[bench] = pair
-	e.mu.Unlock()
-	return nil
-}
-
-// compiledPair resolves a benchmark's compiled pair for the model
-// backend; (nil, nil) routes the benchmark to the interpreted models.
-func (e *Explorer) compiledPair(bench string) (*eval.CompiledPair, error) {
+// pairPlan returns a benchmark's compiled model pair, or nil when the
+// benchmark has no models.
+func (e *Explorer) pairPlan(bench string) *eval.PairPlan {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.compiled[bench], nil
+	return e.plans[bench]
 }
 
 // buildDataset simulates the configurations for one benchmark and
@@ -533,15 +509,14 @@ func newSweepScratch() *sweepScratch {
 // cache. Results are deterministic and independent of the worker count
 // and kernel: dst[i] always holds the prediction for flat index i.
 //
-// With compiled models (the default) the sweep runs as a blocked
-// structure-of-arrays kernel: the engine hands each worker contiguous
-// flat-index tiles sized to divide the space's depth blocks, and each
-// tile walks a mixed-radix level odometer to assemble sweepChunk level
-// vectors at a time — shared by the performance and power plans — which
-// eval.PairPlan.EvalBlock evaluates eight points per unrolled step from
-// coefficient-premultiplied tables. DisableBlocked falls back to the
-// scalar one-point-at-a-time compiled kernel, and DisableCompile to the
-// interpreted per-request path; all three produce bit-identical output.
+// The sweep runs as a blocked structure-of-arrays kernel: the engine
+// hands each worker contiguous flat-index tiles sized to divide the
+// space's depth blocks, and each tile walks a mixed-radix level odometer
+// to assemble sweepChunk level vectors at a time — shared by the
+// performance and power plans — which eval.PairPlan.EvalBlock evaluates
+// eight points per unrolled step from coefficient-premultiplied tables.
+// The output is bit-identical to the interpreted models, which the
+// guardrail checks and which re-run the sweep if the guardrail trips.
 func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst []Prediction) error {
 	return e.ExhaustivePredictRange(ctx, bench, 0, e.StudySpace.Size(), dst)
 }
@@ -552,9 +527,9 @@ func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst 
 // land at their absolute indices (dst[i] for i in [from, to)) and
 // slots outside the range are untouched, so a set of range sweeps that
 // tile the space assembles exactly the full-sweep output. Progress and
-// SweptPoints account the sub-range only. The same kernel ladder
-// (blocked, scalar compiled, interpreted) and guardrail contract apply;
-// a guardrail trip re-runs just this range on the interpreted path.
+// SweptPoints account the sub-range only. The same kernel and guardrail
+// contract apply; a guardrail trip re-runs just this range on the
+// interpreted path.
 func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, from, to int, dst []Prediction) error {
 	if _, _, err := e.Models(bench); err != nil {
 		return err
@@ -574,20 +549,14 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 		obs.String("bench", bench), obs.Int("from", int64(from)), obs.Int("to", int64(to)))
 	defer sp.End()
 	guard := e.modelsBackend.Guard()
-	if pair, _ := e.compiledPair(bench); pair != nil && pair.Leveled() && !guard.Degraded() {
-		var err error
-		if plan := pair.Plan(); plan != nil && !e.opts.DisableBlocked {
-			err = e.sweepBlocked(ctx, bench, plan, guard, from, to, dst)
-		} else {
-			err = e.sweepCompiledScalar(ctx, bench, pair, guard, from, to, dst)
-		}
-		if err != nil {
+	if !guard.Degraded() {
+		if err := e.sweepBlocked(ctx, bench, e.pairPlan(bench), guard, from, to, dst); err != nil {
 			return err
 		}
 		if !guard.Degraded() {
 			return nil
 		}
-		// The guardrail tripped mid-sweep: some compiled result diverged
+		// The guardrail tripped mid-sweep: some plan result diverged
 		// from the interpreted reference, and the corruption could have
 		// landed anywhere in the range. Fall through and re-run the whole
 		// range on the interpreted path (which the degraded backend now
@@ -605,7 +574,7 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 	return nil
 }
 
-// sweepBlocked is the default compiled sweep: tiles of the flat index
+// sweepBlocked is the sweep kernel: tiles of the flat index
 // range, each walked chunk-by-chunk — odometer-assemble sweepChunk
 // level vectors, evaluate both models' SweepPlans over the block, store
 // straight into dst. The guardrail counts every point (TickCount per
@@ -667,51 +636,8 @@ func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.Pa
 	})
 }
 
-// sweepCompiledScalar is the pre-plan compiled kernel, kept as the
-// DisableBlocked escape hatch and as the middle rung of the golden
-// equivalence ladder: one point at a time through CompiledPair's
-// level-table path. Guard sampling follows the same per-point TickCount
-// contract as the blocked kernel.
-func (e *Explorer) sweepCompiledScalar(ctx context.Context, bench string, pair *eval.CompiledPair, guard *eval.Guardrail, from, to int, dst []Prediction) error {
-	space := e.StudySpace
-	levels := space.Levels()
-	return e.modelEngine.SweepRange(ctx, from, to, func(lo, hi int) error {
-		faultActive := fault.Active()
-		var scratch eval.PairScratch
-		pt := space.PointAt(lo)
-		lev := pt[:]
-		for i := lo; i < hi; i++ {
-			bips, watts := pair.EvalLevels(lev, &scratch)
-			if faultActive {
-				bips = fault.Flip("core.sweep.compiled", bips)
-				watts = fault.Flip("core.sweep.compiled", watts)
-			}
-			dst[i] = Prediction{Index: i, BIPS: bips, Watts: watts}
-			for a := arch.NumAxes - 1; a >= 0; a-- {
-				lev[a]++
-				if lev[a] < levels[a] {
-					break
-				}
-				lev[a] = 0
-			}
-		}
-		if checks := guard.TickCount(int64(hi - lo)); checks > 0 {
-			step := (hi - lo) / int(checks)
-			for c := int64(0); c < checks; c++ {
-				idx := lo + int(c)*step
-				refB, refW, err := e.interpretedPredict(bench, idx)
-				if err != nil {
-					return err
-				}
-				guard.Record(dst[idx].BIPS != refB || dst[idx].Watts != refW)
-			}
-		}
-		return nil
-	})
-}
-
 // interpretedPredict evaluates the interpreted regression models for
-// one flat study-space index — the compiled sweep's reference path.
+// one flat study-space index — the sweep kernel's reference path.
 func (e *Explorer) interpretedPredict(bench string, index int) (bips, watts float64, err error) {
 	perf, pow, err := e.Models(bench)
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 
 // TestCompiledGoldenEquivalence pins the compile step's core contract:
 // for every benchmark's fitted performance and power models, the
-// compiled evaluator — on both the value path and the level-table path —
-// is bit-identical to the interpreted Model.Predict, over a large
+// compiled plan — per configuration and per level vector — is
+// bit-identical to the interpreted Model.Predict, over a large
 // deterministic sample of the study space and over the full space for
 // one benchmark.
 func TestCompiledGoldenEquivalence(t *testing.T) {
@@ -22,24 +22,20 @@ func TestCompiledGoldenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pair, err := eval.CompilePair(perf, pow, space)
+		plan, err := eval.CompilePair(perf, pow, space)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pair.Leveled() {
-			t.Fatalf("%s: compiled pair not leveled against the study space", bench)
-		}
-		var scratch eval.PairScratch
 		for _, pt := range space.SampleUAR(10000, 0xC0FFEE) {
 			cfg := space.Config(pt)
 			get := arch.PredictorGetter(cfg)
 			wantB, wantW := perf.Predict(get), pow.Predict(get)
-			if b, w := pair.EvalConfig(cfg, &scratch); b != wantB || w != wantW {
-				t.Fatalf("%s: EvalConfig(%v) = (%v, %v), interpreted (%v, %v)",
-					bench, cfg, b, w, wantB, wantW)
+			if b, w, ok := plan.EvalConfig(cfg); !ok || b != wantB || w != wantW {
+				t.Fatalf("%s: EvalConfig(%v) = (%v, %v, %v), interpreted (%v, %v)",
+					bench, cfg, b, w, ok, wantB, wantW)
 			}
-			if b, w := pair.EvalLevels(pt[:], &scratch); b != wantB || w != wantW {
-				t.Fatalf("%s: EvalLevels(%v) = (%v, %v), interpreted (%v, %v)",
+			if b, w := plan.EvalPoint(pt[:]); b != wantB || w != wantW {
+				t.Fatalf("%s: EvalPoint(%v) = (%v, %v), interpreted (%v, %v)",
 					bench, pt, b, w, wantB, wantW)
 			}
 		}
@@ -50,120 +46,96 @@ func TestCompiledGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := eval.CompilePair(perf, pow, space)
+	plan, err := eval.CompilePair(perf, pow, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scratch eval.PairScratch
 	for i := 0; i < space.Size(); i++ {
 		pt := space.PointAt(i)
 		get := arch.PredictorGetter(space.Config(pt))
 		wantB, wantW := perf.Predict(get), pow.Predict(get)
-		if b, w := pair.EvalLevels(pt[:], &scratch); b != wantB || w != wantW {
-			t.Fatalf("gzip flat %d: compiled (%v, %v), interpreted (%v, %v)",
+		if b, w := plan.EvalPoint(pt[:]); b != wantB || w != wantW {
+			t.Fatalf("gzip flat %d: plan (%v, %v), interpreted (%v, %v)",
 				i, b, w, wantB, wantW)
 		}
 	}
 }
 
-// TestSweepThreePathsBitIdentical is the golden equivalence ladder for
-// the exhaustive sweep: the blocked structure-of-arrays kernel (the
-// default), the scalar compiled kernel (DisableBlocked) and the
-// interpreted per-request path (DisableCompile) must produce
-// bit-identical output over the full 262,500-point study space for
-// every trained benchmark — and each explorer must actually take its
-// intended path.
-func TestSweepThreePathsBitIdentical(t *testing.T) {
-	e := testExplorer(t)
-
-	newPath := func(mutate func(*Options)) *Explorer {
-		t.Helper()
-		opts := e.Options()
+// explorerLike returns a fresh explorer with src's options (adjusted by
+// mutate) and models.
+func explorerLike(t testing.TB, src *Explorer, mutate func(*Options)) *Explorer {
+	t.Helper()
+	opts := src.Options()
+	if mutate != nil {
 		mutate(&opts)
-		ex, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := copyModels(e, ex); err != nil {
-			t.Fatal(err)
-		}
-		return ex
 	}
-	scalar := newPath(func(o *Options) { o.DisableBlocked = true })
-	interp := newPath(func(o *Options) { o.DisableCompile = true })
+	ex, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := copyModels(src, ex); err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
+
+// interpretedExplorer is explorerLike with its guardrail tripped, so
+// every prediction and sweep runs on the interpreted models: the
+// reference oracle.
+func interpretedExplorer(t testing.TB, src *Explorer, mutate func(*Options)) *Explorer {
+	t.Helper()
+	ex := explorerLike(t, src, mutate)
+	ex.modelsBackend.Guard().Record(true)
+	return ex
+}
+
+// TestSweepBlockedBitIdenticalToInterpreted is the golden equivalence
+// check for the exhaustive sweep: the blocked structure-of-arrays kernel
+// and the interpreted per-request path must produce bit-identical
+// output over the full 262,500-point study space for every trained
+// benchmark — and each explorer must actually take its intended path.
+func TestSweepBlockedBitIdenticalToInterpreted(t *testing.T) {
+	e := testExplorer(t)
+	interp := interpretedExplorer(t, e, nil)
 
 	n := e.StudySpace.Size()
 	blockedOut := make([]Prediction, n)
-	scalarOut := make([]Prediction, n)
 	interpOut := make([]Prediction, n)
 	for _, bench := range e.Benchmarks() {
 		if err := e.ExhaustivePredictInto(context.Background(), bench, blockedOut); err != nil {
-			t.Fatal(err)
-		}
-		if err := scalar.ExhaustivePredictInto(context.Background(), bench, scalarOut); err != nil {
 			t.Fatal(err)
 		}
 		if err := interp.ExhaustivePredictInto(context.Background(), bench, interpOut); err != nil {
 			t.Fatal(err)
 		}
 		for i := range blockedOut {
-			if blockedOut[i] != scalarOut[i] || blockedOut[i] != interpOut[i] {
-				t.Fatalf("%s flat %d: blocked %+v, scalar %+v, interpreted %+v",
-					bench, i, blockedOut[i], scalarOut[i], interpOut[i])
+			if blockedOut[i] != interpOut[i] {
+				t.Fatalf("%s flat %d: blocked %+v, interpreted %+v", bench, i, blockedOut[i], interpOut[i])
 			}
 		}
 	}
 	if st := e.ModelStats(); st.SweptPoints == 0 {
 		t.Fatal("default explorer did not use the sweep kernel")
 	}
-	if st := scalar.ModelStats(); st.SweptPoints == 0 {
-		t.Fatal("DisableBlocked explorer did not use the sweep kernel")
-	}
 	if st := interp.ModelStats(); st.SweptPoints != 0 {
-		t.Fatal("DisableCompile explorer used the sweep kernel")
+		t.Fatal("interpreted explorer used the sweep kernel")
 	}
 }
 
-// TestSweepGuardCheckRateMatchesScalar pins the guardrail coverage
-// contract across sweep kernels: the blocked kernel ticks the guard per
-// point (TickCount per chunk), so a full sweep must cross-check the
-// same one-in-GuardInterval fraction of points as the scalar compiled
-// kernel — within 2x, not collapsed to one check per tile the way a
-// whole-tile TickN would.
-func TestSweepGuardCheckRateMatchesScalar(t *testing.T) {
-	e := testExplorer(t)
-
-	sweep := func(mutate func(*Options)) int64 {
-		t.Helper()
-		opts := e.Options()
-		mutate(&opts)
-		ex, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := copyModels(e, ex); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]Prediction, ex.StudySpace.Size())
-		if err := ex.ExhaustivePredictInto(context.Background(), "gzip", out); err != nil {
-			t.Fatal(err)
-		}
-		return ex.ModelStats().GuardChecks
+// TestSweepGuardCheckRate pins the guardrail coverage contract of the
+// sweep kernel: it ticks the guard per point (TickCount per chunk), so
+// a full sweep cross-checks about one in DefaultModelGuardInterval
+// points — not one per tile or per chunk.
+func TestSweepGuardCheckRate(t *testing.T) {
+	ex := explorerLike(t, testExplorer(t), nil)
+	out := make([]Prediction, ex.StudySpace.Size())
+	if err := ex.ExhaustivePredictInto(context.Background(), "gzip", out); err != nil {
+		t.Fatal(err)
 	}
-	blocked := sweep(func(o *Options) {})
-	scalar := sweep(func(o *Options) { o.DisableBlocked = true })
-
 	// 262,500 points at the default interval of 1024 → ~256 checks.
-	n := int64(e.StudySpace.Size())
-	want := n / eval.DefaultModelGuardInterval
-	if blocked < want/2 || blocked > want*2 {
-		t.Fatalf("blocked kernel made %d guard checks, want about %d", blocked, want)
-	}
-	if scalar < want/2 || scalar > want*2 {
-		t.Fatalf("scalar kernel made %d guard checks, want about %d", scalar, want)
-	}
-	if blocked > scalar*2 || scalar > blocked*2 {
-		t.Fatalf("guard check rates diverge: blocked %d, scalar %d", blocked, scalar)
+	want := int64(len(out)) / eval.DefaultModelGuardInterval
+	if got := ex.ModelStats().GuardChecks; got < want-1 || got > want+1 {
+		t.Fatalf("sweep made %d guard checks, want about %d", got, want)
 	}
 }
 

@@ -58,18 +58,25 @@ func (e *Explorer) LoadModels(r io.Reader) error {
 			return fmt.Errorf("core: saved models missing benchmark %q", b)
 		}
 	}
+	// Every model the set carries is reachable through Models, so every
+	// pair gets its plan before any of them is installed.
+	plans := make(map[string]*eval.PairPlan, len(set.Performance))
+	for b, perf := range set.Performance {
+		if pow := set.Power[b]; perf != nil && pow != nil {
+			plan, err := eval.CompilePair(perf, pow, e.StudySpace)
+			if err != nil {
+				return fmt.Errorf("core: compiling models for %s: %w", b, err)
+			}
+			plans[b] = plan
+		}
+	}
 	e.mu.Lock()
 	e.perf = set.Performance
 	e.pow = set.Power
-	// Cached sweeps and compiled pairs belong to the previous models.
+	e.plans = plans
+	// Cached sweeps belong to the previous models.
 	e.sweepCache = make(map[string][]Prediction)
-	e.compiled = make(map[string]*eval.CompiledPair)
 	e.mu.Unlock()
-	for _, b := range e.benchmarks {
-		if err := e.compileBench(b, set.Performance[b], set.Power[b]); err != nil {
-			return err
-		}
-	}
 	e.modelsBackend.Reset()
 	return nil
 }

@@ -48,21 +48,9 @@ func benchSweepExplorer(b *testing.B) *Explorer {
 	return benchSweepState.e
 }
 
-// sweepKernelBench measures ExhaustivePredictInto on one explorer
-// configuration, reporting predictions/s.
-func sweepKernelBench(b *testing.B, mutate func(*Options)) {
-	src := benchSweepExplorer(b)
-	opts := src.Options()
-	if mutate != nil {
-		mutate(&opts)
-	}
-	e, err := New(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := copyModels(src, e); err != nil {
-		b.Fatal(err)
-	}
+// sweepKernelBench measures ExhaustivePredictInto on one explorer,
+// reporting predictions/s.
+func sweepKernelBench(b *testing.B, e *Explorer) {
 	out := make([]Prediction, e.StudySpace.Size())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,19 +62,16 @@ func sweepKernelBench(b *testing.B, mutate func(*Options)) {
 	b.ReportMetric(float64(len(out)*b.N)/b.Elapsed().Seconds(), "predictions/s")
 }
 
-// BenchmarkSweepKernel pits the sweep's evaluation paths against each
-// other on one worker: the blocked SweepPlan kernel (default), the
-// scalar compiled kernel (DisableBlocked) and the interpreted
-// per-request path (DisableCompile). All three are bit-identical; the
-// deltas are pure kernel cost.
+// BenchmarkSweepKernel pits the sweep kernel against its oracle on one
+// worker: the blocked SweepPlan kernel and the interpreted per-request
+// path (an explorer with its guardrail tripped). Both are bit-identical;
+// the delta is pure kernel cost.
 func BenchmarkSweepKernel(b *testing.B) {
+	oneWorker := func(o *Options) { o.Workers = 1 }
 	b.Run("path=blocked", func(b *testing.B) {
-		sweepKernelBench(b, func(o *Options) { o.Workers = 1 })
-	})
-	b.Run("path=compiled", func(b *testing.B) {
-		sweepKernelBench(b, func(o *Options) { o.Workers = 1; o.DisableBlocked = true })
+		sweepKernelBench(b, explorerLike(b, benchSweepExplorer(b), oneWorker))
 	})
 	b.Run("path=interpreted", func(b *testing.B) {
-		sweepKernelBench(b, func(o *Options) { o.Workers = 1; o.DisableCompile = true })
+		sweepKernelBench(b, interpretedExplorer(b, benchSweepExplorer(b), oneWorker))
 	})
 }

@@ -23,9 +23,9 @@ import (
 // Default guardrail sampling intervals: roughly one in N fast-path
 // results is recomputed on the reference path and compared bit-exactly.
 // The simulator's reference run costs about as much as the fast run, so
-// 1/256 keeps overhead well under 1%; a compiled model prediction is so
-// cheap that even the interpreted reference is nearly free, but 1/1024
-// keeps the shared-counter traffic negligible in the sweep hot loop.
+// 1/256 keeps overhead well under 1%; a plan prediction is so cheap
+// that even the interpreted reference is nearly free, but 1/1024 keeps
+// the shared-counter traffic negligible in the sweep hot loop.
 const (
 	DefaultSimGuardInterval   = 256
 	DefaultModelGuardInterval = 1024
@@ -84,7 +84,7 @@ type Simulator struct {
 	// DisableFastSim forces every run through sim.Run's full warmup walk
 	// instead of the runner's memoized warm state. Output is
 	// bit-identical either way; the switch exists for benchmarking and
-	// as an escape hatch, mirroring core.Options.DisableCompile.
+	// as an escape hatch.
 	DisableFastSim bool
 
 	// synth synthesizes a trace; defaults to trace.ForBenchmark.
@@ -254,26 +254,22 @@ func (s *Simulator) Evaluate(cfg arch.Config, bench string) (float64, float64, e
 // performance and power models. Lookup resolves a benchmark to its two
 // models (typically a closure over the Explorer's trained state), so the
 // backend always sees the current models without copying them. When
-// LookupCompiled is set and yields a pair, predictions run through the
-// compiled fast path instead of the interpreted models.
+// LookupCompiled is set and yields a plan, predictions for the plan's
+// grid points run through its tables instead of the interpreted models.
 type Models struct {
 	Lookup func(bench string) (perf, pow *regression.Model, err error)
 
-	// LookupCompiled, when non-nil, resolves a benchmark to its fused
-	// compiled model pair. Returning (nil, nil) falls back to Lookup's
-	// interpreted models for that benchmark.
-	LookupCompiled func(bench string) (*CompiledPair, error)
+	// LookupCompiled, when non-nil, resolves a benchmark to its compiled
+	// model pair. A nil plan routes the benchmark to Lookup's
+	// interpreted models.
+	LookupCompiled func(bench string) *PairPlan
 
 	// last memoizes the most recent benchmark resolution: batches share a
 	// benchmark (the common case for every sweep), so the lookups hoist
 	// to once per batch instead of once per prediction.
 	last atomic.Pointer[resolvedModels]
 
-	// pool recycles per-goroutine scratch so a 262,500-point sweep does
-	// not allocate per prediction.
-	pool sync.Pool
-
-	// guard cross-checks a sample of compiled predictions against the
+	// guard cross-checks a sample of plan predictions against the
 	// interpreted models they were compiled from; a divergence trips it
 	// and routes later predictions through the interpreted path.
 	guard *Guardrail
@@ -283,24 +279,22 @@ type Models struct {
 // reused across the predictions of a batch.
 type resolvedModels struct {
 	bench     string
-	pair      *CompiledPair     // non-nil on the compiled path
-	perf, pow *regression.Model // interpreted fallback
+	plan      *PairPlan         // non-nil on the compiled path
+	perf, pow *regression.Model // the reference and off-grid path
 }
 
 // NewModels returns a regression-model backend over the lookup function.
 func NewModels(lookup func(bench string) (perf, pow *regression.Model, err error)) *Models {
-	m := &Models{Lookup: lookup, guard: NewGuardrail(DefaultModelGuardInterval)}
-	m.pool.New = func() any { return new(PairScratch) }
-	return m
+	return &Models{Lookup: lookup, guard: NewGuardrail(DefaultModelGuardInterval)}
 }
 
 // SetGuardInterval replaces the backend's guardrail with one checking
-// every interval-th compiled prediction; interval <= 0 disables
-// checking. Call before handing the backend to an engine.
+// every interval-th plan prediction; interval <= 0 disables checking.
+// Call before handing the backend to an engine.
 func (m *Models) SetGuardInterval(interval int64) { m.guard = NewGuardrail(interval) }
 
 // Guard exposes the backend's guardrail (tests trip and inspect it; the
-// compiled sweep kernel shares it).
+// sweep kernel shares it).
 func (m *Models) Guard() *Guardrail { return m.guard }
 
 // GuardStats implements the guardStatser probe for engine stats.
@@ -316,67 +310,63 @@ func (m *Models) Reset() { m.last.Store(nil) }
 // resolve returns the cached resolution for bench, refreshing it on a
 // benchmark switch. Failed resolutions are not cached. The interpreted
 // models are always resolved, even on the compiled path: they are the
-// guardrail's reference and the degraded fallback.
+// guardrail's reference, the off-grid path and the degraded fallback.
 func (m *Models) resolve(bench string) (*resolvedModels, error) {
 	if r := m.last.Load(); r != nil && r.bench == bench {
 		return r, nil
-	}
-	r := &resolvedModels{bench: bench}
-	if m.LookupCompiled != nil {
-		pair, err := m.LookupCompiled(bench)
-		if err != nil {
-			return nil, err
-		}
-		r.pair = pair
 	}
 	perf, pow, err := m.Lookup(bench)
 	if err != nil {
 		return nil, err
 	}
-	r.perf, r.pow = perf, pow
+	r := &resolvedModels{bench: bench, perf: perf, pow: pow}
+	if m.LookupCompiled != nil {
+		r.plan = m.LookupCompiled(bench)
+	}
 	m.last.Store(r)
 	return r, nil
 }
 
-// Evaluate implements Evaluator by model prediction: through the fused
-// compiled pair when available and the guardrail untripped, otherwise
-// the interpreted models. Roughly one in DefaultModelGuardInterval
-// compiled predictions is recomputed on the interpreted path and
-// compared bit-exactly; a divergence returns the interpreted numbers
-// and routes later predictions down the interpreted path.
+// Evaluate implements Evaluator by model prediction. A configuration on
+// the compiled plan's grid is answered from the plan's tables while the
+// guardrail is untripped; roughly one in DefaultModelGuardInterval such
+// predictions is recomputed on the interpreted models and compared
+// bit-exactly, and a divergence returns the interpreted numbers and
+// routes later predictions down the interpreted path. Off-grid
+// configurations always take the interpreted models.
 func (m *Models) Evaluate(cfg arch.Config, bench string) (float64, float64, error) {
 	r, err := m.resolve(bench)
 	if err != nil {
 		return 0, 0, err
 	}
-	s := m.pool.Get().(*PairScratch)
-	var bips, watts float64
-	if r.pair != nil && !m.guard.Degraded() {
-		bips, watts = r.pair.EvalConfig(cfg, s)
-		if fault.Active() {
-			// Injection point for silent compiled-table corruption.
-			bips = fault.Flip("eval.model.compiled", bips)
-			watts = fault.Flip("eval.model.compiled", watts)
-		}
-		if m.guard.Tick() {
-			refBIPS, refWatts := interpretedPredict(r, cfg, s)
-			diverged := bips != refBIPS || watts != refWatts
-			m.guard.Record(diverged)
-			if diverged {
-				bips, watts = refBIPS, refWatts
+	if r.plan != nil && !m.guard.Degraded() {
+		if bips, watts, ok := r.plan.EvalConfig(cfg); ok {
+			if fault.Active() {
+				// Injection point for silent compiled-table corruption.
+				bips = fault.Flip("eval.model.compiled", bips)
+				watts = fault.Flip("eval.model.compiled", watts)
 			}
+			if m.guard.Tick() {
+				refBIPS, refWatts := interpretedPredict(r, cfg)
+				diverged := bips != refBIPS || watts != refWatts
+				m.guard.Record(diverged)
+				if diverged {
+					return refBIPS, refWatts, nil
+				}
+			}
+			return bips, watts, nil
 		}
-	} else {
-		bips, watts = interpretedPredict(r, cfg, s)
 	}
-	m.pool.Put(s)
+	bips, watts := interpretedPredict(r, cfg)
 	return bips, watts, nil
 }
 
 // interpretedPredict predicts through the interpreted regression models
-// — the reference path the compiled tables were built from.
-func interpretedPredict(r *resolvedModels, cfg arch.Config, s *PairScratch) (bips, watts float64) {
-	vals := arch.PredictorsInto(cfg, s.predictorVals())
+// — the reference path the compiled tables were built from, and the only
+// path for configurations off their grid.
+func interpretedPredict(r *resolvedModels, cfg arch.Config) (bips, watts float64) {
+	var buf [arch.NumAxes]float64
+	vals := arch.PredictorsInto(cfg, buf[:])
 	get := func(name string) float64 {
 		idx := arch.PredictorIndex(name)
 		if idx < 0 {

@@ -162,34 +162,76 @@ func fitTestModels(t *testing.T) (perf, pow *regression.Model, space *arch.Space
 	return mk("bips", regression.Sqrt), mk("watts", regression.Log), space
 }
 
-func TestCompiledPairMatchesInterpreted(t *testing.T) {
+func TestPairPlanMatchesInterpreted(t *testing.T) {
 	perf, pow, space := fitTestModels(t)
-	pair, err := CompilePair(perf, pow, space)
+	plan, err := CompilePair(perf, pow, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pair.Perf().Leveled() || !pair.Pow().Leveled() {
-		t.Fatal("pair not fully leveled against the space")
-	}
-	var scratch PairScratch
 	for _, pt := range space.SampleUAR(500, 7) {
 		cfg := space.Config(pt)
 		get := arch.PredictorGetter(cfg)
 		wantB, wantW := perf.Predict(get), pow.Predict(get)
-		if b, w := pair.EvalConfig(cfg, &scratch); b != wantB || w != wantW {
-			t.Fatalf("EvalConfig(%v) = (%v, %v), want (%v, %v)", cfg, b, w, wantB, wantW)
+		if b, w, ok := plan.EvalConfig(cfg); !ok || b != wantB || w != wantW {
+			t.Fatalf("EvalConfig(%v) = (%v, %v, %v), want (%v, %v, true)", cfg, b, w, ok, wantB, wantW)
 		}
-		if b, w := pair.EvalLevels(pt[:], &scratch); b != wantB || w != wantW {
-			t.Fatalf("EvalLevels(%v) = (%v, %v), want (%v, %v)", pt, b, w, wantB, wantW)
+		if b, w := plan.EvalPoint(pt[:]); b != wantB || w != wantW {
+			t.Fatalf("EvalPoint(%v) = (%v, %v), want (%v, %v)", pt, b, w, wantB, wantW)
 		}
 	}
-	// Off-grid configurations go through the value path.
-	cfg := arch.Baseline() // depth 19 is not an exploration-space level
-	get := arch.PredictorGetter(cfg)
-	wantB, wantW := perf.Predict(get), pow.Predict(get)
-	if b, w := pair.EvalConfig(cfg, &scratch); b != wantB || w != wantW {
-		t.Fatalf("off-grid EvalConfig = (%v, %v), want (%v, %v)", b, w, wantB, wantW)
+	// Off-grid configurations are refused, not approximated.
+	if _, _, ok := plan.EvalConfig(arch.Baseline()); ok { // depth 19 is not a level
+		t.Fatal("EvalConfig accepted the off-grid baseline")
 	}
+}
+
+// TestModelsRoutesOnGridThroughPlan pins the per-request routing: a
+// configuration whose seven predictors sit on the plan's grid is
+// answered from the plan, bit-identical to Model.Predict, and any other
+// configuration is answered by Model.Predict without touching the plan
+// or its guardrail. With a guard interval of 1 every plan prediction is
+// cross-checked, so the guard's check count is the plan's traffic.
+func TestModelsRoutesOnGridThroughPlan(t *testing.T) {
+	perf, pow, space := fitTestModels(t)
+	plan, err := CompilePair(perf, pow, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewModels(func(bench string) (*regression.Model, *regression.Model, error) {
+		return perf, pow, nil
+	})
+	m.LookupCompiled = func(bench string) *PairPlan { return plan }
+	m.SetGuardInterval(1)
+	check := func(what string, cfg arch.Config, wantChecks int64) {
+		t.Helper()
+		get := arch.PredictorGetter(cfg)
+		wantB, wantW := perf.Predict(get), pow.Predict(get)
+		b, w, err := m.Evaluate(cfg, "gzip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != wantB || w != wantW {
+			t.Fatalf("%s %v: Evaluate = (%v, %v), Predict (%v, %v)", what, cfg, b, w, wantB, wantW)
+		}
+		if checks, div, _ := m.GuardStats(); checks != wantChecks || div != 0 {
+			t.Fatalf("%s %v: guard %d checks / %d divergences, want %d / 0", what, cfg, checks, div, wantChecks)
+		}
+	}
+
+	var plans int64
+	for _, pt := range space.SampleUAR(10_000, 2007) {
+		plans++
+		check("on-grid", space.Config(pt), plans)
+	}
+	// Coupled fields the models never read do not take a grid point off
+	// the grid.
+	cfg := space.Config(arch.Point{2, 1, 3, 4, 0, 2, 1})
+	cfg.LSQ, cfg.FPR, cfg.ResvBR = cfg.LSQ+1, cfg.FPR+3, cfg.ResvBR+2
+	plans++
+	check("off-grid coupled fields", cfg, plans)
+	// Off-grid predictors go to the interpreted models, unguarded.
+	check("baseline", arch.Baseline(), plans)
+	check("depth 9", arch.TableOneSpace().Config(arch.Point{0, 1, 2, 3, 4, 0, 1}), plans)
 }
 
 func TestModelsResolutionHoisted(t *testing.T) {
@@ -252,12 +294,12 @@ func TestModelsCompiledLookupPreferred(t *testing.T) {
 		interpLookups.Add(1)
 		return perf, pow, nil
 	})
-	m.LookupCompiled = func(bench string) (*CompiledPair, error) {
+	m.LookupCompiled = func(bench string) *PairPlan {
 		compiledLookups.Add(1)
 		if bench == "fallback" {
-			return nil, nil
+			return nil
 		}
-		return pair, nil
+		return pair
 	}
 	cfg := space.Config(arch.Point{1, 1, 1, 1, 1, 1, 1})
 	get := arch.PredictorGetter(cfg)
@@ -269,8 +311,8 @@ func TestModelsCompiledLookupPreferred(t *testing.T) {
 	if b != wantB || w != wantW {
 		t.Fatalf("compiled Evaluate = (%v, %v), want (%v, %v)", b, w, wantB, wantW)
 	}
-	// The interpreted models are resolved once alongside the pair — they
-	// are the guardrail's reference and the degraded fallback — but
+	// The interpreted models are resolved once alongside the plan — they
+	// are the guardrail's reference and the off-grid path — but
 	// resolution is memoized per benchmark, not per prediction.
 	if interpLookups.Load() != 1 {
 		t.Fatalf("compiled resolution ran the interpreted lookup %d times, want 1", interpLookups.Load())
@@ -281,7 +323,7 @@ func TestModelsCompiledLookupPreferred(t *testing.T) {
 	if interpLookups.Load() != 1 {
 		t.Fatalf("re-evaluation re-ran the interpreted lookup (%d)", interpLookups.Load())
 	}
-	// A nil pair falls back to the interpreted models.
+	// A nil plan falls back to the interpreted models.
 	if b, w, err = m.Evaluate(cfg, "fallback"); err != nil {
 		t.Fatal(err)
 	}

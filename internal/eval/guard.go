@@ -13,7 +13,7 @@ var (
 )
 
 // Guardrail is the runtime cross-check that keeps fast paths honest: a
-// backend with a fast path (compiled predictors, the simulator's
+// backend with a fast path (compiled model tables, the simulator's
 // warm-state memo) samples roughly one in Interval fast results and
 // recomputes it on its reference path. The paths are bit-identical by
 // construction, so any difference is silent corruption — a bug or a
@@ -48,23 +48,12 @@ func (g *Guardrail) Tick() bool {
 	return g.n.Add(1)%g.interval == 0
 }
 
-// TickN counts n fast evaluations at once — the sweep kernels tick once
-// per tile, not per point, to keep the hot loop free of shared-counter
-// traffic — and reports whether the batch crossed a check boundary, in
-// which case the caller cross-checks one representative point of the
-// batch.
-func (g *Guardrail) TickN(n int64) bool {
-	return g.TickCount(n) > 0
-}
-
 // TickCount counts n fast evaluations at once and returns how many
 // check boundaries the batch crossed — the per-point sampling rate for
-// batch kernels. Where TickN collapses a batch larger than the interval
-// into a single check (a tile of 32k points at interval 1024 would be
-// sampled once instead of ~32 times, silently thinning guard coverage),
-// TickCount preserves the configured one-in-Interval rate exactly: the
-// caller cross-checks that many points of the batch, however the batch
-// is sized.
+// batch kernels, which tick once per chunk to keep the hot loop free of
+// shared-counter traffic. The caller cross-checks that many points of
+// the batch, so the configured one-in-Interval rate holds exactly
+// however the batch is sized.
 func (g *Guardrail) TickCount(n int64) int64 {
 	if g == nil || g.interval <= 0 || n <= 0 {
 		return 0

@@ -22,25 +22,26 @@ func TestGuardrailTickSemantics(t *testing.T) {
 		t.Fatalf("interval-4 guard ticked on %v", fired)
 	}
 
-	// TickN fires when a batch crosses a boundary, however large.
+	// A batch counts every boundary it crosses, however large, and
+	// shares the counter with single ticks.
 	g = NewGuardrail(100)
-	if g.TickN(99) {
-		t.Fatal("TickN fired before the boundary")
+	if got := g.TickCount(99); got != 0 {
+		t.Fatalf("TickCount(99) = %d before the boundary", got)
 	}
-	if !g.TickN(1) {
-		t.Fatal("TickN missed the boundary")
+	if !g.Tick() {
+		t.Fatal("Tick missed the boundary a batch led up to")
 	}
-	if !g.TickN(250) {
-		t.Fatal("TickN missed a multi-boundary batch")
+	if got := g.TickCount(250); got != 2 {
+		t.Fatalf("TickCount(250) from 100 = %d, want 2", got)
 	}
 
 	// Nil and disabled guards never check and never degrade.
 	var nilG *Guardrail
-	if nilG.Tick() || nilG.TickN(10) || nilG.TickCount(10) != 0 || nilG.Degraded() {
+	if nilG.Tick() || nilG.TickCount(10) != 0 || nilG.Degraded() {
 		t.Fatal("nil guard is not inert")
 	}
 	nilG.Record(true)
-	if off := NewGuardrail(0); off.Tick() || off.TickN(1000) || off.TickCount(1000) != 0 {
+	if off := NewGuardrail(0); off.Tick() || off.TickCount(1000) != 0 {
 		t.Fatal("interval-0 guard checks")
 	}
 }
@@ -48,8 +49,7 @@ func TestGuardrailTickSemantics(t *testing.T) {
 // TestGuardrailTickCountExact pins the batch-kernel sampling contract:
 // TickCount returns every boundary a batch crosses, so the per-point
 // check rate is one-in-interval no matter how the caller slices its
-// batches — where TickN would collapse a multi-interval batch into a
-// single check.
+// batches, never collapsing a multi-interval batch into a single check.
 func TestGuardrailTickCountExact(t *testing.T) {
 	g := NewGuardrail(100)
 	if got := g.TickCount(99); got != 0 {
@@ -168,7 +168,7 @@ func TestModelsGuardCatchesFlippedCompiledPath(t *testing.T) {
 	m := NewModels(func(bench string) (*regression.Model, *regression.Model, error) {
 		return perf, pow, nil
 	})
-	m.LookupCompiled = func(bench string) (*CompiledPair, error) { return pair, nil }
+	m.LookupCompiled = func(bench string) *PairPlan { return pair }
 	m.SetGuardInterval(1)
 
 	cfg := space.Config(arch.Point{1, 1, 1, 1, 1, 1, 1})

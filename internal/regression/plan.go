@@ -7,24 +7,22 @@ import (
 	"repro/internal/obs"
 )
 
-// SweepPlan is a CompiledModel re-lowered into structure-of-arrays form
-// for exhaustive sweeps: one flat premultiplied lookup table per design
-// column, indexed by predictor level. Where the compiled model assembles
-// a design row per point (an append per term, a memmove per spline
-// table slice) and then dots it against the coefficients, the plan
-// collapses each column's basis value and its coefficient into a single
-// precomputed product — table[l] = basis(level l) * beta[j], computed at
-// build time with exactly the multiply linalg.Dot would perform — so
-// evaluating a point is nothing but len(beta)-1 table loads and adds
-// into one accumulator, in the interpreter's column order.
+// SweepPlan is a fitted Model lowered for evaluation on a discrete
+// grid: one flat premultiplied lookup table per design column, indexed
+// by predictor level. Each column's basis value and its coefficient are
+// collapsed into a single precomputed product — table[l] =
+// basis(level l) * beta[j], computed at compile time with exactly the
+// multiply linalg.Dot would perform — so evaluating a point is nothing
+// but len(beta)-1 table loads and adds into one accumulator, in the
+// interpreter's column order.
 //
 // Because the per-point operations (one multiply per column, folded into
 // the table; one add per column, performed in the same left-to-right
 // order; the same transform inverse) are bit-for-bit the interpreter's,
-// plan predictions are bit-identical to Model.Predict, CompiledModel
-// .PredictLevels and the scalar sweep kernel — regardless of block size,
-// since blocking interleaves the accumulation chains of *distinct*
-// points without reordering any point's own chain.
+// plan predictions are bit-identical to Model.Predict at the level
+// values — regardless of block size, since blocking interleaves the
+// accumulation chains of *distinct* points without reordering any
+// point's own chain.
 //
 // A SweepPlan is immutable and safe for concurrent use.
 type SweepPlan struct {
@@ -46,50 +44,77 @@ type planCol struct {
 	stride int
 }
 
-// Plan lowers the compiled model into its structure-of-arrays sweep
-// form. The model must be Leveled: every referenced predictor needs the
-// discrete sweep levels the tables are indexed by.
-func (c *CompiledModel) Plan() (*SweepPlan, error) {
-	sp := obs.Begin("regression.plan", obs.Int("columns", int64(c.width)))
+// Compile lowers the model into its sweep plan against a predictor
+// layout: names[i] is the predictor at index i of every level vector the
+// plan evaluates, and levels[i] lists the discrete values predictor i
+// takes. Every predictor the model references must appear in names and
+// have at least one level.
+func (m *Model) Compile(names []string, levels [][]float64) (*SweepPlan, error) {
+	sp := obs.Begin("regression.compile",
+		obs.String("response", m.spec.Response), obs.Int("predictors", int64(len(names))))
 	defer sp.End()
-	if !c.leveled {
-		return nil, fmt.Errorf("regression: planning a model compiled without full levels")
+	if len(levels) != len(names) {
+		return nil, fmt.Errorf("regression: %d level sets for %d predictors", len(levels), len(names))
+	}
+	index := make(map[string]int, len(names))
+	for i, n := range names {
+		index[n] = i
+	}
+	resolve := func(name string) (int, []float64, error) {
+		i, ok := index[name]
+		if !ok {
+			return 0, nil, fmt.Errorf("regression: compiling %q: predictor %q not in layout", m.spec.Response, name)
+		}
+		if len(levels[i]) == 0 {
+			return 0, nil, fmt.Errorf("regression: compiling %q: predictor %q has no levels", m.spec.Response, name)
+		}
+		return i, levels[i], nil
 	}
 	p := &SweepPlan{
-		transform: c.transform,
-		intercept: c.beta[0],
-		cols:      make([]planCol, 0, c.width-1),
-		nPred:     c.nPred,
+		transform: m.spec.Transform,
+		intercept: m.beta[0],
+		cols:      make([]planCol, 0, len(m.beta)-1),
+		nPred:     len(names),
 	}
-	j := 1 // coefficient cursor; 0 is the intercept
-	for i := range c.ops {
-		op := &c.ops[i]
-		if op.kind == TermInteraction {
-			lp, lq := c.levelVals[op.p], c.levelVals[op.q]
-			t := make([]float64, len(lp)*len(lq))
-			for a, va := range lp {
-				for b, vb := range lq {
-					// The interpreter computes (va*vb) in AppendRowLevels and
-					// multiplies by beta[j] inside Dot; same order here.
-					t[a*len(lq)+b] = (va * vb) * c.beta[j]
+	// Fit and UnmarshalJSON guarantee one coefficient per design column,
+	// so the coefficient of column c is beta[c+1].
+	var buf [64]float64
+	for ti := range m.terms {
+		t := &m.terms[ti]
+		a, la, err := resolve(t.spec.Var)
+		if err != nil {
+			return nil, err
+		}
+		j := len(p.cols) + 1 // coefficient of the term's first column
+		if t.spec.Kind == TermInteraction {
+			b, lb, err := resolve(t.spec.Var2)
+			if err != nil {
+				return nil, err
+			}
+			tab := make([]float64, len(la)*len(lb))
+			for x, va := range la {
+				for y, vb := range lb {
+					// The interpreter's column is va*vb, multiplied by
+					// beta[j] inside linalg.Dot; same order here.
+					tab[x*len(lb)+y] = (va * vb) * m.beta[j]
 				}
 			}
-			p.cols = append(p.cols, planCol{table: t, axis: op.p, axis2: op.q, stride: len(lq)})
-			j++
+			p.cols = append(p.cols, planCol{table: tab, axis: a, axis2: b, stride: len(lb)})
 			continue
 		}
-		nl := len(c.levelVals[op.p])
-		for w := 0; w < op.width; w++ {
-			t := make([]float64, nl)
-			for l := 0; l < nl; l++ {
-				t[l] = op.table[l*op.width+w] * c.beta[j]
+		// The interpreter's own column builder, fed each level value in
+		// turn, gives every table entry the interpreter's bits.
+		for l, v := range la {
+			row := t.appendColumns(buf[:0], func(string) float64 { return v })
+			if l == 0 {
+				for range row {
+					p.cols = append(p.cols, planCol{table: make([]float64, len(la)), axis: a, axis2: -1})
+				}
 			}
-			p.cols = append(p.cols, planCol{table: t, axis: op.p, axis2: -1})
-			j++
+			for w, x := range row {
+				p.cols[j-1+w].table[l] = x * m.beta[j+w]
+			}
 		}
-	}
-	if j != c.width {
-		return nil, fmt.Errorf("regression: plan lowered %d columns, model has %d", j, c.width)
 	}
 	return p, nil
 }
@@ -103,7 +128,7 @@ func (p *SweepPlan) NumColumns() int { return len(p.cols) }
 
 // PlanBlock is the point count PredictBlock processes per unrolled
 // iteration. Eight independent accumulation chains are enough to hide
-// the floating-point add latency that serializes the scalar kernel
+// the floating-point add latency that serializes a one-point loop
 // (each chain is a strict left-to-right dependency, so a single point
 // can never saturate the FP units).
 const PlanBlock = 8
@@ -210,7 +235,7 @@ const pairBlock = 8
 // the point lev[i]. Each level index is loaded once and indexes both
 // models' column tables, halving the index traffic of two PredictBlock
 // passes. Per point and per model the operation sequence is exactly
-// PredictLevels', so both outputs are bit-identical to the scalar path.
+// PredictLevels', so both outputs are bit-identical to it.
 // Callers must ensure p.Congruent(q); len(out2) and len(lev) must be at
 // least len(out1).
 func (p *SweepPlan) PredictBlockPair(q *SweepPlan, lev [][]int, out1, out2 []float64) {
@@ -308,9 +333,9 @@ func (p *SweepPlan) PredictBlockPair(q *SweepPlan, lev [][]int, out1, out2 []flo
 	}
 }
 
-// PredictLevels evaluates the plan for one design point — the scalar
-// tail of PredictBlock and the single-point entry for cross-checks.
-// Bit-identical to CompiledModel.PredictLevels.
+// PredictLevels evaluates the plan for one design point given as
+// per-predictor level indices — the scalar tail of PredictBlock and the
+// per-request entry. Bit-identical to Model.Predict at the level values.
 func (p *SweepPlan) PredictLevels(lv []int) float64 {
 	a := p.intercept
 	cols := p.cols

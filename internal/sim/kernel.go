@@ -42,7 +42,7 @@ const (
 // The reference kernel stays the plain transcription of the pipeline
 // model; this file is allowed to be clever precisely because timed is
 // not, mirroring how the compiled model tables are pinned against the
-// interpreted models under DisableCompile.
+// interpreted models.
 //
 // When rec is non-nil it must hold one byte per timed instruction; the
 // kernel records each instruction's cache and predictor outcomes into it
