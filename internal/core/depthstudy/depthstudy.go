@@ -130,65 +130,20 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var scratch blockScratch
 	for di, d := range depths {
 		// Depth is the most significant axis of the flat order, so each
-		// depth's designs occupy one contiguous block of the sweep — walk
-		// it directly instead of decoding points.
+		// depth's designs occupy one contiguous block of the sweep.
 		lo, hi := space.DepthBlock(di)
-		effs := make([]float64, 0, hi-lo)
-		type scored struct {
-			idx int
-			eff float64
-		}
-		all := make([]scored, 0, hi-lo)
-		bound := scored{idx: -1, eff: math.Inf(-1)}
-		beats := 0
-		for flat := lo; flat < hi; flat++ {
-			p := preds[flat]
-			if p.BIPS <= 0 || p.Watts <= 0 {
-				continue
-			}
-			eff := metrics.BIPS3W(p.BIPS, p.Watts)
-			rel := eff / res.OriginalBestEff
-			effs = append(effs, rel)
-			all = append(all, scored{idx: flat, eff: eff})
-			if eff > bound.eff {
-				bound = scored{idx: flat, eff: eff}
-			}
-			if eff > res.OriginalBestEff {
-				beats++
-			}
-		}
-		if bound.idx < 0 {
-			return nil, fmt.Errorf("depthstudy: no valid designs at %d FO4", d)
-		}
 		row := DepthRow{
 			DepthFO4:           d,
 			OriginalModelBIPS:  origBIPS[di],
 			OriginalModelWatts: origWatts[di],
 			OriginalModelEff:   origEff[di],
-			EffBox:             stats.NewBoxplot(effs),
-			BoundConfig:        space.Config(space.PointAt(bound.idx)),
-			BoundModelEff:      bound.eff,
-			BoundModelBIPS:     preds[bound.idx].BIPS,
-			BoundModelWatts:    preds[bound.idx].Watts,
-			FracBeatsBaseline:  float64(beats) / float64(len(all)),
 		}
-
-		// Figure 5(b): D-L1 size distribution among the top designs.
-		sort.Slice(all, func(a, b int) bool { return all[a].eff < all[b].eff })
-		cut := int(float64(len(all)) * opts.TopPercentile)
-		top := all[cut:]
-		hist := make(map[int]float64)
-		for _, s := range top {
-			cfg := space.Config(space.PointAt(s.idx))
-			hist[cfg.DL1KB]++
+		if err := analyzeBlock(&row, space, preds[lo:hi], res.OriginalBestEff, opts.TopPercentile, &scratch); err != nil {
+			return nil, err
 		}
-		for k := range hist {
-			hist[k] /= float64(len(top))
-		}
-		row.DL1Histogram = hist
-
 		res.Rows = append(res.Rows, row)
 	}
 
@@ -198,7 +153,6 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 		if r.BoundModelEff > res.Rows[bi].BoundModelEff {
 			bi = i
 		}
-		_ = i
 	}
 	res.BoundBestDepth = res.Rows[bi].DepthFO4
 
@@ -226,6 +180,87 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// blockScratch is the working storage Run reuses across depth blocks.
+type blockScratch struct {
+	effs  []float64 // the block's efficiencies, sorted in place
+	radix []float64 // radixSort's scratch
+}
+
+// analyzeBlock fills the enhanced-analysis fields of row (EffBox, the
+// bound design, FracBeatsBaseline and DL1Histogram) from block, one
+// depth's designs from the exhaustive sweep. Designs with a non-positive
+// prediction are left out; a non-finite efficiency is an error. origBest
+// is the original analysis' best efficiency, the unit of EffBox.
+//
+// The block's efficiencies are sorted once. Figure 5(a)'s boxplot is
+// taken from the sorted values, and Figure 5(b)'s top designs are those
+// above the value at the topPercentile cut, then those tied with it in
+// flat-index order until exactly n-cut designs are counted.
+func analyzeBlock(row *DepthRow, space *arch.Space, block []core.Prediction, origBest, topPercentile float64, s *blockScratch) error {
+	effs := s.effs[:0]
+	bound, boundEff, beats := -1, math.Inf(-1), 0
+	for i, p := range block {
+		if p.BIPS <= 0 || p.Watts <= 0 {
+			continue
+		}
+		eff := metrics.BIPS3W(p.BIPS, p.Watts)
+		if math.IsNaN(eff) || math.IsInf(eff, 0) {
+			return fmt.Errorf("depthstudy: non-finite efficiency %v at %d FO4 (design %d)", eff, row.DepthFO4, p.Index)
+		}
+		effs = append(effs, eff)
+		if eff > boundEff {
+			bound, boundEff = i, eff
+		}
+		if eff > origBest {
+			beats++
+		}
+	}
+	s.effs = effs
+	if bound < 0 {
+		return fmt.Errorf("depthstudy: no valid designs at %d FO4", row.DepthFO4)
+	}
+	s.radix = radixSort(effs, s.radix)
+	n := len(effs)
+	cut := int(float64(n) * topPercentile)
+	thr := effs[cut]
+	ties := 0 // designs tied at thr that fall in the top n-cut
+	for j := cut; j < n && effs[j] == thr; j++ {
+		ties++
+	}
+
+	// Figure 5(a): dividing by a positive constant keeps the order.
+	for i := range effs {
+		effs[i] /= origBest
+	}
+	row.EffBox = stats.NewBoxplotSorted(effs)
+	row.BoundConfig = space.Config(space.PointAt(block[bound].Index))
+	row.BoundModelEff = boundEff
+	row.BoundModelBIPS = block[bound].BIPS
+	row.BoundModelWatts = block[bound].Watts
+	row.FracBeatsBaseline = float64(beats) / float64(n)
+
+	// Figure 5(b): D-L1 size distribution among the top designs.
+	hist := make(map[int]float64)
+	for _, p := range block {
+		if p.BIPS <= 0 || p.Watts <= 0 {
+			continue
+		}
+		eff := metrics.BIPS3W(p.BIPS, p.Watts)
+		if eff < thr || eff == thr && ties == 0 {
+			continue
+		}
+		if eff == thr {
+			ties--
+		}
+		hist[space.Config(space.PointAt(p.Index)).DL1KB]++
+	}
+	for k := range hist {
+		hist[k] /= float64(n - cut)
+	}
+	row.DL1Histogram = hist
+	return nil
 }
 
 // SuiteAverage combines per-benchmark results into the benchmark-average

@@ -196,23 +196,18 @@ func Figure5b(results map[string]*depthstudy.Result, space *arch.Space) string {
 		headers = append(headers, KB(s))
 	}
 	t := NewTable("Figure 5b: D-L1 sizes among top-5% designs per depth (suite average)", headers...)
-	var depths []int
-	for _, r := range results {
-		for _, row := range r.Rows {
-			depths = append(depths, row.DepthFO4)
-		}
-		break
+	benches := sortedKeys(results)
+	if len(benches) == 0 {
+		return t.String()
 	}
-	for di, d := range depths {
-		row := []string{fmt.Sprintf("%dFO4", d)}
+	for di, r0 := range results[benches[0]].Rows {
+		row := []string{fmt.Sprintf("%dFO4", r0.DepthFO4)}
 		for _, s := range sizes {
 			var sum float64
-			var n int
-			for _, r := range results {
-				sum += r.Rows[di].DL1Histogram[s]
-				n++
+			for _, b := range benches {
+				sum += results[b].Rows[di].DL1Histogram[s]
 			}
-			row = append(row, Pct(sum/float64(n)))
+			row = append(row, Pct(sum/float64(len(benches))))
 		}
 		t.AddRow(row...)
 	}
@@ -296,7 +291,7 @@ func Table4(res *heterostudy.Result) string {
 func Figure8(res *heterostudy.Result) string {
 	t := NewTable("Figure 8: delay and power of per-benchmark optima (x) and K=4 compromises (O)",
 		"point", "delay (s)", "power (W)", "architecture")
-	for _, bench := range sortedOptima(res) {
+	for _, bench := range sortedKeys(res.Optima) {
 		o := res.Optima[bench]
 		t.AddRow("x "+bench, fmt.Sprintf("%.3f", o.Delay), fmt.Sprintf("%.1f", o.Power), o.Config.String())
 	}
@@ -344,18 +339,11 @@ func Figure9(res *heterostudy.Result, benches []string) string {
 	return t.String()
 }
 
-func sortedKeys(m map[string]*paretostudy.Result) []string {
+// sortedKeys returns a map's benchmark names in order, so that output,
+// and any sum taken across benchmarks, does not depend on map order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedOptima(res *heterostudy.Result) []string {
-	keys := make([]string, 0, len(res.Optima))
-	for k := range res.Optima {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -157,6 +157,47 @@ func TestFigure5bRenders(t *testing.T) {
 	}
 }
 
+func TestFigure5bIndependentOfMapOrder(t *testing.T) {
+	// The three benchmarks' 8 KB fractions have a mean whose rounding to
+	// 0.1% depends on the order they are added in: 30.9% one way, 31.0%
+	// another.
+	var suite []*depthstudy.Result
+	for i, frac := range []float64{0.105, 0.4551, 0.3684} {
+		res := &depthstudy.Result{Benchmark: []string{"gzip", "mcf", "mesa"}[i]}
+		for _, d := range []int{12, 15, 18} {
+			res.Rows = append(res.Rows, depthstudy.DepthRow{
+				DepthFO4:     d,
+				DL1Histogram: map[int]float64{8: frac, 16: 1 - frac},
+			})
+		}
+		suite = append(suite, res)
+	}
+	space := arch.ExplorationSpace()
+	var first string
+	for i := 0; i < 50; i++ {
+		// A fresh map each time, filled in a rotated order, so Go's
+		// randomized iteration order differs between calls.
+		results := make(map[string]*depthstudy.Result, len(suite))
+		for j := range suite {
+			r := suite[(i+j)%len(suite)]
+			results[r.Benchmark] = r
+		}
+		s := Figure5b(results, space)
+		if i == 0 {
+			first = s
+			continue
+		}
+		if s != first {
+			t.Fatalf("call %d:\n%s\nfirst call gave:\n%s", i, s, first)
+		}
+	}
+	for _, want := range []string{"12FO4", "18FO4"} {
+		if !strings.Contains(first, want) {
+			t.Fatalf("missing %q:\n%s", want, first)
+		}
+	}
+}
+
 func TestFigure6And7Render(t *testing.T) {
 	res, avg := sampleDepthResult()
 	s6 := Figure6(avg)

@@ -171,6 +171,15 @@ func NewBoxplot(data []float64) Boxplot {
 	}
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
+	return NewBoxplotSorted(sorted)
+}
+
+// NewBoxplotSorted is NewBoxplot for data already in ascending order,
+// which it neither copies, sorts nor keeps. It panics on empty data.
+func NewBoxplotSorted(sorted []float64) Boxplot {
+	if len(sorted) == 0 {
+		panic("stats: NewBoxplotSorted of empty data")
+	}
 	b := Boxplot{
 		N:    len(sorted),
 		Min:  sorted[0],

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,62 @@ func TestBoxplotWhiskerWithinFence(t *testing.T) {
 	}
 	if len(b.Outliers) != 1 || b.Outliers[0] != 50 {
 		t.Fatalf("Outliers = %v", b.Outliers)
+	}
+}
+
+func TestBoxplotSortedMatchesBoxplot(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	cases := [][]float64{
+		{42},
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 100},
+		{10, 10, 10, 10, 10, 10, 50},
+		{-3, 0, 0, 0, 7, -40, 2.5},
+	}
+	for _, n := range []int{2, 3, 17, 1000, 37500} {
+		data := make([]float64, n)
+		for i := range data {
+			// Log-normal with a few repeated values, so there are ties,
+			// outliers on the high side and a non-zero IQR.
+			data[i] = math.Exp(r.NormFloat64())
+			if i%11 == 0 {
+				data[i] = data[i/2]
+			}
+		}
+		cases = append(cases, data)
+	}
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	for ci, data := range cases {
+		want := NewBoxplot(data)
+		sorted := append([]float64(nil), data...)
+		sort.Float64s(sorted)
+		got := NewBoxplotSorted(sorted)
+		scalars := [][2]float64{
+			{got.Min, want.Min}, {got.Max, want.Max}, {got.Q1, want.Q1}, {got.Med, want.Med},
+			{got.Q3, want.Q3}, {got.LoWhisker, want.LoWhisker}, {got.HiWhisker, want.HiWhisker},
+			{got.Mean, want.Mean}, {got.StdDev, want.StdDev},
+		}
+		for fi, s := range scalars {
+			if bits(s[0]) != bits(s[1]) {
+				t.Fatalf("case %d: field %d = %v, NewBoxplot gave %v", ci, fi, s[0], s[1])
+			}
+		}
+		if got.N != want.N || len(got.Outliers) != len(want.Outliers) {
+			t.Fatalf("case %d: N/outliers = %d/%d, want %d/%d", ci, got.N, len(got.Outliers), want.N, len(want.Outliers))
+		}
+		for i := range got.Outliers {
+			if bits(got.Outliers[i]) != bits(want.Outliers[i]) {
+				t.Fatalf("case %d: outlier %d = %v, want %v", ci, i, got.Outliers[i], want.Outliers[i])
+			}
+		}
+		// The summary must not alias its input: callers reuse the buffer.
+		for i := range sorted {
+			sorted[i] = math.NaN()
+		}
+		for i := range got.Outliers {
+			if bits(got.Outliers[i]) != bits(want.Outliers[i]) {
+				t.Fatalf("case %d: outliers alias the input", ci)
+			}
+		}
 	}
 }
 
