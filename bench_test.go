@@ -682,9 +682,10 @@ func tripModelGuard(b *testing.B, ex *core.Explorer, bench string) {
 
 // BenchmarkTrainDataset measures dataset-build throughput — the
 // simulation phase of training, the dominant cost of the whole
-// methodology — on both simulator paths: the fast path (pooled scratch,
-// memoized warm cache/BHT state) and the seed full-warmup path
-// (DisableFastSim). Both paths run through a NoCache engine so every
+// methodology — on both simulator paths: the production path
+// (eval.Simulator over sim.Runner: pooled scratch, one memoized outcome
+// mask per cache geometry) and the seed full-warmup path (an eval.Func
+// over sim.Run). Both paths run through a NoCache engine so every
 // evaluation is a real simulation, and both must produce bit-identical
 // datasets. The measured rates (runs/sec and simulated timed MInst/sec)
 // and the fast-over-seed speedup are written to BENCH_train.json at the
@@ -693,7 +694,7 @@ func BenchmarkTrainDataset(b *testing.B) {
 	traceLen := benchOptions().TraceLen
 	benches := []string{"gzip", "mcf", "twolf"}
 	// Training samples are drawn from the paper's sampling space; reuse of
-	// cache geometries across samples is what the warm memo exploits.
+	// cache geometries across samples is what the outcome memo exploits.
 	space := arch.TableOneSpace()
 	points := space.SampleUAR(200, 0xDA7A)
 	var reqs []eval.Request
@@ -704,32 +705,36 @@ func BenchmarkTrainDataset(b *testing.B) {
 	}
 	timedPerRun := traceLen - int(float64(traceLen)*sim.WarmupFrac)
 
+	// Traces are synthesized once, outside every timer; training
+	// amortizes synthesis across every sample.
+	traces := make(map[string]*trace.Trace)
+	for _, bench := range benches {
+		tr, err := trace.ForBenchmark(bench, traceLen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces[bench] = tr
+	}
+	seed := eval.Func(func(cfg arch.Config, bench string) (float64, float64, error) {
+		res, err := sim.Run(cfg, traces[bench])
+		if err != nil {
+			return 0, 0, err
+		}
+		return res.BIPS, power.Watts(res), nil
+	})
+
 	measured := make(map[string]float64)
 	var baseline []eval.Result
-	datasetBench := func(path string, disableFast bool) func(b *testing.B) {
+	datasetBench := func(path string, backend eval.Evaluator) func(b *testing.B) {
 		return func(b *testing.B) {
-			s := eval.NewSimulator(traceLen)
-			s.DisableFastSim = disableFast
-			eng := eval.NewEngine(s, eval.Options{NoCache: true, Name: "train-" + path})
-			// Synthesize traces outside the timer; training amortizes
-			// synthesis across every sample.
-			for _, bench := range benches {
-				if _, _, err := s.Evaluate(arch.Baseline(), bench); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Two full passes outside the timer: like trace synthesis, the
-			// fast path's warm memo is populated once per geometry and
-			// amortized across the whole training sweep (and every study
-			// that follows), so the timed iterations measure steady-state
-			// throughput on both paths. The second pass matters for
-			// geometry keys only one sampled config maps to: their outcome
-			// masks are recorded on the second visit, so one pass would
-			// leave them on the snapshot-restore tier during measurement.
-			for pass := 0; pass < 2; pass++ {
-				if _, err := eng.EvaluateBatch(context.Background(), reqs); err != nil {
-					b.Fatal(err)
-				}
+			eng := eval.NewEngine(backend, eval.Options{NoCache: true, Name: "train-" + path})
+			// One full pass outside the timer: like trace synthesis, the
+			// production path's outcome memo is populated once per geometry
+			// and amortized across the whole training sweep (and every
+			// study that follows), so the timed iterations measure
+			// steady-state throughput on both paths.
+			if _, err := eng.EvaluateBatch(context.Background(), reqs); err != nil {
+				b.Fatal(err)
 			}
 			var out []eval.Result
 			b.ResetTimer()
@@ -759,8 +764,8 @@ func BenchmarkTrainDataset(b *testing.B) {
 		}
 	}
 	// Seed first so the fast path's divergence check runs against it.
-	b.Run("path=seed", datasetBench("seed", true))
-	b.Run("path=fast", datasetBench("fast", false))
+	b.Run("path=seed", datasetBench("seed", seed))
+	b.Run("path=fast", datasetBench("fast", eval.NewSimulator(traceLen)))
 
 	// Sharded dataset build vs single process, measured paired: each
 	// iteration builds the same training dataset once as a single shard

@@ -292,66 +292,6 @@ func (c *Cache) Probe(addr uint32) bool {
 	return false
 }
 
-// Snapshot is an immutable copy of a cache's geometry and contents —
-// tags, valid bits, recency counters and the LRU clock — taken at a
-// moment in time. Restoring a snapshot reproduces replacement behaviour
-// bit-for-bit, so warmed state can be captured once and reused across
-// simulations that share the same reference stream and geometry.
-type Snapshot struct {
-	name      string
-	sets      int
-	assoc     int
-	blockBits uint
-	counter   uint64
-	tags      []uint32
-	valid     []bool
-	lru       []uint64
-}
-
-// Snapshot deep-copies the cache's current state. Statistics are not
-// captured; a restored cache starts with zeroed counters (the state a
-// post-warmup ResetStats leaves behind).
-func (c *Cache) Snapshot() *Snapshot {
-	return &Snapshot{
-		name:      c.name,
-		sets:      c.sets,
-		assoc:     c.assoc,
-		blockBits: c.blockBits,
-		counter:   c.counter,
-		tags:      append([]uint32(nil), c.tags...),
-		valid:     append([]bool(nil), c.valid...),
-		lru:       append([]uint64(nil), c.lru...),
-	}
-}
-
-// Bytes returns the heap footprint of the snapshot's payload arrays,
-// used by memo budgets.
-func (s *Snapshot) Bytes() int64 {
-	return int64(len(s.tags))*4 + int64(len(s.valid)) + int64(len(s.lru))*8
-}
-
-// Restore reshapes the cache to the snapshot's geometry (reusing backing
-// arrays when large enough, like Configure) and copies the snapshot's
-// contents in. Statistics are zeroed. After Restore the cache behaves
-// exactly as the snapshotted cache did after its stats reset.
-func (c *Cache) Restore(s *Snapshot) {
-	n := s.sets * s.assoc
-	c.name = s.name
-	c.sets = s.sets
-	c.assoc = s.assoc
-	c.blockBits = s.blockBits
-	c.setMask = uint32(s.sets - 1)
-	c.tags = growUint32(c.tags, n)
-	c.valid = growBool(c.valid, n)
-	c.lru = growUint64(c.lru, n)
-	copy(c.tags, s.tags)
-	copy(c.valid, s.valid)
-	copy(c.lru, s.lru)
-	c.counter = s.counter
-	c.accesses = 0
-	c.misses = 0
-}
-
 // ResetStats clears the access counters but keeps cache contents: used
 // after a warmup pass so measured miss rates reflect steady state rather
 // than cold start.

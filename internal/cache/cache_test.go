@@ -241,70 +241,6 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// Snapshot/Restore must reproduce replacement behaviour bit-for-bit:
-// an identical access stream applied to the original and to a restored
-// copy must produce identical hit/miss sequences, even across geometry
-// changes of the destination cache.
-func TestSnapshotRestoreBitIdentical(t *testing.T) {
-	r := rng.New(7)
-	warm := mustNew(t, "d", 8*1024, 2, 128)
-	addrs := make([]uint32, 4000)
-	for i := range addrs {
-		addrs[i] = uint32(r.Intn(1 << 18))
-		warm.Access(addrs[i])
-	}
-	warm.ResetStats()
-	snap := warm.Snapshot()
-
-	// The destination starts with a different (larger) geometry, so
-	// Restore must reshape it, and a previous life's contents must not
-	// bleed through.
-	dst := mustNew(t, "other", 64*1024, 4, 128)
-	for _, a := range addrs {
-		dst.Access(a ^ 0x5a5a)
-	}
-	dst.Restore(snap)
-	if dst.Sets() != warm.Sets() || dst.Assoc() != warm.Assoc() {
-		t.Fatalf("restored geometry %d/%d, want %d/%d",
-			dst.Sets(), dst.Assoc(), warm.Sets(), warm.Assoc())
-	}
-	if acc, miss := dst.Stats(); acc != 0 || miss != 0 {
-		t.Fatalf("restored stats %d/%d, want zeroed", acc, miss)
-	}
-	probe := make([]uint32, 4000)
-	for i := range probe {
-		probe[i] = uint32(r.Intn(1 << 18))
-	}
-	for i, a := range probe {
-		if warm.Access(a) != dst.Access(a) {
-			t.Fatalf("access %d (addr %#x): restored cache diverged from original", i, a)
-		}
-	}
-	wa, wm := warm.Stats()
-	da, dm := dst.Stats()
-	if wa != da || wm != dm {
-		t.Fatalf("stats diverged: original %d/%d restored %d/%d", wa, wm, da, dm)
-	}
-}
-
-// A snapshot must be immune to later mutation of the source cache.
-func TestSnapshotIsDeepCopy(t *testing.T) {
-	c := mustNew(t, "d", 1024, 1, 128)
-	c.Access(0)
-	snap := c.Snapshot()
-	for i := 0; i < 64; i++ {
-		c.Access(uint32(i * 128)) // overwrite every set
-	}
-	fresh := mustNew(t, "d", 1024, 1, 128)
-	fresh.Restore(snap)
-	if !fresh.Probe(0) {
-		t.Fatal("snapshot lost block 0 after source mutation")
-	}
-	if fresh.Probe(7 * 128) {
-		t.Fatal("snapshot picked up a block accessed after it was taken")
-	}
-}
-
 // Configure must reuse backing arrays once grown: reconfiguring a cache
 // between geometries it has already seen allocates nothing.
 func TestConfigureSteadyStateAllocFree(t *testing.T) {
@@ -324,39 +260,64 @@ func TestConfigureSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestAccessSpecializationsMatchGeneric drives the unrolled 2-way and
-// 4-way access paths and the generic loop over the same random reference
-// stream and requires identical hit/miss decisions, statistics and final
-// contents — the bit-identicality contract the fast simulator kernel
-// relies on.
+// TestAccessSpecializationsMatchGeneric drives each specialized access
+// path — AccessDirect, the unrolled 2-way and 4-way paths, and Rehit on
+// a same-block repeat — and the generic loop over the same random
+// reference stream, and requires identical hit/miss decisions,
+// statistics and final contents: the bit-identicality contract the
+// simulator's outcome pass relies on.
 func TestAccessSpecializationsMatchGeneric(t *testing.T) {
 	cases := []struct {
+		name   string
 		assoc  int
-		access func(c *Cache, addr uint32) bool
+		repeat bool // half the accesses revisit the previous block
+		access func(c *Cache, addr, prev uint32) bool
 	}{
-		{2, func(c *Cache, addr uint32) bool { return c.Access2(addr) }},
-		{4, func(c *Cache, addr uint32) bool { return c.Access4(addr) }},
+		{"direct", 1, false, func(c *Cache, addr, _ uint32) bool { return c.AccessDirect(addr) }},
+		{"2-way", 2, false, func(c *Cache, addr, _ uint32) bool { return c.Access2(addr) }},
+		{"4-way", 4, false, func(c *Cache, addr, _ uint32) bool { return c.Access4(addr) }},
+		// The simulator's instruction-fetch pattern: a repeat of the
+		// previous access's block takes Rehit, anything else AccessDirect.
+		{"rehit", 1, true, func(c *Cache, addr, prev uint32) bool {
+			if blk := addr >> c.BlockShift(); blk == prev>>c.BlockShift() {
+				c.Rehit(blk & c.SetMask())
+				return true
+			}
+			return c.AccessDirect(addr)
+		}},
 	}
 	for _, tc := range cases {
 		ref := mustNew(t, "ref", 8*1024, tc.assoc, 128)
 		spec := mustNew(t, "ref", 8*1024, tc.assoc, 128)
 		r := rng.New(uint64(tc.assoc))
+		prev := ^uint32(0) // block number no address reaches
+		rehits := 0
 		for i := 0; i < 20000; i++ {
 			// A footprint a few times the cache provokes hits, conflict
 			// misses, invalid-way fills and LRU evictions alike.
 			addr := uint32(r.Intn(64*1024)) &^ 127
-			if ref.Access(addr) != tc.access(spec, addr) {
-				t.Fatalf("assoc %d: access %d to %#x diverged", tc.assoc, i, addr)
+			if tc.repeat && i > 0 && r.Intn(2) == 0 {
+				addr = prev&^127 | uint32(r.Intn(128))
+				rehits++
 			}
+			if ref.Access(addr) != tc.access(spec, addr, prev) {
+				t.Fatalf("%s: access %d to %#x diverged", tc.name, i, addr)
+			}
+			prev = addr
+		}
+		if tc.repeat && rehits == 0 {
+			t.Fatalf("%s: stream never repeated a block", tc.name)
 		}
 		ra, rm := ref.Stats()
 		sa, sm := spec.Stats()
 		if ra != sa || rm != sm {
-			t.Fatalf("assoc %d: stats %d/%d vs %d/%d", tc.assoc, ra, rm, sa, sm)
+			t.Fatalf("%s: stats %d/%d vs %d/%d", tc.name, ra, rm, sa, sm)
 		}
-		want, got := ref.Snapshot(), spec.Snapshot()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("assoc %d: final contents diverged", tc.assoc)
+		if ref.counter != spec.counter ||
+			!reflect.DeepEqual(ref.tags, spec.tags) ||
+			!reflect.DeepEqual(ref.valid, spec.valid) ||
+			!reflect.DeepEqual(ref.lru, spec.lru) {
+			t.Fatalf("%s: final contents diverged", tc.name)
 		}
 	}
 }

@@ -51,11 +51,6 @@ type Options struct {
 	// Spec selects the regression specification; nil means PaperSpec,
 	// the paper's splines + interactions + transformed responses.
 	Spec SpecBuilder
-	// DisableFastSim forces every simulation through the full warmup
-	// walk instead of the pooled, warm-state-memoizing fast path. Output
-	// is bit-identical either way; the switch exists for benchmarking
-	// and as an escape hatch.
-	DisableFastSim bool
 	// SweepTile is the contiguous flat-index tile size handed to each
 	// sweep worker; 0 means DefaultSweepTile. Output is independent of
 	// the tile size; it only shapes load balance and handout contention.
@@ -194,7 +189,6 @@ func New(opts Options) (*Explorer, error) {
 		pow:         make(map[string]*regression.Model),
 	}
 	simBackend := eval.NewSimulator(opts.TraceLen)
-	simBackend.DisableFastSim = opts.DisableFastSim
 	if opts.GuardInterval != 0 {
 		simBackend.SetGuardInterval(opts.GuardInterval)
 	}

@@ -6,6 +6,9 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/eval"
+	"repro/internal/power"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestCompiledGoldenEquivalence pins the compile step's core contract:
@@ -139,10 +142,10 @@ func TestSweepGuardCheckRate(t *testing.T) {
 	}
 }
 
-// TestSimFastPathVsDisabledIdentical compares the simulator's default
-// fast path (pooled scratch + memoized warm state) against the
-// DisableFastSim full-warmup path through the public Explorer surface,
-// for bit-identical output, and checks the warm memo actually engaged.
+// TestSimFastPathVsDisabledIdentical compares the simulator's production
+// path (pooled scratch + memoized outcome masks) against sim.Run, the
+// reference full-warmup path, through the public Explorer surface, for
+// bit-identical output, and checks the outcome memo actually engaged.
 func TestSimFastPathVsDisabledIdentical(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TraceLen = 20000
@@ -151,19 +154,18 @@ func TestSimFastPathVsDisabledIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisableFastSim = true
-	slow, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	space := fast.StudySpace
 	points := space.SampleUAR(5, 7)
 	for _, bench := range opts.Benchmarks {
+		tr, err := trace.ForBenchmark(bench, opts.TraceLen)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, pt := range points {
 			cfg := space.Config(pt)
-			// Vary width at fixed cache geometry so the fast explorer
-			// sees warm-key reuse across distinct requests.
+			// Vary width at fixed cache geometry so the explorer sees
+			// warm-key reuse across distinct requests.
 			for _, width := range []int{cfg.Width, cfg.Width * 2} {
 				c := cfg
 				c.Width = width
@@ -171,22 +173,18 @@ func TestSimFastPathVsDisabledIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sb, sw, err := slow.Simulate(c, bench)
+				ref, err := sim.Run(c, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fb != sb || fw != sw {
-					t.Fatalf("%s %v: fast (%v, %v), disabled (%v, %v)",
+				if sb, sw := ref.BIPS, power.Watts(ref); fb != sb || fw != sw {
+					t.Fatalf("%s %v: explorer (%v, %v), sim.Run (%v, %v)",
 						bench, c, fb, fw, sb, sw)
 				}
 			}
 		}
 	}
 	if st := fast.SimStats(); st.WarmHits == 0 {
-		t.Fatal("fast explorer recorded no warm hits")
-	}
-	if st := slow.SimStats(); st.WarmHits != 0 || st.WarmMisses != 0 {
-		t.Fatalf("DisableFastSim explorer recorded warm traffic: %d/%d",
-			st.WarmHits, st.WarmMisses)
+		t.Fatal("explorer recorded no warm hits")
 	}
 }

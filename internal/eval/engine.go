@@ -83,13 +83,13 @@ type EngineStats struct {
 	// the requests inside them). The serving layer issues one batch per
 	// predict or simulate request.
 	BatchCalls int64
-	// WarmHits counts simulator runs that restored a memoized warm
-	// cache/BHT state instead of walking the warmup; zero for backends
-	// without a warm-state memo.
+	// WarmHits counts simulator runs that replayed a memoized cache/BHT
+	// outcome mask; zero for backends without an outcome memo.
 	WarmHits int64
-	// WarmMisses counts simulator runs that walked their own warmup
-	// (including every first run of a geometry); zero for backends
-	// without a warm-state memo.
+	// WarmMisses counts simulator runs that computed their geometry's
+	// outcome mask (every first run of a geometry, and every run of one
+	// the memo budget cannot hold); zero for backends without an
+	// outcome memo.
 	WarmMisses int64
 	// PanicsRecovered counts backend panics converted into typed
 	// TaskErrors by per-worker recovery.
@@ -275,7 +275,7 @@ func NewEngine(ev Evaluator, opts Options) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // warmStatser is probed on the backend so engines over the simulator
-// surface its warm-state memo counters without the engine depending on
+// surface its outcome-memo counters without the engine depending on
 // the sim package.
 type warmStatser interface {
 	WarmStats() (hits, misses int64)

@@ -72,20 +72,14 @@ func RequestsFor(cfgs []arch.Config, bench string) []Request {
 
 // Simulator is the detailed-simulation backend: it synthesizes (and
 // memoizes) the benchmark trace, runs the cycle-accounting core model and
-// derives power from the activity counts. By default runs go through the
-// sim.Runner fast path — pooled scratch plus memoized warm cache/BHT
-// state per (trace, geometry) — which is bit-identical to the full
-// warmup path. Safe for concurrent use; traces are immutable once
+// derives power from the activity counts. Runs go through sim.Runner —
+// pooled scratch plus one memoized cache/BHT outcome mask per (trace,
+// geometry), replayed by every run — which is bit-identical to sim.Run's
+// full warmup walk. Safe for concurrent use; traces are immutable once
 // synthesized and runner state is internally synchronized.
 type Simulator struct {
 	// TraceLen is the synthetic trace length per benchmark.
 	TraceLen int
-
-	// DisableFastSim forces every run through sim.Run's full warmup walk
-	// instead of the runner's memoized warm state. Output is
-	// bit-identical either way; the switch exists for benchmarking and
-	// as an escape hatch.
-	DisableFastSim bool
 
 	// synth synthesizes a trace; defaults to trace.ForBenchmark.
 	// Overridable so tests can observe and block synthesis.
@@ -143,9 +137,9 @@ func (s *Simulator) GuardStats() (checks, divergences int64, degraded bool) {
 	return s.guard.Stats()
 }
 
-// WarmStats returns the runner's warm-state memo counters: runs that
-// restored a memoized warm hierarchy (hits) versus runs that walked
-// their own warmup (misses).
+// WarmStats returns the runner's outcome-memo counters: runs that
+// replayed a memoized outcome mask (hits) versus runs that computed
+// their key's mask (misses).
 func (s *Simulator) WarmStats() (hits, misses int64) {
 	return s.runner.WarmStats()
 }
@@ -206,18 +200,17 @@ func (s *Simulator) traceFor(bench string) (*trace.Trace, error) {
 }
 
 // Evaluate implements Evaluator by detailed simulation. Runs go through
-// the pooled, warm-state-memoizing fast path unless DisableFastSim is
-// set or the guardrail has tripped; the two paths produce bit-identical
-// results, and the guardrail recomputes roughly one in
-// DefaultSimGuardInterval fast runs on the reference path to prove it
-// at runtime. A divergence returns the reference numbers and routes all
-// later runs down the reference path.
+// the runner unless the guardrail has tripped. The runner and sim.Run,
+// the reference path, produce bit-identical results, and the guardrail
+// recomputes roughly one in DefaultSimGuardInterval runner results on
+// the reference path to prove it at runtime. A divergence returns the
+// reference numbers and routes all later runs down the reference path.
 func (s *Simulator) Evaluate(cfg arch.Config, bench string) (float64, float64, error) {
 	tr, err := s.traceFor(bench)
 	if err != nil {
 		return 0, 0, err
 	}
-	if s.DisableFastSim || s.guard.Degraded() {
+	if s.guard.Degraded() {
 		res, err := sim.Run(cfg, tr)
 		if err != nil {
 			return 0, 0, fmt.Errorf("eval: simulating %s on %v: %w", bench, cfg, err)
@@ -231,7 +224,7 @@ func (s *Simulator) Evaluate(cfg arch.Config, bench string) (float64, float64, e
 	bips, watts := res.BIPS, power.Watts(&res)
 	if fault.Active() {
 		// Injection point for silent fast-path corruption: flips model a
-		// bad memoized warm state or a scratch-pool bug.
+		// bad memoized outcome mask or a scratch-pool bug.
 		bips = fault.Flip("eval.sim.fast", bips)
 		watts = fault.Flip("eval.sim.fast", watts)
 	}

@@ -4,34 +4,40 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/power"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestSimulatorFastPathMatchesDisabled pins the backend-level contract:
-// with and without DisableFastSim, Evaluate returns bit-identical
-// (bips, watts) for the same requests.
+// Evaluate, which runs through the memoizing sim.Runner, returns
+// (bips, watts) bit-identical to sim.Run, the reference full-warmup path,
+// for the same requests.
 func TestSimulatorFastPathMatchesDisabled(t *testing.T) {
 	fast := NewSimulator(20000)
-	slow := NewSimulator(20000)
-	slow.DisableFastSim = true
-
 	space := arch.ExplorationSpace()
 	for _, bench := range []string{"gzip", "mcf"} {
+		tr, err := trace.ForBenchmark(bench, fast.TraceLen)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range space.SampleUAR(4, 99) {
 			cfg := space.Config(p)
-			// Three times through the fast backend: the warm-miss, the
-			// snapshot-restore (outcome-recording) and the outcome-replay
-			// runs must all match the full-warmup path.
-			for pass := 0; pass < 3; pass++ {
+			ref, err := sim.Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, ww := ref.BIPS, power.Watts(ref)
+			// Twice through the backend: the run that computes the key's
+			// outcome mask and the run that replays the memoized one must
+			// both match the reference path.
+			for pass := 0; pass < 2; pass++ {
 				gb, gw, err := fast.Evaluate(cfg, bench)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wb, ww, err := slow.Evaluate(cfg, bench)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if gb != wb || gw != ww {
-					t.Fatalf("%s %v pass %d: fast (%v, %v), disabled (%v, %v)",
+					t.Fatalf("%s %v pass %d: runner (%v, %v), sim.Run (%v, %v)",
 						bench, cfg, pass, gb, gw, wb, ww)
 				}
 			}
@@ -39,15 +45,12 @@ func TestSimulatorFastPathMatchesDisabled(t *testing.T) {
 	}
 	hits, misses := fast.WarmStats()
 	if hits == 0 || misses == 0 {
-		t.Fatalf("fast backend warm stats hits=%d misses=%d, want both > 0", hits, misses)
-	}
-	if h, m := slow.WarmStats(); h != 0 || m != 0 {
-		t.Fatalf("disabled backend warm stats %d/%d, want untouched", h, m)
+		t.Fatalf("warm stats hits=%d misses=%d, want both > 0", hits, misses)
 	}
 }
 
 // TestEngineStatsExposeWarmCounters checks that an engine over the
-// simulator backend surfaces its warm-state memo counters through Stats
+// simulator backend surfaces its outcome-memo counters through Stats
 // and differences them through StatsEpoch.
 func TestEngineStatsExposeWarmCounters(t *testing.T) {
 	s := NewSimulator(20000)

@@ -14,7 +14,7 @@ var (
 
 // Guardrail is the runtime cross-check that keeps fast paths honest: a
 // backend with a fast path (compiled model tables, the simulator's
-// warm-state memo) samples roughly one in Interval fast results and
+// outcome memo) samples roughly one in Interval fast results and
 // recomputes it on its reference path. The paths are bit-identical by
 // construction, so any difference is silent corruption — a bug or a
 // flipped bit — and the guardrail records the divergence and degrades:

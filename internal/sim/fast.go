@@ -7,26 +7,25 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/branch"
-	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// DefaultWarmBudget bounds the total heap the warm-state memo may hold.
-// A full training sweep touches at most il1×dl1×l2 = 125 geometry
-// combinations per benchmark (~10 MB each suite-wide at the largest L2),
-// so the default comfortably covers the paper's workloads; overflowing
-// runs simply fall back to walking their own warmup.
+// DefaultWarmBudget bounds the total bytes of outcome masks the memo may
+// hold. A mask is one byte per timed instruction and a full training
+// sweep touches at most il1×dl1×l2 = 125 geometry keys per benchmark, so
+// the paper's workloads need 9 benchmarks × 125 keys × 70 KB ≈ 79 MB at
+// 100k-instruction traces; runs past the budget compute their own mask
+// into scratch instead.
 const DefaultWarmBudget int64 = 256 << 20
 
-// warmKey identifies one memoizable warm state. Warmup touches only the
-// caches and the branch predictor, so warmed state depends on nothing
-// but the trace and the cache geometries — never on latencies, width,
-// depth, pools or queues (the BHT geometry is a package constant). Keys
-// hold the trace pointer: traces are immutable and memoized per
-// (benchmark, length), so pointer identity is exactly trace identity.
+// warmKey identifies one memoizable outcome mask. The caches and the
+// predictor are driven by the trace alone, so their outcomes depend on
+// nothing but the trace and the cache geometries — never on latencies,
+// width, depth, pools or queues (the BHT geometry is a package constant). Keys hold
+// the trace pointer: traces are immutable and memoized per (benchmark,
+// length), so pointer identity is exactly trace identity.
 type warmKey struct {
 	tr       *trace.Trace
 	il1KB    int
@@ -35,55 +34,38 @@ type warmKey struct {
 	l2KB     int
 }
 
-// warmState is the warmed hierarchy: one snapshot per cache plus the
-// trained branch history table, captured right after the warmup passes
-// and their stats reset.
-type warmState struct {
-	il1 *cache.Snapshot
-	dl1 *cache.Snapshot
-	l2  *cache.Snapshot
-	bht *branch.Snapshot
-}
-
-func (w *warmState) bytes() int64 {
-	return w.il1.Bytes() + w.dl1.Bytes() + w.l2.Bytes() + w.bht.Bytes()
-}
-
-// warmEntry is one key's memo slot: the once runs the warmup walk
-// exactly once however many goroutines race on the key; state stays nil
-// when the memo budget is exhausted (or the walk failed), in which case
-// later runs warm themselves. mask is the key's recorded outcome stream
-// (one byte per timed instruction, see the m* bits in kernel.go),
-// captured by the first snapshot-restored run and replayed by every run
-// after it; it stays nil until recorded, or forever if the budget is
-// exhausted.
+// warmEntry is one key's memo slot: the once computes the key's outcome
+// mask (one byte per timed instruction, see the m* bits in kernel.go)
+// exactly once however many goroutines race on the key. mask stays nil
+// when the memo budget is exhausted or the computation failed, in which
+// case every run of the key computes its own.
 type warmEntry struct {
-	once  sync.Once
-	state *warmState
-	mask  atomic.Pointer[[]byte]
+	once sync.Once
+	mask []byte
 }
 
 type warmMap map[warmKey]*warmEntry
 
-// Runner is the simulator's steady-state fast path: a pool of run
-// scratch plus a memo of warmed cache and branch-predictor state keyed
-// by (trace, cache geometry). The first run of each key walks the full
-// warmup and snapshots the result; every later run restores the snapshot
-// into pooled arrays and goes straight to the timed kernel, skipping the
-// warmup walk entirely. Results are bit-identical to Run's. Safe for
-// concurrent use.
+// Runner is the simulator's production path: a pool of run scratch plus
+// a memo of outcome masks keyed by (trace, cache geometry). The first
+// run of each key walks the warmup and then the timed region through the
+// caches and the branch predictor, with no timing, to compute the key's
+// mask; every run, the first included, then replays the mask through the
+// timed kernel without touching the hierarchy. Results are bit-identical
+// to Run's. Safe for concurrent use.
 type Runner struct {
-	pool   sync.Pool
-	warm   atomic.Pointer[warmMap]
-	mu     sync.Mutex // serializes copy-on-write inserts into warm
+	pool sync.Pool
+	warm atomic.Pointer[warmMap]
+	mu   sync.Mutex // serializes copy-on-write inserts into warm
+	// budget caps the memo's total mask bytes; keys past it are not
+	// memoized and nothing is evicted. Results are unaffected either way.
 	budget int64
 	used   atomic.Int64
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// NewRunner returns a fast-path runner with the default warm-state
-// budget.
+// NewRunner returns a runner with the default memo budget.
 func NewRunner() *Runner {
 	r := &Runner{budget: DefaultWarmBudget}
 	r.pool.New = func() any { return new(Scratch) }
@@ -92,14 +74,9 @@ func NewRunner() *Runner {
 	return r
 }
 
-// SetWarmBudget caps the memo's total snapshot bytes. Runs whose warm
-// state would exceed the cap warm themselves and nothing is evicted;
-// results are unaffected either way. Call before the runner is shared.
-func (r *Runner) SetWarmBudget(bytes int64) { r.budget = bytes }
-
-// WarmStats returns how many runs restored a memoized warm state (hits)
-// versus walked their own warmup (misses, including every first run of a
-// key).
+// WarmStats returns how many runs replayed a memoized outcome mask
+// (hits) versus computed their key's mask (misses: every first run of a
+// key, and every run of a key the memo budget could not hold).
 func (r *Runner) WarmStats() (hits, misses int64) {
 	return r.hits.Load(), r.misses.Load()
 }
@@ -107,7 +84,7 @@ func (r *Runner) WarmStats() (hits, misses int64) {
 // entry returns the memo slot for a key, creating it if needed. The hot
 // path is one atomic load and a map read; inserts copy the map under the
 // mutex, which is rare (once per distinct geometry per trace) and cheap
-// next to the warmup walk that follows.
+// next to the outcome pass that follows.
 func (r *Runner) entry(key warmKey) *warmEntry {
 	if e, ok := (*r.warm.Load())[key]; ok {
 		return e
@@ -128,7 +105,7 @@ func (r *Runner) entry(key warmKey) *warmEntry {
 	return e
 }
 
-// Run simulates through the fast path and returns a fresh Result.
+// Run simulates through the Runner and returns a fresh Result.
 func (r *Runner) Run(cfg arch.Config, tr *trace.Trace) (*Result, error) {
 	res := new(Result)
 	if err := r.RunInto(res, cfg, tr); err != nil {
@@ -137,9 +114,9 @@ func (r *Runner) Run(cfg arch.Config, tr *trace.Trace) (*Result, error) {
 	return res, nil
 }
 
-// RunInto simulates through the fast path into caller-owned storage.
-// On a warm hit it performs zero steady-state heap allocations; output
-// is bit-identical to Run's full-warmup path.
+// RunInto simulates through the Runner into caller-owned storage. Once
+// its key's mask is memoized it performs zero steady-state heap
+// allocations; output is bit-identical to Run's full-warmup path.
 func (r *Runner) RunInto(out *Result, cfg arch.Config, tr *trace.Trace) error {
 	p, err := Derive(cfg)
 	if err != nil {
@@ -168,92 +145,55 @@ func (r *Runner) RunInto(out *Result, cfg arch.Config, tr *trace.Trace) error {
 	return nil
 }
 
-// runFast simulates through the memo's fastest available tier. The first
-// run of a key walks the warmup and snapshots the warmed hierarchy; the
-// second restores the snapshot and records the timed region's cache and
-// predictor outcomes; every run after that replays the recorded outcomes
-// without touching the hierarchy at all. All three tiers produce
-// bit-identical results.
+// runFast replays the key's outcome mask, computing it first if this is
+// the key's first run. A key the memo budget cannot hold has its mask
+// computed into the scratch on every run and replayed the same way.
 func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) error {
-	key := warmKey{
+	e := r.entry(warmKey{
 		tr:       tr,
 		il1KB:    p.Config.IL1KB,
 		dl1KB:    p.Config.DL1KB,
 		dl1Assoc: p.DL1Assoc,
 		l2KB:     p.Config.L2KB,
-	}
-	e := r.entry(key)
-	warmed := false
+	})
+	size := tr.Len() - warmupLen(tr.Len())
+	computed := false
 	var onceErr error
 	e.once.Do(func() {
-		// First run of this key: walk the warmup in this scratch, then
-		// snapshot it for everyone else — unless that would bust the
-		// budget, in which case the state simply is not memoized.
-		if onceErr = s.configure(p); onceErr != nil {
+		if r.used.Add(int64(size)) > r.budget {
+			r.used.Add(-int64(size))
 			return
 		}
-		s.warmup(tr)
-		st := &warmState{
-			il1: s.il1.Snapshot(),
-			dl1: s.dl1.Snapshot(),
-			l2:  s.l2.Snapshot(),
-			bht: s.bht.Snapshot(),
+		m := make([]byte, size)
+		if onceErr = s.outcomes(p, tr, m); onceErr != nil {
+			r.used.Add(-int64(size))
+			return
 		}
-		if r.used.Add(st.bytes()) <= r.budget {
-			e.state = st
-		} else {
-			r.used.Add(-st.bytes())
-		}
-		warmed = true
+		e.mask = m
+		computed = true
 	})
 	if onceErr != nil {
 		return onceErr
 	}
+	mask := e.mask
 	switch {
-	case warmed:
-		// This goroutine just walked the warmup; its scratch is hot.
+	case computed:
 		r.misses.Add(1)
 		simWarmMisses.Add(1)
-		s.timedFast(out, p, tr, nil)
-	case e.state != nil:
-		if m := e.mask.Load(); m != nil {
-			// Outcome replay: no restore, no cache or predictor work.
-			r.hits.Add(1)
-			simWarmHits.Add(1)
-			simWarmReplays.Add(1)
-			s.timedReplay(out, p, tr, *m)
-			return nil
-		}
-		s.il1.Restore(e.state.il1)
-		s.dl1.Restore(e.state.dl1)
-		s.l2.Restore(e.state.l2)
-		s.bht.Restore(e.state.bht)
+	case mask != nil:
 		r.hits.Add(1)
 		simWarmHits.Add(1)
-		// Record the key's outcome stream during this run so later runs
-		// can replay it. Concurrent recorders of the same key produce
-		// identical bytes; the first to publish wins and the rest refund
-		// their budget charge.
-		var rec []byte
-		size := int64(tr.Len() - warmupLen(tr.Len()))
-		if r.used.Add(size) <= r.budget {
-			rec = make([]byte, size)
-		} else {
-			r.used.Add(-size)
-		}
-		s.timedFast(out, p, tr, rec)
-		if rec != nil && !e.mask.CompareAndSwap(nil, &rec) {
-			r.used.Add(-size)
-		}
 	default:
-		// Over budget (or the first walk failed): warm locally.
-		if err := s.configure(p); err != nil {
+		if cap(s.mask) < size {
+			s.mask = make([]byte, size)
+		}
+		mask = s.mask[:size]
+		if err := s.outcomes(p, tr, mask); err != nil {
 			return err
 		}
-		s.warmup(tr)
 		r.misses.Add(1)
 		simWarmMisses.Add(1)
-		s.timedFast(out, p, tr, nil)
 	}
+	s.timedReplay(out, p, tr, mask)
 	return nil
 }

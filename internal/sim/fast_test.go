@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -28,9 +30,9 @@ func testTrace(t *testing.T, bench string) *trace.Trace {
 	return tr
 }
 
-// TestFastPathGolden pins the fast path to the seed path bit-for-bit:
-// for sampled configurations across every benchmark, a Runner (memoized
-// warm state, pooled scratch) must reproduce the full-warmup result
+// TestFastPathGolden pins the Runner to the seed path bit-for-bit: for
+// sampled configurations across every benchmark, a Runner (memoized
+// outcome masks, pooled scratch) must reproduce the full-warmup result
 // exactly — same cycles, same activity, same floats.
 func TestFastPathGolden(t *testing.T) {
 	space := arch.ExplorationSpace()
@@ -41,11 +43,10 @@ func TestFastPathGolden(t *testing.T) {
 		for _, p := range points {
 			cfg := space.Config(p)
 			want := fullRun(t, cfg, tr)
-			// Three times per key, once per memo tier: the first run warms
-			// the memo (miss), the second restores the snapshot and records
-			// the outcome mask, the third replays the mask; all must match
-			// the seed.
-			for pass := 0; pass < 3; pass++ {
+			// Twice per key: the first run computes the key's outcome mask
+			// (miss) and the second replays the memoized one (hit); both
+			// must match the seed.
+			for pass := 0; pass < 2; pass++ {
 				got, err := r.Run(cfg, tr)
 				if err != nil {
 					t.Fatal(err)
@@ -65,7 +66,7 @@ func TestFastPathGolden(t *testing.T) {
 
 // TestWarmStateCrossGeometry interleaves runs with distinct cache
 // geometries through one Runner and checks each against a fresh
-// full-warmup run: restored warm state must never leak between keys.
+// full-warmup run: a memoized outcome mask must never leak between keys.
 func TestWarmStateCrossGeometry(t *testing.T) {
 	tr := testTrace(t, "mcf")
 	base := arch.Baseline()
@@ -83,7 +84,7 @@ func TestWarmStateCrossGeometry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if *got != *want {
-			t.Fatalf("run %d (%v): warm state leaked across geometries\n got %+v\nwant %+v",
+			t.Fatalf("run %d (%v): outcome mask leaked across geometries\n got %+v\nwant %+v",
 				i, cfg, got, want)
 		}
 	}
@@ -94,13 +95,13 @@ func TestWarmStateCrossGeometry(t *testing.T) {
 }
 
 // TestWarmBudgetFallback pins the over-budget behaviour: with a zero
-// budget nothing is memoized — every run warms itself — and results are
-// still bit-identical to the seed path.
+// budget nothing is memoized — every run computes its own outcome mask
+// into scratch — and results are still bit-identical to the seed path.
 func TestWarmBudgetFallback(t *testing.T) {
 	tr := testTrace(t, "gzip")
 	cfg := arch.Baseline()
 	r := NewRunner()
-	r.SetWarmBudget(0)
+	r.budget = 0
 	want := fullRun(t, cfg, tr)
 	for i := 0; i < 3; i++ {
 		got, err := r.Run(cfg, tr)
@@ -115,10 +116,13 @@ func TestWarmBudgetFallback(t *testing.T) {
 	if hits != 0 || misses != 3 {
 		t.Fatalf("warm stats hits=%d misses=%d, want 0/3 under zero budget", hits, misses)
 	}
+	if used := r.used.Load(); used != 0 {
+		t.Fatalf("zero budget charged %d bytes", used)
+	}
 }
 
-// TestRunZeroAllocs enforces the PR's core claim: once scratch and warm
-// state reach steady state, simulating a run performs zero heap
+// TestRunZeroAllocs pins the allocation contract: once scratch and the
+// outcome memo reach steady state, simulating a run performs zero heap
 // allocations — on the Runner fast path, the package Run path, and the
 // caller-owned-Scratch path alike. GC is disabled for the measurement so
 // a collection cannot clear the sync.Pool mid-run and charge the refill
@@ -171,8 +175,8 @@ func TestRunZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRunnerWarm measures the fast path in steady state (warm memo
-// hit, pooled scratch).
+// BenchmarkRunnerWarm measures the Runner in steady state (memoized
+// outcome mask, pooled scratch).
 func BenchmarkRunnerWarm(b *testing.B) {
 	tr, err := trace.ForBenchmark("gzip", testTraceLen)
 	if err != nil {
@@ -193,12 +197,11 @@ func BenchmarkRunnerWarm(b *testing.B) {
 	}
 }
 
-// TestReplayAcrossConfigs pins the property the replay tier rests on:
-// cache and predictor outcomes recorded under one configuration replay
-// bit-identically under configurations with different widths, depths,
-// latencies, pools and queues, as long as the warm key (trace, cache
-// geometry) matches. The third config's first run replays a mask that
-// was recorded by the second config's run.
+// TestReplayAcrossConfigs pins the property the Runner rests on: cache
+// and predictor outcomes computed once per warm key (trace, cache
+// geometry) replay bit-identically under configurations with different
+// widths, depths, latencies, pools and queues. The mask the first run
+// computes is the one every later config replays.
 func TestReplayAcrossConfigs(t *testing.T) {
 	tr := testTrace(t, "gcc")
 	base := arch.Baseline()
@@ -226,46 +229,53 @@ func TestReplayAcrossConfigs(t *testing.T) {
 	}
 }
 
-// TestMaskBudgetFallback pins the intermediate memo state: a budget that
-// fits the warm snapshots but not the outcome mask keeps every later run
-// on the snapshot-restore tier, still bit-identical and still counted as
-// a warm hit.
-func TestMaskBudgetFallback(t *testing.T) {
-	tr := testTrace(t, "gzip")
-	cfg := arch.Baseline()
-
-	// Learn the snapshot footprint of this key with an unbounded budget.
-	probe := NewRunner()
-	if _, err := probe.Run(cfg, tr); err != nil {
-		t.Fatal(err)
-	}
-	snapBytes := probe.used.Load()
-	if snapBytes <= 0 {
-		t.Fatalf("snapshot bytes = %d, want > 0", snapBytes)
+// TestRunnerConcurrent runs three configurations that share two warm keys
+// from eight goroutines on one Runner: every result must equal the seed
+// path's, and each key's outcome mask must be computed exactly once
+// however the goroutines race on it.
+func TestRunnerConcurrent(t *testing.T) {
+	tr := testTrace(t, "gcc")
+	base := arch.Baseline()
+	wide := base // same geometry as base: shares its warm key
+	wide.Width, wide.FUPerKind = base.Width*2, base.FUPerKind*2
+	small := base
+	small.IL1KB, small.DL1KB, small.L2KB = 16, 8, 256
+	cfgs := []arch.Config{base, wide, small}
+	want := make([]*Result, len(cfgs))
+	for i, cfg := range cfgs {
+		want[i] = fullRun(t, cfg, tr)
 	}
 
 	r := NewRunner()
-	r.SetWarmBudget(snapBytes) // snapshots fit exactly; any mask overflows
-	want := fullRun(t, cfg, tr)
-	for i := 0; i < 3; i++ {
-		got, err := r.Run(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *want {
-			t.Fatalf("run %d: snapshot-tier fallback diverged", i)
-		}
+	const goroutines, rounds = 8, 3
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var out Result
+			for k := 0; k < rounds*len(cfgs); k++ {
+				i := (g + k) % len(cfgs)
+				if err := r.RunInto(&out, cfgs[i], tr); err != nil {
+					errs <- err
+					return
+				}
+				if out != *want[i] {
+					errs <- fmt.Errorf("goroutine %d, %v: got %+v, want %+v", g, cfgs[i], out, *want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 	hits, misses := r.WarmStats()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("warm stats hits=%d misses=%d, want 2/1", hits, misses)
-	}
-	if e, ok := (*r.warm.Load())[warmKey{tr, cfg.IL1KB, cfg.DL1KB, DL1Assoc, cfg.L2KB}]; !ok {
-		t.Fatal("warm entry missing")
-	} else if e.mask.Load() != nil {
-		t.Fatal("outcome mask recorded despite exhausted budget")
-	}
-	if used := r.used.Load(); used != snapBytes {
-		t.Fatalf("budget accounting drifted: used %d, want %d", used, snapBytes)
+	if misses != 2 || hits != goroutines*rounds*int64(len(cfgs))-2 {
+		t.Fatalf("warm stats hits=%d misses=%d, want %d/2 (one mask per key)",
+			hits, misses, goroutines*rounds*len(cfgs)-2)
 	}
 }

@@ -21,7 +21,6 @@ var (
 	simCycles       = obs.DefaultRegistry.Counter("sim.cycles")
 	simWarmHits     = obs.DefaultRegistry.Counter("sim.warm.hits")
 	simWarmMisses   = obs.DefaultRegistry.Counter("sim.warm.misses")
-	simWarmReplays  = obs.DefaultRegistry.Counter("sim.warm.replays")
 	simRunHist      = obs.DefaultRegistry.Histogram("sim.run")
 )
 
@@ -110,12 +109,12 @@ func (r *ring) bw(t int64) int64 {
 
 // Scratch holds every piece of per-run mutable state the cycle kernel
 // needs: the completion array, the backing storage for the fourteen
-// resource rings, the three caches and the branch history table. A
-// Scratch reaches a steady state after a few runs — its arrays grow to
-// the largest geometry seen and are reused — so simulating through one
-// performs zero heap allocations. The zero value is ready to use.
-// A Scratch is not safe for concurrent use; Run and Runner draw them
-// from pools.
+// resource rings, the three caches, the branch history table and an
+// outcome-mask buffer. A Scratch reaches a steady state after a few runs
+// — its arrays grow to the largest geometry seen and are reused — so
+// simulating through one performs zero heap allocations. The zero value
+// is ready to use. A Scratch is not safe for concurrent use; Run and
+// Runner draw them from pools.
 type Scratch struct {
 	complete []int64
 	ringBuf  []int64
@@ -123,6 +122,7 @@ type Scratch struct {
 	dl1      cache.Cache
 	l2       cache.Cache
 	bht      branch.Predictor
+	mask     []byte // outcome mask of a Runner key the memo cannot hold
 }
 
 // scratchPool recycles run scratch for the package-level Run entry
@@ -317,7 +317,7 @@ func (s *Scratch) prepare(p Params, n, warm int) [numRings]ring {
 // the trace, assuming the scratch's caches and predictor already hold
 // warmed state, and writes the result into out. This is the reference
 // kernel — the straightforward transcription of the pipeline model that
-// the specialized timedFast kernel is pinned against by golden tests.
+// the Runner's timedReplay kernel is pinned against by golden tests.
 func (s *Scratch) timed(out *Result, p Params, tr *trace.Trace) {
 	cfg := p.Config
 	n := tr.Len()
