@@ -18,13 +18,12 @@
 //	search    heuristic search vs exhaustive sweep    (future-work extension)
 //	report    run everything
 //	dataset   build the training dataset checkpoints (shardable)
-//	sweep     run the exhaustive model sweeps        (shardable)
 //
-// The dataset and sweep commands partition across processes: -shard i/n
-// computes one deterministic slice into its own checkpoint, -merge n
-// reassembles completed shards into the standard checkpoint files
-// (byte-identical to a single-process run), and -distribute n forks n
-// workers, restarts failures from their checkpoints, and merges.
+// The dataset command partitions across processes: -shard i/n computes
+// one deterministic slice into its own checkpoint, -merge n reassembles
+// completed shards into the standard checkpoint files (byte-identical
+// to a single-process run), and -distribute n forks n workers, restarts
+// failures from their checkpoints, and merges.
 //
 // Flags control the training budget; see -help.
 package main
@@ -76,21 +75,19 @@ func run(args []string, out io.Writer) error {
 	traceFile := fs.String("trace", "", "enable span tracing and progress lines; write the span log (JSONL) to this file")
 	manifestFile := fs.String("manifest", "", "write a run manifest (JSON) describing this invocation to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	checkpointDir := fs.String("checkpoint", "", "write crash-safe training/sweep checkpoints into this directory")
+	checkpointDir := fs.String("checkpoint", "", "write crash-safe training checkpoints into this directory")
 	resume := fs.Bool("resume", false, "resume from checkpoints in the -checkpoint directory (results are bit-identical to an uninterrupted run)")
 	deadline := fs.Duration("deadline", 0, "per-batch evaluation deadline (0 = none); an expired batch fails with a deadline error")
-	shardSpec := fs.String("shard", "", "compute only shard i/n of the dataset or sweep work domain (e.g. 0/4; requires -checkpoint; dataset and sweep commands only)")
-	mergeN := fs.Int("merge", 0, "merge n completed shard checkpoints into the standard checkpoint files (requires -checkpoint; dataset and sweep commands only)")
-	distribute := fs.Int("distribute", 0, "coordinator mode: fork n worker processes (one per shard), restart failures from their checkpoints, then merge (requires -checkpoint; dataset and sweep commands only)")
+	shardSpec := fs.String("shard", "", "compute only shard i/n of the dataset build (e.g. 0/4; requires -checkpoint; dataset command only)")
+	mergeN := fs.Int("merge", 0, "merge n completed dataset shard checkpoints into the standard checkpoint files (requires -checkpoint; dataset command only)")
+	distribute := fs.Int("distribute", 0, "coordinator mode: fork n dataset worker processes (one per shard), restart failures from their checkpoints, then merge (requires -checkpoint; dataset command only)")
 	stallTimeout := fs.Duration("stall-timeout", 0, "with -distribute: kill and restart (with resume) a worker whose progress beacon shows no change for this long; must exceed worker startup plus one checkpoint chunk (0 = no liveness monitoring)")
-	speculate := fs.Bool("speculate", false, "with -distribute and -stall-timeout: launch a speculative backup attempt for tail stragglers; the first finisher wins and the merged output is unchanged")
-	shardSuffix := fs.String("shardsuffix", "", "internal: append this suffix to shard checkpoint and beacon filenames (how a speculative backup attempt avoids racing the primary on files)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("expected exactly one command: train, validate, pareto, depth, hetero, search, report, dataset or sweep")
+		return fmt.Errorf("expected exactly one command: train, validate, pareto, depth, hetero, search, report or dataset")
 	}
 	cmd := fs.Arg(0)
 
@@ -101,7 +98,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-tile must be >= 0, got %d", *tile)
 	}
 
-	shardable := cmd == "dataset" || cmd == "sweep"
+	shardable := cmd == "dataset"
 	shardModes := 0
 	for _, on := range []bool{*shardSpec != "", *mergeN > 0, *distribute > 0} {
 		if on {
@@ -113,7 +110,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if shardModes == 1 {
 		if !shardable {
-			return fmt.Errorf("-shard/-merge/-distribute apply to the dataset and sweep commands only")
+			return fmt.Errorf("-shard/-merge/-distribute apply to the dataset command only")
 		}
 		if *checkpointDir == "" {
 			return fmt.Errorf("-shard/-merge/-distribute require -checkpoint (shard outputs are checkpoints)")
@@ -128,12 +125,6 @@ func run(args []string, out io.Writer) error {
 	if *stallTimeout > 0 && *distribute == 0 {
 		return fmt.Errorf("-stall-timeout requires -distribute (the coordinator runs the beacon monitor)")
 	}
-	if *speculate && (*distribute == 0 || *stallTimeout == 0) {
-		return fmt.Errorf("-speculate requires -distribute and -stall-timeout (the straggler projection reads beacons)")
-	}
-	if *shardSuffix != "" && *shardSpec == "" {
-		return fmt.Errorf("-shardsuffix applies to -shard workers only")
-	}
 	shardIdx, shardCount := 0, 1
 	if *shardSpec != "" {
 		var err error
@@ -142,7 +133,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if shardable && *checkpointDir == "" {
-		return fmt.Errorf("the %s command requires -checkpoint (its outputs are checkpoint files)", cmd)
+		return fmt.Errorf("the dataset command requires -checkpoint (its outputs are checkpoint files)")
 	}
 
 	// Observability. Tracing (spans, latency histograms, progress lines)
@@ -180,7 +171,6 @@ func run(args []string, out io.Writer) error {
 		opts.CheckpointDir = *checkpointDir
 		opts.Resume = *resume
 	}
-	opts.ShardSuffix = *shardSuffix
 	opts.BatchTimeout = *deadline
 
 	e, err := core.New(opts)
@@ -211,14 +201,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// Dataset building needs no models; sweep merging and coordination
-	// reassemble or supervise shard checkpoints without predicting. Only
-	// a sweep that actually computes points needs trained models in this
-	// process (distributed sweep workers train in their own processes,
-	// resuming the shared dataset checkpoints when present).
-	needModels := !(cmd == "dataset" || (cmd == "sweep" && (*mergeN > 0 || *distribute > 0)))
-
-	if !needModels {
+	// Dataset building needs no models.
+	if cmd == "dataset" {
 		// Skip training entirely.
 	} else if *loadModels != "" {
 		err = phase("load_models", func() error {
@@ -285,28 +269,23 @@ func run(args []string, out io.Writer) error {
 		err = phase("hetero", func() error { return cmdHetero(e, out, !*noSim, *csvDir) })
 	case "search":
 		err = phase("search", func() error { return cmdSearch(e, out) })
-	case "dataset", "sweep":
+	case "dataset":
 		sh := &shardRun{
-			e: e, out: out, man: man, domain: cmd,
+			e: e, out: out, man: man,
 			idx: shardIdx, count: shardCount, explicit: *shardSpec != "",
-			merge: *mergeN, distribute: *distribute, args: args,
-			stallTimeout: *stallTimeout, speculate: *speculate,
-			checkpointDir: *checkpointDir,
+			merge: *mergeN, distribute: *distribute, stallTimeout: *stallTimeout,
 		}
 		// Worker argv is reconstructed from the parsed flags (not the raw
 		// argument list), so every worker inherits exactly the options that
 		// shape the run identity plus -resume — a restarted worker picks up
-		// at its own checkpoint instead of redoing its shard. A non-empty
-		// suffix builds a speculative backup attempt, which writes its
-		// shard files (and diagnostics) under suffixed names.
-		sh.workerArgs = func(i, n int, suffix string) []string {
+		// at its own checkpoint instead of redoing its shard.
+		sh.workerArgs = func(i, n int) []string {
 			wargs := []string{
 				"-samples", fmt.Sprint(*samples),
 				"-validation", fmt.Sprint(*validation),
 				"-tracelen", fmt.Sprint(*tracelen),
 				"-seed", fmt.Sprint(*seed),
 				"-workers", fmt.Sprint(*workers),
-				"-tile", fmt.Sprint(*tile),
 				"-checkpoint", *checkpointDir,
 				"-resume",
 			}
@@ -316,17 +295,11 @@ func run(args []string, out io.Writer) error {
 			if *deadline != 0 {
 				wargs = append(wargs, "-deadline", deadline.String())
 			}
-			if *loadModels != "" {
-				wargs = append(wargs, "-loadmodels", *loadModels)
-			}
 			if *traceFile != "" {
-				wargs = append(wargs, "-trace", fmt.Sprintf("%s.shard%d%s", *traceFile, i, suffix))
+				wargs = append(wargs, "-trace", fmt.Sprintf("%s.shard%d", *traceFile, i))
 			}
 			if *manifestFile != "" {
-				wargs = append(wargs, "-manifest", fmt.Sprintf("%s.shard%d%s", *manifestFile, i, suffix))
-			}
-			if suffix != "" {
-				wargs = append(wargs, "-shardsuffix", suffix)
+				wargs = append(wargs, "-manifest", fmt.Sprintf("%s.shard%d", *manifestFile, i))
 			}
 			return append(wargs, "-shard", fmt.Sprintf("%d/%d", i, n), cmd)
 		}

@@ -29,36 +29,25 @@ var workerCommand = func(args []string) *exec.Cmd {
 	return cmd
 }
 
-// shardRun executes the dataset and sweep commands in their four modes:
-// unsharded (compute shard 0/1, then merge immediately so the standard
-// checkpoint files appear), worker (-shard i/n: compute one slice into
-// its own checkpoint), merge (-merge n: reassemble completed shards),
-// and coordinator (-distribute n: fork one worker per shard, restart
+// shardRun executes the dataset command in its four modes: unsharded
+// (compute shard 0/1, then merge immediately so the standard checkpoint
+// files appear), worker (-shard i/n: compute one slice into its own
+// checkpoint), merge (-merge n: reassemble completed shards), and
+// coordinator (-distribute n: fork one worker per shard, restart
 // failures from their checkpoints, then merge).
 type shardRun struct {
 	e          *core.Explorer
 	out        io.Writer
 	man        *obs.Manifest
-	domain     string // "dataset" or "sweep"
 	idx, count int
 	explicit   bool // -shard was given: leave merging to the caller
 	merge      int
 	distribute int
-	args       []string
-	workerArgs func(i, n int, suffix string) []string
+	workerArgs func(i, n int) []string
 
-	// Liveness supervision (coordinator mode): -stall-timeout arms the
-	// beacon monitor, -speculate the tail-straggler backup attempts.
-	stallTimeout  time.Duration
-	speculate     bool
-	checkpointDir string
+	// stallTimeout arms the coordinator's beacon monitor.
+	stallTimeout time.Duration
 }
-
-// specSuffix is appended to a speculative backup attempt's shard
-// checkpoint and beacon filenames so it never races the primary on
-// files; a winning backup's checkpoints are promoted (renamed) over the
-// canonical names before the merge.
-const specSuffix = ".spec"
 
 func (s *shardRun) run() error {
 	switch {
@@ -71,20 +60,11 @@ func (s *shardRun) run() error {
 	}
 }
 
-// shardRange resolves the domain's partition for shard i of n.
-func (s *shardRun) shardRange(i, n int) shard.Range {
-	if s.domain == "dataset" {
-		return s.e.DatasetShardRange(i, n)
-	}
-	return s.e.SweepShardRange(i, n)
-}
-
-// domainSize is the total flat-index count the partition covers.
-func (s *shardRun) domainSize() int {
-	if s.domain == "dataset" {
-		return len(s.e.Benchmarks()) * s.e.Options().TrainSamples
-	}
-	return s.e.StudySpace.Size()
+// shardRecord describes shard i of n of the dataset domain for the run
+// manifest.
+func (s *shardRun) shardRecord(i, n int) obs.ShardRecord {
+	r := s.e.DatasetShardRange(i, n)
+	return obs.ShardRecord{Domain: "dataset", Index: i, Count: n, Lo: r.Lo, Hi: r.Hi}
 }
 
 // recordShard appends one shard record to the run manifest, when one is
@@ -98,27 +78,15 @@ func (s *shardRun) recordShard(rec obs.ShardRecord) {
 // runWorker computes this process's shard — the whole domain when the
 // run is unsharded — and merges immediately in the unsharded case.
 func (s *shardRun) runWorker() error {
-	ctx := context.Background()
-	r := s.shardRange(s.idx, s.count)
-	s.recordShard(obs.ShardRecord{
-		Domain: s.domain, Index: s.idx, Count: s.count, Lo: r.Lo, Hi: r.Hi,
-	})
+	rec := s.shardRecord(s.idx, s.count)
+	s.recordShard(rec)
 	start := time.Now()
-	var err error
-	if s.domain == "dataset" {
-		err = s.e.BuildDatasetShard(ctx, s.idx, s.count)
-	} else {
-		for _, bench := range s.e.Benchmarks() {
-			if err = s.e.SweepShard(ctx, bench, s.idx, s.count); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
+	if err := s.e.BuildDatasetShard(context.Background(), s.idx, s.count); err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "%s shard %d/%d complete: %d of %d indices in %.1fs\n",
-		s.domain, s.idx, s.count, r.Len(), s.domainSize(), time.Since(start).Seconds())
+	total := len(s.e.Benchmarks()) * s.e.Options().TrainSamples
+	fmt.Fprintf(s.out, "dataset shard %d/%d complete: %d of %d indices in %.1fs\n",
+		s.idx, s.count, rec.Hi-rec.Lo, total, time.Since(start).Seconds())
 	if !s.explicit {
 		return s.runMerge(1)
 	}
@@ -129,17 +97,11 @@ func (s *shardRun) runWorker() error {
 // checkpoint files, byte-identical to a single-process run's.
 func (s *shardRun) runMerge(n int) error {
 	start := time.Now()
-	var err error
-	if s.domain == "dataset" {
-		err = s.e.MergeDatasetShards(n)
-	} else {
-		err = s.e.MergeSweepShards(n)
-	}
-	if err != nil {
+	if err := s.e.MergeDatasetShards(n); err != nil {
 		return err
 	}
-	fmt.Fprintf(s.out, "merged %d %s shard(s) into standard checkpoints in %.1fs\n",
-		n, s.domain, time.Since(start).Seconds())
+	fmt.Fprintf(s.out, "merged %d dataset shard(s) into standard checkpoints in %.1fs\n",
+		n, time.Since(start).Seconds())
 	return nil
 }
 
@@ -152,53 +114,36 @@ func (s *shardRun) runDistribute() error {
 	coord := &shard.Coordinator{
 		N: n,
 		Command: func(i, n int) *exec.Cmd {
-			return workerCommand(s.workerArgs(i, n, ""))
+			return workerCommand(s.workerArgs(i, n))
 		},
 		StallTimeout: s.stallTimeout,
 		OnEvent: func(ev shard.Event) {
 			switch ev.Kind {
 			case shard.EventStart:
-				fmt.Fprintf(os.Stderr, "dse: %s shard %d/%d attempt %d starting\n",
-					s.domain, ev.Shard, n, ev.Attempt)
+				fmt.Fprintf(os.Stderr, "dse: dataset shard %d/%d attempt %d starting\n",
+					ev.Shard, n, ev.Attempt)
 			case shard.EventExit:
-				fmt.Fprintf(os.Stderr, "dse: %s shard %d/%d attempt %d finished in %.1fs\n",
-					s.domain, ev.Shard, n, ev.Attempt, ev.Elapsed.Seconds())
+				fmt.Fprintf(os.Stderr, "dse: dataset shard %d/%d attempt %d finished in %.1fs\n",
+					ev.Shard, n, ev.Attempt, ev.Elapsed.Seconds())
 			case shard.EventRestart:
-				fmt.Fprintf(os.Stderr, "dse: %s shard %d/%d attempt %d failed after %.1fs (%v); restarting from checkpoint\n",
-					s.domain, ev.Shard, n, ev.Attempt, ev.Elapsed.Seconds(), ev.Err)
+				fmt.Fprintf(os.Stderr, "dse: dataset shard %d/%d attempt %d failed after %.1fs (%v); restarting from checkpoint\n",
+					ev.Shard, n, ev.Attempt, ev.Elapsed.Seconds(), ev.Err)
 			case shard.EventFail:
-				fmt.Fprintf(os.Stderr, "dse: %s shard %d/%d gave up after attempt %d: %v\n",
-					s.domain, ev.Shard, n, ev.Attempt, ev.Err)
+				fmt.Fprintf(os.Stderr, "dse: dataset shard %d/%d gave up after attempt %d: %v\n",
+					ev.Shard, n, ev.Attempt, ev.Err)
 			case shard.EventStalled:
-				fmt.Fprintf(os.Stderr, "dse: %s shard %d/%d attempt %d stalled (no beacon progress for %s); killed, restarting from checkpoint\n",
-					s.domain, ev.Shard, n, ev.Attempt, s.stallTimeout)
-			case shard.EventSpeculative:
-				fmt.Fprintf(os.Stderr, "dse: %s shard %d/%d straggling after %.1fs; launching speculative backup attempt\n",
-					s.domain, ev.Shard, n, ev.Elapsed.Seconds())
+				fmt.Fprintf(os.Stderr, "dse: dataset shard %d/%d attempt %d stalled (no beacon progress for %s); killed, restarting from checkpoint\n",
+					ev.Shard, n, ev.Attempt, s.stallTimeout)
 			}
 		},
 	}
 	if s.stallTimeout > 0 {
-		coord.BeaconPath = func(i, n int) string {
-			return shard.BeaconPath(s.checkpointDir, s.domain, i, n)
-		}
-	}
-	if s.speculate {
-		coord.SpecCommand = func(i, n int) *exec.Cmd {
-			return workerCommand(s.workerArgs(i, n, specSuffix))
-		}
-		coord.OnSpecWin = func(i, n int) error {
-			return s.e.PromoteShardCheckpoints(s.domain, i, n, specSuffix)
-		}
+		coord.BeaconPath = s.e.DatasetBeaconPath
 	}
 	workers, err := coord.Run(context.Background())
 	for _, w := range workers {
-		r := s.shardRange(w.Shard, n)
-		rec := obs.ShardRecord{
-			Domain: s.domain, Index: w.Shard, Count: n, Lo: r.Lo, Hi: r.Hi,
-			Attempts: w.Attempts, Seconds: w.Elapsed.Seconds(), Status: "ok",
-			Stalls: w.Stalls, Speculated: w.Speculated, SpecWon: w.SpecWon,
-		}
+		rec := s.shardRecord(w.Shard, n)
+		rec.Attempts, rec.Seconds, rec.Status, rec.Stalls = w.Attempts, w.Elapsed.Seconds(), "ok", w.Stalls
 		if w.Err != nil {
 			rec.Status = "failed"
 		}
@@ -211,7 +156,6 @@ func (s *shardRun) runDistribute() error {
 	for _, w := range workers {
 		attempts += w.Attempts
 	}
-	fmt.Fprintf(s.out, "distributed %s across %d workers (%d attempts)\n",
-		s.domain, n, attempts)
+	fmt.Fprintf(s.out, "distributed dataset across %d workers (%d attempts)\n", n, attempts)
 	return s.runMerge(n)
 }

@@ -30,20 +30,17 @@ func TestShardFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	cases := [][]string{
-		{"-shard", "0/2", "-checkpoint", dir, "train"},                // not a shardable command
-		{"-merge", "2", "-checkpoint", dir, "validate"},               // not a shardable command
-		{"-distribute", "2", "-checkpoint", dir, "report"},            // not a shardable command
-		{"-shard", "0/2", "dataset"},                                  // missing -checkpoint
-		{"-checkpoint", dir, "-shard", "0/2", "-merge", "2", "sweep"}, // mutually exclusive
-		{"-checkpoint", dir, "-shard", "2/2", "dataset"},              // index out of range
-		{"-checkpoint", dir, "-shard", "nope", "dataset"},             // malformed spec
-		{"-checkpoint", dir, "-merge", "-1", "dataset"},               // negative count
+		{"-shard", "0/2", "-checkpoint", dir, "train"},                  // not a shardable command
+		{"-merge", "2", "-checkpoint", dir, "validate"},                 // not a shardable command
+		{"-distribute", "2", "-checkpoint", dir, "report"},              // not a shardable command
+		{"-shard", "0/2", "dataset"},                                    // missing -checkpoint
+		{"-checkpoint", dir, "-shard", "0/2", "-merge", "2", "dataset"}, // mutually exclusive
+		{"-checkpoint", dir, "-shard", "2/2", "dataset"},                // index out of range
+		{"-checkpoint", dir, "-shard", "nope", "dataset"},               // malformed spec
+		{"-checkpoint", dir, "-merge", "-1", "dataset"},                 // negative count
 		{"dataset"}, // dataset requires -checkpoint
-		{"sweep"},   // sweep requires -checkpoint
-		{"-checkpoint", dir, "-stall-timeout", "2s", "sweep"},                      // stall-timeout requires -distribute
-		{"-checkpoint", dir, "-distribute", "2", "-stall-timeout", "-1s", "sweep"}, // negative timeout
-		{"-checkpoint", dir, "-distribute", "2", "-speculate", "sweep"},            // speculate requires -stall-timeout
-		{"-checkpoint", dir, "-shardsuffix", ".spec", "sweep"},                     // shardsuffix is worker-only
+		{"-checkpoint", dir, "-stall-timeout", "2s", "dataset"},                      // stall-timeout requires -distribute
+		{"-checkpoint", dir, "-distribute", "2", "-stall-timeout", "-1s", "dataset"}, // negative timeout
 	}
 	for _, args := range cases {
 		if err := run(shardArgs(args...), &out); err == nil {
@@ -71,9 +68,10 @@ func mustEqualFiles(t *testing.T, a, b string) {
 // TestDatasetShardMergeByteIdentical drives the dataset command through
 // the CLI in both modes: one unsharded run, and three shard runs (the
 // middle shard spans the gzip/mcf boundary) plus a merge. The standard
-// training checkpoints must come out byte-identical, and a subsequent
-// -resume train must fit models from them without simulating (the train
-// phase's manifest stats carry no sim_evaluations).
+// training checkpoints must come out byte-identical, a worker's
+// manifest must record the range it owned, and a subsequent -resume
+// train must fit models from them without simulating (the train phase's
+// manifest stats carry no sim_evaluations).
 func TestDatasetShardMergeByteIdentical(t *testing.T) {
 	golden, dir := t.TempDir(), t.TempDir()
 	var out bytes.Buffer
@@ -86,10 +84,15 @@ func TestDatasetShardMergeByteIdentical(t *testing.T) {
 		t.Fatalf("unsharded dataset output unexpected:\n%s", out.String())
 	}
 
+	workerManifest := filepath.Join(dir, "worker1.json")
 	for i := 0; i < 3; i++ {
 		out.Reset()
 		spec := fmt.Sprintf("%d/3", i)
-		if err := run(shardArgs("-checkpoint", dir, "-shard", spec, "dataset"), &out); err != nil {
+		args := shardArgs("-checkpoint", dir, "-shard", spec, "dataset")
+		if i == 1 {
+			args = shardArgs("-checkpoint", dir, "-shard", spec, "-manifest", workerManifest, "dataset")
+		}
+		if err := run(args, &out); err != nil {
 			t.Fatalf("shard %s: %v", spec, err)
 		}
 		if strings.Contains(out.String(), "merged") {
@@ -105,6 +108,18 @@ func TestDatasetShardMergeByteIdentical(t *testing.T) {
 		mustEqualFiles(t,
 			filepath.Join(golden, "train-"+bench+".ckpt"),
 			filepath.Join(dir, "train-"+bench+".ckpt"))
+	}
+
+	wman, err := obs.ReadManifest(workerManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wman.Shards) != 1 {
+		t.Fatalf("worker manifest has %d shard records, want 1", len(wman.Shards))
+	}
+	// 80 flat indices over 3 shards: shard 1 owns [26, 53).
+	if rec := wman.Shards[0]; rec.Domain != "dataset" || rec.Index != 1 || rec.Count != 3 || rec.Lo != 26 || rec.Hi != 53 {
+		t.Fatalf("worker shard record unexpected: %+v", rec)
 	}
 
 	// Training from the merged checkpoints must not simulate.
@@ -124,51 +139,6 @@ func TestDatasetShardMergeByteIdentical(t *testing.T) {
 	}
 	if len(man.Shards) != 0 {
 		t.Fatalf("unsharded train manifest carries shard records: %+v", man.Shards)
-	}
-}
-
-// TestSweepShardMergeByteIdentical drives the sweep command through
-// shard and merge modes and asserts the merged sweep checkpoints are
-// byte-identical to an unsharded run's. Worker manifests must record
-// the owned range.
-func TestSweepShardMergeByteIdentical(t *testing.T) {
-	golden, dir := t.TempDir(), t.TempDir()
-	args := func(extra ...string) []string {
-		// One benchmark keeps the three training passes cheap.
-		return append([]string{
-			"-samples", "40", "-validation", "5", "-tracelen", "2000",
-			"-benchmarks", "gzip",
-		}, extra...)
-	}
-	var out bytes.Buffer
-	if err := run(args("-checkpoint", golden, "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-
-	manifest := filepath.Join(dir, "worker0.json")
-	if err := run(args("-checkpoint", dir, "-shard", "0/2", "-manifest", manifest, "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args("-checkpoint", dir, "-shard", "1/2", "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args("-checkpoint", dir, "-merge", "2", "sweep"), &out); err != nil {
-		t.Fatal(err)
-	}
-	mustEqualFiles(t,
-		filepath.Join(golden, "sweep-gzip.ckpt"),
-		filepath.Join(dir, "sweep-gzip.ckpt"))
-
-	man, err := obs.ReadManifest(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Shards) != 1 {
-		t.Fatalf("worker manifest has %d shard records, want 1", len(man.Shards))
-	}
-	rec := man.Shards[0]
-	if rec.Domain != "sweep" || rec.Index != 0 || rec.Count != 2 || rec.Lo != 0 || rec.Hi <= 0 {
-		t.Fatalf("worker shard record unexpected: %+v", rec)
 	}
 }
 
@@ -282,34 +252,32 @@ func TestDistributedDatasetKillAndRestart(t *testing.T) {
 	}
 }
 
-// TestDistributedSweepHangStallRestart runs `dse -distribute 2 sweep`
-// with a hang fault injected into shard 0's first attempt: the worker
-// completes two checkpoint chunks (its beacon advancing) and then
-// blocks forever at core.sweep.shard. The coordinator's beacon monitor
-// must declare the stall after -stall-timeout, kill the worker, and
-// restart it; the restart resumes from the shard checkpoint and the
-// merged sweep output stays byte-identical to an unsharded fault-free
-// run. The stall must be visible in the manifest: the stalled-worker
-// counter and the shard record's stall count.
-func TestDistributedSweepHangStallRestart(t *testing.T) {
+// TestDistributedDatasetHangStallRestart runs `dse -distribute 2
+// -stall-timeout 2s dataset` with a hang fault injected into shard 0's
+// first attempt: the worker completes two checkpoint chunks (its beacon
+// advancing) and then blocks forever at core.dataset.shard. The
+// coordinator's beacon monitor must declare the stall after
+// -stall-timeout, kill the worker, and restart it; the restart resumes
+// from the shard checkpoint and the merged training checkpoint stays
+// byte-identical to an unsharded fault-free run. The stall must be
+// visible in the manifest: the stalled-worker counter and the shard
+// record's stall count.
+func TestDistributedDatasetHangStallRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks worker processes")
 	}
 	golden, dir := t.TempDir(), t.TempDir()
-	models := filepath.Join(t.TempDir(), "models.json")
 	args := func(extra ...string) []string {
-		// One benchmark and preloaded models keep each sweep chunk well
-		// under the stall timeout, so only the injected hang stalls.
+		// Dataset chunks are 250 samples, so 1,500 samples on one
+		// benchmark give each of two shards three chunks, each well under
+		// the stall timeout: only the injected hang stalls.
 		return append([]string{
-			"-samples", "40", "-validation", "5", "-tracelen", "2000",
+			"-samples", "1500", "-validation", "5", "-tracelen", "2000",
 			"-benchmarks", "gzip",
 		}, extra...)
 	}
 	var out bytes.Buffer
-	if err := run(args("-checkpoint", golden, "-savemodels", models, "train"), &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args("-checkpoint", golden, "-loadmodels", models, "sweep"), &out); err != nil {
+	if err := run(args("-checkpoint", golden, "dataset"), &out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -334,7 +302,7 @@ func TestDistributedSweepHangStallRestart(t *testing.T) {
 			// Hang shard 0's first attempt at its third checkpoint chunk:
 			// the beacon advances twice, then freezes. Only the monitor
 			// can recover this worker — it will never exit on its own.
-			cmd.Env = append(cmd.Env, "REPRO_FAULT_PLAN=core.sweep.shard:hang:every=1,after=2,count=1")
+			cmd.Env = append(cmd.Env, "REPRO_FAULT_PLAN=core.dataset.shard:hang:every=1,after=2,count=1")
 		}
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -344,17 +312,17 @@ func TestDistributedSweepHangStallRestart(t *testing.T) {
 
 	manifest := filepath.Join(dir, "coordinator.json")
 	out.Reset()
-	if err := run(args("-checkpoint", dir, "-loadmodels", models,
-		"-distribute", "2", "-stall-timeout", "2s", "-manifest", manifest, "sweep"), &out); err != nil {
+	if err := run(args("-checkpoint", dir,
+		"-distribute", "2", "-stall-timeout", "2s", "-manifest", manifest, "dataset"), &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "distributed sweep across 2 workers (3 attempts)") {
+	if !strings.Contains(out.String(), "distributed dataset across 2 workers (3 attempts)") {
 		t.Fatalf("coordinator output unexpected:\n%s", out.String())
 	}
 
 	mustEqualFiles(t,
-		filepath.Join(golden, "sweep-gzip.ckpt"),
-		filepath.Join(dir, "sweep-gzip.ckpt"))
+		filepath.Join(golden, "train-gzip.ckpt"),
+		filepath.Join(dir, "train-gzip.ckpt"))
 
 	man, err := obs.ReadManifest(manifest)
 	if err != nil {

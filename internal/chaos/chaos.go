@@ -60,23 +60,20 @@ type RuleSpec struct {
 // of them armed in every drawn plan.
 type Menu []RuleSpec
 
-// DefaultSweepMenu is the standard drill for a distributed
-// dataset-build + sweep workload. It composes, in one plan, every fault
-// class the pipeline claims to survive: transient evaluator errors,
-// evaluator panics (recovered and retried by the eval engine),
-// evaluator delays, a worker killed outright mid-sweep, workers hung at
-// a checkpoint chunk (recoverable only by liveness supervision), a
-// checkpoint write failure, and a crash during beacon publication.
-// Hangs and kills are count-bounded so a supervised run always
-// converges.
-func DefaultSweepMenu() Menu {
+// DefaultDatasetMenu is the standard drill for a distributed dataset
+// build. It composes, in one plan, every fault class the pipeline
+// claims to survive: transient evaluator errors, evaluator panics
+// (recovered and retried by the eval engine), evaluator delays, a
+// worker hung at a checkpoint chunk (recoverable only by liveness
+// supervision), a checkpoint write failure, and a worker killed during
+// beacon publication. Hangs and kills are count-bounded so a supervised
+// run always converges.
+func DefaultDatasetMenu() Menu {
 	return Menu{
 		{Site: "eval.invoke", Kind: fault.KindError, MaxProb: 0.02},
 		{Site: "eval.invoke", Kind: fault.KindPanic, MaxProb: 0.005},
 		{Site: "eval.invoke", Kind: fault.KindDelay, MaxProb: 0.01, MaxDelay: 2 * time.Millisecond},
 		{Site: "core.dataset.shard", Kind: fault.KindHang, Every: 1, MaxAfter: 2, Count: 1},
-		{Site: "core.sweep.shard", Kind: fault.KindFatal, Every: 1, MaxAfter: 2, Count: 1},
-		{Site: "core.sweep.shard", Kind: fault.KindHang, Every: 1, MaxAfter: 3, Count: 1},
 		{Site: "ckpt.save", Kind: fault.KindError, MaxProb: 0.01},
 		{Site: "shard.beacon", Kind: fault.KindFatal, Every: 1, MaxAfter: 4, Count: 1},
 	}

@@ -22,8 +22,8 @@ import (
 )
 
 // soakOptions mirrors the core package's checkpoint-test configuration:
-// small but real, with several dataset chunks and four sweep chunks per
-// half-shard so count-bounded kill/hang rules have depth to land in.
+// small but real, with several dataset chunks per half-shard so
+// count-bounded kill/hang rules have depth to land in.
 func soakOptions(dir string) core.Options {
 	opts := core.DefaultOptions()
 	opts.TrainSamples = 40
@@ -32,7 +32,6 @@ func soakOptions(dir string) core.Options {
 	opts.Benchmarks = []string{"gzip"}
 	opts.Workers = 2
 	opts.CheckpointEvery = 10
-	opts.SweepCheckpointEvery = 37500
 	opts.CheckpointDir = dir
 	opts.Resume = true
 	return opts
@@ -55,17 +54,17 @@ func bothShards(ctx context.Context, f func(ctx context.Context, i int) error) e
 	return errors.Join(errs...)
 }
 
-// TestSoakDistributedSweepBitIdentical is the tentpole soak: the whole
-// distributed pipeline — dataset shards, dataset merge, training,
-// sweep shards, sweep merge — run round after round under randomized
-// seeded fault plans that compose evaluator errors, panics and delays,
-// a worker kill, two worker hangs (recoverable only by cancelling the
-// attempt, the in-process analogue of the coordinator's stall-kill),
-// a checkpoint-write failure and a beacon-write crash. Every round
-// must converge within its budget and produce training and sweep
-// checkpoints byte-identical to the fault-free golden run; afterwards
-// no goroutine may be left behind.
-func TestSoakDistributedSweepBitIdentical(t *testing.T) {
+// TestSoakDistributedDatasetBitIdentical is the tentpole soak: the
+// distributed dataset build — dataset shards, then their merge — run
+// round after round under randomized seeded fault plans that compose
+// evaluator errors, panics and delays, a worker hang (recoverable only
+// by cancelling the attempt, the in-process analogue of the
+// coordinator's stall-kill), a checkpoint-write failure and a
+// beacon-write crash. Every round must converge within its budget and
+// produce a training checkpoint byte-identical to the fault-free golden
+// run, and models fitted from it must sweep the study space exactly as
+// the golden models do; afterwards no goroutine may be left behind.
+func TestSoakDistributedDatasetBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round soak")
 	}
@@ -81,7 +80,8 @@ func TestSoakDistributedSweepBitIdentical(t *testing.T) {
 	if err := golden.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := golden.ExhaustivePredict("gzip"); err != nil {
+	want, err := golden.ExhaustivePredict("gzip")
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,6 +97,8 @@ func TestSoakDistributedSweepBitIdentical(t *testing.T) {
 		}
 		if err := bothShards(ctx, func(ctx context.Context, i int) error {
 			_, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(actx context.Context) error {
+				// A fresh explorer per attempt is a worker restart: it
+				// resumes from the shard checkpoint.
 				w, err := core.New(soakOptions(dir))
 				if err != nil {
 					return err
@@ -116,45 +118,38 @@ func TestSoakDistributedSweepBitIdentical(t *testing.T) {
 		}); err != nil {
 			return fmt.Errorf("dataset merge: %w", err)
 		}
-		if err := bothShards(ctx, func(ctx context.Context, i int) error {
-			_, err := chaos.RunToCompletion(ctx, 15*time.Second, 8, func(actx context.Context) error {
-				// A fresh explorer per attempt is a worker restart:
-				// training resumes from the merged dataset without
-				// simulating, then the sweep resumes from the shard
-				// checkpoint.
-				w, err := core.New(soakOptions(dir))
-				if err != nil {
-					return err
-				}
-				if err := w.Train(); err != nil {
-					return err
-				}
-				return w.SweepShard(actx, "gzip", i, 2)
-			})
+		if err := chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt")); err != nil {
 			return err
-		}); err != nil {
-			return fmt.Errorf("sweep shards: %w", err)
 		}
-		if _, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(context.Context) error {
+		// Training resumes from the merged dataset without simulating;
+		// its models must sweep exactly as the golden ones.
+		var got []core.Prediction
+		if _, err := chaos.RunToCompletion(ctx, 15*time.Second, 8, func(context.Context) error {
 			w, err := core.New(soakOptions(dir))
 			if err != nil {
 				return err
 			}
-			return w.MergeSweepShards(2)
-		}); err != nil {
-			return fmt.Errorf("sweep merge: %w", err)
-		}
-		if err := chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt")); err != nil {
+			if err := w.Train(); err != nil {
+				return err
+			}
+			got, err = w.ExhaustivePredict("gzip")
 			return err
+		}); err != nil {
+			return fmt.Errorf("fit and sweep: %w", err)
 		}
-		return chaos.ByteIdentical(filepath.Join(dir, "sweep-gzip.ckpt"), filepath.Join(goldenDir, "sweep-gzip.ckpt"))
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("sweep point %d: got %+v, golden %+v", i, got[i], want[i])
+			}
+		}
+		return nil
 	}
 
 	rep, err := chaos.Soak(context.Background(), chaos.Options{
 		Seed:   2026,
 		Rounds: 2,
 		Budget: 2 * time.Minute,
-		Menu:   chaos.DefaultSweepMenu(),
+		Menu:   chaos.DefaultDatasetMenu(),
 	}, round)
 	if err != nil {
 		t.Fatal(err)

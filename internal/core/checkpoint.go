@@ -24,7 +24,7 @@ var (
 )
 
 // identity is the key a checkpoint must match to be resumed: every
-// option that changes what the simulations or sweeps would produce.
+// option that changes what the simulations would produce.
 // TraceLen changes every simulated result; Seed and TrainSamples change
 // which designs are simulated; the benchmark list changes which files
 // exist.
@@ -36,10 +36,6 @@ func (e *Explorer) identity() string {
 
 func (e *Explorer) trainCheckpointPath(bench string) string {
 	return filepath.Join(e.opts.CheckpointDir, "train-"+bench+".ckpt")
-}
-
-func (e *Explorer) sweepCheckpointPath(bench string) string {
-	return filepath.Join(e.opts.CheckpointDir, "sweep-"+bench+".ckpt")
 }
 
 // datasetCheckpoint is one benchmark's dataset-building progress: the
@@ -83,52 +79,6 @@ func (e *Explorer) saveDatasetCheckpoint(path string, completed int, bips, watts
 	})
 	if err != nil {
 		return fmt.Errorf("core: writing dataset checkpoint: %w", err)
-	}
-	ckptWrittenCtr.Add(1)
-	return nil
-}
-
-// sweepCheckpoint is one benchmark's completed exhaustive sweep, stored
-// as parallel response columns (the flat index is implicit).
-type sweepCheckpoint struct {
-	BIPS  []float64 `json:"bips"`
-	Watts []float64 `json:"watts"`
-}
-
-// loadSweepCheckpoint loads a completed sweep for the benchmark into
-// dst. It returns false with no error when no checkpoint exists.
-func (e *Explorer) loadSweepCheckpoint(bench string, dst []Prediction) (bool, error) {
-	var c sweepCheckpoint
-	err := ckpt.Load(e.sweepCheckpointPath(bench), e.identity(), &c)
-	if errors.Is(err, ckpt.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("core: resuming sweep checkpoint: %w", err)
-	}
-	if len(c.BIPS) != len(dst) || len(c.Watts) != len(dst) {
-		return false, fmt.Errorf("core: sweep checkpoint for %s has %d/%d entries for %d points",
-			bench, len(c.BIPS), len(c.Watts), len(dst))
-	}
-	for i := range dst {
-		dst[i] = Prediction{Index: i, BIPS: c.BIPS[i], Watts: c.Watts[i]}
-	}
-	ckptResumedCtr.Add(1)
-	return true, nil
-}
-
-// saveSweepCheckpoint atomically writes a benchmark's completed sweep.
-func (e *Explorer) saveSweepCheckpoint(bench string, preds []Prediction) error {
-	c := sweepCheckpoint{
-		BIPS:  make([]float64, len(preds)),
-		Watts: make([]float64, len(preds)),
-	}
-	for i, p := range preds {
-		c.BIPS[i] = p.BIPS
-		c.Watts[i] = p.Watts
-	}
-	if err := ckpt.Save(e.sweepCheckpointPath(bench), e.identity(), c); err != nil {
-		return fmt.Errorf("core: writing sweep checkpoint: %w", err)
 	}
 	ckptWrittenCtr.Add(1)
 	return nil

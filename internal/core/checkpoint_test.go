@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -121,10 +122,10 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsCompletedDatasetAndSweep checks the fully-completed
-// fast path: a finished run's checkpoints let a fresh explorer retrain
-// with zero simulations and reload its sweep without re-running it.
-func TestResumeSkipsCompletedDatasetAndSweep(t *testing.T) {
+// TestResumeSkipsCompletedDataset checks the fully-completed fast
+// path: a finished run's checkpoints let a fresh explorer retrain with
+// zero simulations.
+func TestResumeSkipsCompletedDataset(t *testing.T) {
 	if fault.Active() {
 		t.Skip("exact eval counts need a fault-free world")
 	}
@@ -139,10 +140,6 @@ func TestResumeSkipsCompletedDatasetAndSweep(t *testing.T) {
 	if err := first.Train(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := first.ExhaustivePredict("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	opts.Resume = true
 	second, err := New(opts)
@@ -155,19 +152,48 @@ func TestResumeSkipsCompletedDatasetAndSweep(t *testing.T) {
 	if got := second.SimStats().Evaluations; got != 0 {
 		t.Errorf("resumed run simulated %d samples, want 0 (all checkpointed)", got)
 	}
-	got, err := second.ExhaustivePredict("gzip")
+}
+
+// TestResumedSweepUsesOwnModels: the checkpoint identity covers the
+// dataset, not the models fitted to it, so nothing a checkpoint
+// directory holds may stand in for a sweep. An explorer fitted with
+// LinearSpec, resuming from a PaperSpec run's directory, must sweep its
+// own models bit for bit.
+func TestResumedSweepUsesOwnModels(t *testing.T) {
+	dir := t.TempDir()
+	opts := ckptTestOptions()
+	opts.CheckpointDir = dir
+	a, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swept := second.ModelStats().SweptPoints; swept != 0 {
-		t.Errorf("resumed sweep evaluated %d points, want 0 (loaded from checkpoint)", swept)
+	if err := a.Train(); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(got), len(want))
+	if _, err := a.ExhaustivePredict("gzip"); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.Spec = LinearSpec
+	opts.Resume = true
+	b, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Train(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.ExhaustivePredict("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Prediction, b.StudySpace.Size())
+	if err := b.ExhaustivePredictInto(context.Background(), "gzip", want); err != nil {
+		t.Fatal(err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sweep point %d: first %+v, resumed %+v", i, want[i], got[i])
+			t.Fatalf("sweep point %d: got %+v, own models give %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -57,31 +57,20 @@ type Options struct {
 	SweepTile int
 	// CheckpointDir, when non-empty, enables crash-safe checkpointing:
 	// dataset building writes a checksummed checkpoint every
-	// CheckpointEvery samples per benchmark, and completed exhaustive
-	// sweeps are saved, all via atomic temp-file+rename writes.
+	// CheckpointEvery samples per benchmark via atomic
+	// temp-file+rename writes.
 	CheckpointDir string
 	// CheckpointEvery is the number of training samples simulated between
 	// checkpoint writes; 0 means DefaultCheckpointEvery. Only meaningful
 	// with CheckpointDir set.
 	CheckpointEvery int
-	// SweepCheckpointEvery is the number of swept points between a sweep
-	// shard's checkpoint writes; 0 means DefaultSweepCheckpointEvery.
-	// Only meaningful for SweepShard with CheckpointDir set.
-	SweepCheckpointEvery int
 	// Resume loads matching checkpoints from CheckpointDir before
-	// computing: completed dataset chunks are not re-simulated and saved
-	// sweeps are not re-run. A checkpoint whose identity (seed, sample
-	// counts, trace length, benchmarks) does not match this run is
-	// refused with ckpt.ErrIdentity rather than silently mixed in.
-	// Results are bit-identical to an uninterrupted run.
+	// computing: completed dataset chunks are not re-simulated. A
+	// checkpoint whose identity (seed, sample counts, trace length,
+	// benchmarks) does not match this run is refused with
+	// ckpt.ErrIdentity rather than silently mixed in. Results are
+	// bit-identical to an uninterrupted run.
 	Resume bool
-	// ShardSuffix is appended to this process's shard checkpoint and
-	// beacon filenames. A speculative backup attempt runs with a suffix
-	// (".spec") so it computes the same identity-keyed values as the
-	// primary but never races it on files; when the backup wins, the
-	// coordinator adopts its outputs via PromoteShardCheckpoints.
-	// Identity keys are unaffected — only filenames change.
-	ShardSuffix string
 	// BatchTimeout bounds the wall time of each evaluation batch and
 	// sweep on both engines; 0 means no deadline.
 	BatchTimeout time.Duration
@@ -445,23 +434,8 @@ func (e *Explorer) ExhaustivePredict(bench string) ([]Prediction, error) {
 	}
 	e.mu.Unlock()
 	out := make([]Prediction, e.StudySpace.Size())
-	if e.opts.CheckpointDir != "" && e.opts.Resume {
-		if ok, err := e.loadSweepCheckpoint(bench, out); err != nil {
-			return nil, err
-		} else if ok {
-			e.mu.Lock()
-			e.sweepCache[bench] = out
-			e.mu.Unlock()
-			return out, nil
-		}
-	}
 	if err := e.ExhaustivePredictInto(context.Background(), bench, out); err != nil {
 		return nil, err
-	}
-	if e.opts.CheckpointDir != "" {
-		if err := e.saveSweepCheckpoint(bench, out); err != nil {
-			return nil, err
-		}
 	}
 	e.mu.Lock()
 	e.sweepCache[bench] = out
@@ -512,19 +486,6 @@ func newSweepScratch() *sweepScratch {
 // The output is bit-identical to the interpreted models, which the
 // guardrail checks and which re-run the sweep if the guardrail trips.
 func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst []Prediction) error {
-	return e.ExhaustivePredictRange(ctx, bench, 0, e.StudySpace.Size(), dst)
-}
-
-// ExhaustivePredictRange runs the sweep for the flat-index sub-range
-// [from, to) of the study space only — the unit of work a sweep shard
-// computes. dst must still have StudySpace.Size() elements; predictions
-// land at their absolute indices (dst[i] for i in [from, to)) and
-// slots outside the range are untouched, so a set of range sweeps that
-// tile the space assembles exactly the full-sweep output. Progress and
-// SweptPoints account the sub-range only. The same kernel and guardrail
-// contract apply; a guardrail trip re-runs just this range on the
-// interpreted path.
-func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, from, to int, dst []Prediction) error {
 	if _, _, err := e.Models(bench); err != nil {
 		return err
 	}
@@ -533,18 +494,11 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 	if len(dst) != n {
 		return fmt.Errorf("core: sweep buffer has %d slots, space has %d", len(dst), n)
 	}
-	if from < 0 || to > n || from > to {
-		return fmt.Errorf("core: sweep range [%d,%d) outside space of %d points", from, to, n)
-	}
-	if from == to {
-		return nil
-	}
-	ctx, sp := obs.Start(ctx, "core.sweep",
-		obs.String("bench", bench), obs.Int("from", int64(from)), obs.Int("to", int64(to)))
+	ctx, sp := obs.Start(ctx, "core.sweep", obs.String("bench", bench))
 	defer sp.End()
 	guard := e.modelsBackend.Guard()
 	if !guard.Degraded() {
-		if err := e.sweepBlocked(ctx, bench, e.pairPlan(bench), guard, from, to, dst); err != nil {
+		if err := e.sweepBlocked(ctx, bench, e.pairPlan(bench), guard, dst); err != nil {
 			return err
 		}
 		if !guard.Degraded() {
@@ -552,18 +506,18 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 		}
 		// The guardrail tripped mid-sweep: some plan result diverged
 		// from the interpreted reference, and the corruption could have
-		// landed anywhere in the range. Fall through and re-run the whole
-		// range on the interpreted path (which the degraded backend now
+		// landed anywhere in the space. Fall through and re-run the whole
+		// sweep on the interpreted path (which the degraded backend now
 		// routes everything to), guaranteeing correct output.
 	}
-	results, err := e.modelEngine.EvaluateIndexed(ctx, to-from, func(i int) eval.Request {
-		return eval.Request{Config: space.Config(space.PointAt(from + i)), Bench: bench}
+	results, err := e.modelEngine.EvaluateIndexed(ctx, n, func(i int) eval.Request {
+		return eval.Request{Config: space.Config(space.PointAt(i)), Bench: bench}
 	})
 	if err != nil {
 		return err
 	}
 	for i, r := range results {
-		dst[from+i] = Prediction{Index: from + i, BIPS: r.BIPS, Watts: r.Watts}
+		dst[i] = Prediction{Index: i, BIPS: r.BIPS, Watts: r.Watts}
 	}
 	return nil
 }
@@ -576,10 +530,10 @@ func (e *Explorer) ExhaustivePredictRange(ctx context.Context, bench string, fro
 // boundary against the interpreted models, so guard coverage matches
 // the configured one-in-interval rate however tiles and chunks divide
 // the space.
-func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.PairPlan, guard *eval.Guardrail, from, to int, dst []Prediction) error {
+func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.PairPlan, guard *eval.Guardrail, dst []Prediction) error {
 	space := e.StudySpace
 	levels := space.Levels()
-	return e.modelEngine.SweepRange(ctx, from, to, func(lo, hi int) error {
+	return e.modelEngine.Sweep(ctx, len(dst), func(lo, hi int) error {
 		// Hoisted per tile so the per-point loop stays free of atomic
 		// traffic when no fault plan is armed (the common case).
 		faultActive := fault.Active()

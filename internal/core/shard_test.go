@@ -30,62 +30,6 @@ func mustEqualFiles(t *testing.T, golden, merged string) {
 	}
 }
 
-// TestShardedSweepBitIdentical is the sweep acceptance test: the full
-// 262,500-point study space swept as four shards by independent
-// explorers, merged, must produce a sweep checkpoint byte-identical to
-// a single-process checkpointed sweep.
-func TestShardedSweepBitIdentical(t *testing.T) {
-	goldenDir := t.TempDir()
-	opts := ckptTestOptions()
-	opts.CheckpointDir = goldenDir
-	golden, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := golden.Train(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := golden.ExhaustivePredict("gzip"); err != nil {
-		t.Fatal(err)
-	}
-
-	shardDir := t.TempDir()
-	const n = 4
-	covered := 0
-	for i := 0; i < n; i++ {
-		// A fresh explorer per shard stands in for a separate process.
-		o := ckptTestOptions()
-		o.CheckpointDir = shardDir
-		w, err := New(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Train(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.SweepShard(context.Background(), "gzip", i, n); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		r := w.SweepShardRange(i, n)
-		covered += r.Len()
-		if got := w.ModelStats().SweptPoints; got != int64(r.Len()) {
-			t.Errorf("shard %d swept %d points, want %d", i, got, r.Len())
-		}
-	}
-	if covered != golden.StudySpace.Size() {
-		t.Fatalf("shards cover %d of %d points", covered, golden.StudySpace.Size())
-	}
-
-	merger, err := New(func() Options { o := ckptTestOptions(); o.CheckpointDir = shardDir; return o }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := merger.MergeSweepShards(n); err != nil {
-		t.Fatal(err)
-	}
-	mustEqualFiles(t, filepath.Join(goldenDir, "sweep-gzip.ckpt"), filepath.Join(shardDir, "sweep-gzip.ckpt"))
-}
-
 // TestShardedDatasetBitIdentical is the dataset acceptance test: a
 // 200-config dataset over two benchmarks built as three shards (ranges
 // straddle the benchmark boundary), merged, must match the unsharded
@@ -229,18 +173,21 @@ func TestShardedDatasetMoreShardsThanWork(t *testing.T) {
 	mustEqualFiles(t, filepath.Join(goldenDir, "train-gzip.ckpt"), filepath.Join(shardDir, "train-gzip.ckpt"))
 }
 
-// TestSweepShardKillResumesMidShard is the mid-shard crash acceptance
-// test: a sweep shard killed by a deterministic fault at its third
-// checkpoint chunk resumes from its own checkpoint — sweeping only the
-// remaining points, never restarting the shard — and the final merge is
-// still byte-identical to the single-process sweep.
-func TestSweepShardKillResumesMidShard(t *testing.T) {
-	if fault.Active() {
-		t.Skip("test arms its own fault plan; exact sweep counts need a fault-free world")
-	}
-	goldenDir := t.TempDir()
+// killTestOptions gives dataset shard 0/2 four checkpoint chunks of
+// ten samples, so a fault can land mid-shard with work on both sides.
+func killTestOptions() Options {
 	opts := ckptTestOptions()
-	opts.CheckpointDir = goldenDir
+	opts.TrainSamples = 80
+	return opts
+}
+
+// goldenDatasetCheckpoint trains killTestOptions single-process with
+// checkpointing and returns the directory holding train-gzip.ckpt.
+func goldenDatasetCheckpoint(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	opts := killTestOptions()
+	opts.CheckpointDir = dir
 	golden, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -248,152 +195,133 @@ func TestSweepShardKillResumesMidShard(t *testing.T) {
 	if err := golden.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := golden.ExhaustivePredict("gzip"); err != nil {
+	return dir
+}
+
+// shardWorker returns a fresh explorer over dir — a new worker process.
+func shardWorker(t *testing.T, dir string, resume bool) *Explorer {
+	t.Helper()
+	o := killTestOptions()
+	o.CheckpointDir = dir
+	o.Resume = resume
+	w, err := New(o)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
 
-	shardDir := t.TempDir()
-	mk := func(resume bool) *Explorer {
-		o := ckptTestOptions()
-		o.CheckpointDir = shardDir
-		o.SweepCheckpointEvery = 37500
-		o.Resume = resume
-		w, err := New(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Train(); err != nil {
-			t.Fatal(err)
-		}
-		return w
+// TestDatasetShardKillResumesMidShard is the mid-shard crash acceptance
+// test: a dataset shard killed by a deterministic fault at its third
+// checkpoint chunk resumes from its own checkpoint — simulating only
+// the remaining samples, never restarting the shard — and the final
+// merge is still byte-identical to the single-process build.
+func TestDatasetShardKillResumesMidShard(t *testing.T) {
+	if fault.Active() {
+		t.Skip("test arms its own fault plan; exact eval counts need a fault-free world")
 	}
+	goldenDir := goldenDatasetCheckpoint(t)
+	shardDir := t.TempDir()
 
-	// Shard 0/2 of the aligned partition is [0, 131250): four checkpoint
-	// chunks of 37,500 (the last one short). Kill the worker at its third
-	// chunk: two chunks (75,000 points) are checkpointed when it dies.
-	killed := mk(false)
+	// Shard 0/2 is [0, 40): four checkpoint chunks of 10. Kill the
+	// worker at its third chunk: two chunks (20 samples) are
+	// checkpointed when it dies.
+	killed := shardWorker(t, shardDir, false)
 	prev := fault.Current()
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
-		{Site: "core.sweep.shard", Kind: fault.KindFatal, After: 2, Every: 1, Count: 1},
+		{Site: "core.dataset.shard", Kind: fault.KindFatal, After: 2, Every: 1, Count: 1},
 	}})
-	err = killed.SweepShard(context.Background(), "gzip", 0, 2)
+	err := killed.BuildDatasetShard(context.Background(), 0, 2)
 	fault.Enable(prev)
 	var inj *fault.Injected
 	if !errors.As(err, &inj) {
-		t.Fatalf("killed SweepShard returned %v, want wrapped *fault.Injected", err)
+		t.Fatalf("killed BuildDatasetShard returned %v, want wrapped *fault.Injected", err)
 	}
-	if got := killed.ModelStats().SweptPoints; got != 75000 {
-		t.Fatalf("killed shard swept %d points, want 75000 before dying", got)
+	if got := killed.SimStats().Evaluations; got != 20 {
+		t.Fatalf("killed shard simulated %d samples, want 20 before dying", got)
 	}
 
 	// Merging now must refuse: the shard checkpoint exists but is not
 	// complete.
-	if err := mk(false).MergeSweepShards(2); !errors.Is(err, ErrShardIncomplete) {
+	if err := shardWorker(t, shardDir, false).MergeDatasetShards(2); !errors.Is(err, ErrShardIncomplete) {
 		t.Fatalf("merge of incomplete shard returned %v, want ErrShardIncomplete", err)
 	}
 
 	// A fresh worker (new process) resumes the shard from its checkpoint:
-	// only the remaining 56,250 points are swept.
-	resumed := mk(true)
-	if err := resumed.SweepShard(context.Background(), "gzip", 0, 2); err != nil {
-		t.Fatalf("resumed SweepShard: %v", err)
+	// only the remaining 20 samples are simulated.
+	resumed := shardWorker(t, shardDir, true)
+	if err := resumed.BuildDatasetShard(context.Background(), 0, 2); err != nil {
+		t.Fatalf("resumed BuildDatasetShard: %v", err)
 	}
-	if got := resumed.ModelStats().SweptPoints; got != 131250-75000 {
-		t.Fatalf("resumed shard swept %d points, want %d", got, 131250-75000)
+	if got := resumed.SimStats().Evaluations; got != 20 {
+		t.Fatalf("resumed shard simulated %d samples, want 20", got)
 	}
 
-	if err := mk(false).SweepShard(context.Background(), "gzip", 1, 2); err != nil {
+	if err := shardWorker(t, shardDir, false).BuildDatasetShard(context.Background(), 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := mk(false).MergeSweepShards(2); err != nil {
+	if err := shardWorker(t, shardDir, false).MergeDatasetShards(2); err != nil {
 		t.Fatal(err)
 	}
-	mustEqualFiles(t, filepath.Join(goldenDir, "sweep-gzip.ckpt"), filepath.Join(shardDir, "sweep-gzip.ckpt"))
+	mustEqualFiles(t, filepath.Join(goldenDir, "train-gzip.ckpt"), filepath.Join(shardDir, "train-gzip.ckpt"))
 }
 
-// TestSweepShardKillDuringBeaconWriteResumes kills a sweep worker in
-// the middle of publishing its progress beacon — the liveness
+// TestDatasetShardKillDuringBeaconWriteResumes kills a dataset worker
+// in the middle of publishing its progress beacon — the liveness
 // protocol's own write path. The atomic beacon write must leave the
 // previous (valid) beacon on disk, and a resumed worker must pick up
 // the on-disk sequence number (so a supervisor never sees Seq move
 // backwards across the restart), finish the remaining chunks, and
 // still merge byte-identical.
-func TestSweepShardKillDuringBeaconWriteResumes(t *testing.T) {
+func TestDatasetShardKillDuringBeaconWriteResumes(t *testing.T) {
 	if fault.Active() {
-		t.Skip("test arms its own fault plan; exact sweep counts need a fault-free world")
+		t.Skip("test arms its own fault plan; exact eval counts need a fault-free world")
 	}
-	goldenDir := t.TempDir()
-	opts := ckptTestOptions()
-	opts.CheckpointDir = goldenDir
-	golden, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := golden.Train(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := golden.ExhaustivePredict("gzip"); err != nil {
-		t.Fatal(err)
-	}
-
+	goldenDir := goldenDatasetCheckpoint(t)
 	shardDir := t.TempDir()
-	mk := func(resume bool) *Explorer {
-		o := ckptTestOptions()
-		o.CheckpointDir = shardDir
-		o.SweepCheckpointEvery = 37500
-		o.Resume = resume
-		w, err := New(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Train(); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
 
 	// Beacon writes in a shard run: one on entry, then one after each
 	// checkpointed chunk. Kill the third write — the one announcing the
 	// second chunk, which ckpt.Save has already published.
-	killed := mk(false)
+	killed := shardWorker(t, shardDir, false)
 	prev := fault.Current()
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
 		{Site: "shard.beacon", Kind: fault.KindFatal, After: 2, Every: 1, Count: 1},
 	}})
-	err = killed.SweepShard(context.Background(), "gzip", 0, 2)
+	err := killed.BuildDatasetShard(context.Background(), 0, 2)
 	fault.Enable(prev)
 	var inj *fault.Injected
 	if !errors.As(err, &inj) {
-		t.Fatalf("killed SweepShard returned %v, want wrapped *fault.Injected", err)
+		t.Fatalf("killed BuildDatasetShard returned %v, want wrapped *fault.Injected", err)
 	}
-	if got := killed.ModelStats().SweptPoints; got != 75000 {
-		t.Fatalf("killed shard swept %d points, want 75000 before dying", got)
+	if got := killed.SimStats().Evaluations; got != 20 {
+		t.Fatalf("killed shard simulated %d samples, want 20 before dying", got)
 	}
 
 	// The beacon on disk is the previous one, intact: first chunk done.
-	b, err := shard.ReadBeacon(shard.BeaconPath(shardDir, "sweep", 0, 2))
+	b, err := shard.ReadBeacon(killed.DatasetBeaconPath(0, 2))
 	if err != nil {
 		t.Fatalf("beacon after mid-write kill: %v", err)
 	}
-	if b.Cursor != 37500 || b.Seq != 2 {
-		t.Fatalf("beacon after kill: cursor %d seq %d, want cursor 37500 seq 2", b.Cursor, b.Seq)
+	if b.Cursor != 10 || b.Seq != 2 {
+		t.Fatalf("beacon after kill: cursor %d seq %d, want cursor 10 seq 2", b.Cursor, b.Seq)
 	}
 
-	// Resume: only the remaining points are swept, and the beacon's
+	// Resume: only the remaining samples are simulated, and the beacon's
 	// sequence continues past the on-disk value instead of restarting.
-	resumed := mk(true)
-	if err := resumed.SweepShard(context.Background(), "gzip", 0, 2); err != nil {
-		t.Fatalf("resumed SweepShard: %v", err)
+	resumed := shardWorker(t, shardDir, true)
+	if err := resumed.BuildDatasetShard(context.Background(), 0, 2); err != nil {
+		t.Fatalf("resumed BuildDatasetShard: %v", err)
 	}
-	if got := resumed.ModelStats().SweptPoints; got != 131250-75000 {
-		t.Fatalf("resumed shard swept %d points, want %d", got, 131250-75000)
+	if got := resumed.SimStats().Evaluations; got != 20 {
+		t.Fatalf("resumed shard simulated %d samples, want 20", got)
 	}
-	final, err := shard.ReadBeacon(shard.BeaconPath(shardDir, "sweep", 0, 2))
+	final, err := shard.ReadBeacon(resumed.DatasetBeaconPath(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Cursor != 131250 {
-		t.Fatalf("final beacon cursor %d, want 131250", final.Cursor)
+	if final.Cursor != 40 {
+		t.Fatalf("final beacon cursor %d, want 40", final.Cursor)
 	}
 	if final.Seq <= b.Seq {
 		t.Fatalf("beacon seq went backwards across restart: %d -> %d", b.Seq, final.Seq)
@@ -402,13 +330,13 @@ func TestSweepShardKillDuringBeaconWriteResumes(t *testing.T) {
 		t.Fatal("final beacon does not register as progress over the pre-kill one")
 	}
 
-	if err := mk(false).SweepShard(context.Background(), "gzip", 1, 2); err != nil {
+	if err := shardWorker(t, shardDir, false).BuildDatasetShard(context.Background(), 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := mk(false).MergeSweepShards(2); err != nil {
+	if err := shardWorker(t, shardDir, false).MergeDatasetShards(2); err != nil {
 		t.Fatal(err)
 	}
-	mustEqualFiles(t, filepath.Join(goldenDir, "sweep-gzip.ckpt"), filepath.Join(shardDir, "sweep-gzip.ckpt"))
+	mustEqualFiles(t, filepath.Join(goldenDir, "train-gzip.ckpt"), filepath.Join(shardDir, "train-gzip.ckpt"))
 }
 
 // TestShardIdentityMismatchRejected: shard checkpoints carry the run

@@ -555,18 +555,6 @@ type sweepShard struct {
 // progress runs to completion). All workers are joined before Sweep
 // returns.
 func (e *Engine) Sweep(ctx context.Context, n int, fn SweepFunc) error {
-	return e.SweepRange(ctx, 0, n, fn)
-}
-
-// SweepRange is Sweep restricted to the half-open index sub-range
-// [from, to): tiles are carved from that range only, progress is
-// reported against its size (not the full domain's), and SweptPoints
-// advances by exactly the indices completed. Sharded runs use this to
-// sweep one shard's slice of the study space; fn still receives
-// absolute indices, so kernels write into full-domain storage
-// unchanged.
-func (e *Engine) SweepRange(ctx context.Context, from, to int, fn SweepFunc) error {
-	n := to - from
 	if n <= 0 {
 		return nil
 	}
@@ -587,8 +575,7 @@ func (e *Engine) SweepRange(ctx context.Context, from, to int, fn SweepFunc) err
 	var span *obs.Span
 	if traced {
 		ctx, span = obs.Start(ctx, "eval."+e.name+".sweep",
-			obs.Int("from", int64(from)), obs.Int("to", int64(to)),
-			obs.Int("workers", int64(e.workers)))
+			obs.Int("n", int64(n)), obs.Int("workers", int64(e.workers)))
 		defer span.End()
 	}
 	bctx, cancel := context.WithCancel(ctx)
@@ -613,7 +600,6 @@ func (e *Engine) SweepRange(ctx context.Context, from, to int, fn SweepFunc) err
 		}
 	}
 	var cursor atomic.Int64
-	cursor.Store(int64(from))
 
 	workers := (n + tile - 1) / tile
 	if workers > e.workers {
@@ -647,12 +633,12 @@ func (e *Engine) SweepRange(ctx context.Context, from, to int, fn SweepFunc) err
 					return
 				}
 				lo := int(cursor.Add(int64(tile))) - tile
-				if lo >= to {
+				if lo >= n {
 					return
 				}
 				hi := lo + tile
-				if hi > to {
-					hi = to
+				if hi > n {
+					hi = n
 				}
 				var tileSpan *obs.Span
 				if traced {

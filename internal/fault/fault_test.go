@@ -228,7 +228,7 @@ func TestHangBlocksUntilCancel(t *testing.T) {
 }
 
 func TestParseHang(t *testing.T) {
-	p, err := Parse("core.sweep.shard:hang:every=1,after=2,count=1")
+	p, err := Parse("core.dataset.shard:hang:every=1,after=2,count=1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type Phase struct {
 // including restart counts — the manifest-level trail of the per-shard
 // progress stream.
 type ShardRecord struct {
-	Domain   string  `json:"domain"` // "sweep" or "dataset"
+	Domain   string  `json:"domain"` // work-domain name, e.g. "dataset"
 	Index    int     `json:"index"`  // shard index in [0, Count)
 	Count    int     `json:"count"`  // total shards in the partition
 	Lo       int     `json:"lo"`     // owned flat-index range [Lo, Hi)
@@ -40,11 +40,8 @@ type ShardRecord struct {
 	Seconds  float64 `json:"seconds,omitempty"`  // total worker wall time (coordinator only)
 	Status   string  `json:"status,omitempty"`   // "ok" or "failed" (coordinator only)
 
-	// Liveness supervision (coordinator only): stall-kills by the
-	// beacon monitor, and whether a speculative backup ran / won.
-	Stalls     int  `json:"stalls,omitempty"`
-	Speculated bool `json:"speculated,omitempty"`
-	SpecWon    bool `json:"spec_won,omitempty"`
+	// Stalls counts stall-kills by the beacon monitor (coordinator only).
+	Stalls int `json:"stalls,omitempty"`
 }
 
 // Manifest is the run record a command emits next to its results: what

@@ -34,14 +34,14 @@ const maxBeaconName = 64
 // own local monotonic clock, never the beacon's wall timestamp, so
 // clock skew between machines cannot fake or mask a stall.
 //
-// Cursor is the absolute design-space index the worker has completed
+// Cursor is the absolute domain index the worker has completed
 // through within [Lo, Hi); Seq increases on every write and survives
 // restarts (a resumed attempt continues its predecessor's sequence), so
 // any content change — even a rewrite of the same cursor — counts as
 // progress.
 type Beacon struct {
 	Version int    `json:"version"`
-	Domain  string `json:"domain"` // "sweep" or "dataset"
+	Domain  string `json:"domain"` // work-domain name, e.g. "dataset"
 	Index   int    `json:"index"`  // shard index, 0-based
 	Count   int    `json:"count"`  // total shards
 	Bench   string `json:"bench,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os/exec"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -19,8 +18,6 @@ var (
 	workerRestartsCtr  = obs.DefaultRegistry.Counter("shard.worker_restarts")
 	workerFailuresCtr  = obs.DefaultRegistry.Counter("shard.worker_failures")
 	workersStalledCtr  = obs.DefaultRegistry.Counter("shard.workers_stalled")
-	specLaunchesCtr    = obs.DefaultRegistry.Counter("shard.speculative_launches")
-	specWinsCtr        = obs.DefaultRegistry.Counter("shard.speculative_wins")
 )
 
 // DefaultRetries is how many times a coordinator restarts a failed
@@ -47,12 +44,11 @@ type EventKind int
 
 // Coordinator event kinds.
 const (
-	EventStart       EventKind = iota // a worker attempt launched
-	EventExit                         // a worker attempt exited cleanly
-	EventRestart                      // a worker attempt failed; relaunching
-	EventFail                         // a shard exhausted its retries
-	EventStalled                      // the monitor killed a worker for lack of beacon progress
-	EventSpeculative                  // a backup attempt launched for a tail straggler
+	EventStart   EventKind = iota // a worker attempt launched
+	EventExit                     // a worker attempt exited cleanly
+	EventRestart                  // a worker attempt failed; relaunching
+	EventFail                     // a shard exhausted its retries
+	EventStalled                  // the monitor killed a worker for lack of beacon progress
 )
 
 // Event is one coordinator lifecycle notification, delivered to the
@@ -69,13 +65,11 @@ type Event struct {
 // how many attempts the shard took, how long they ran in total, how
 // often the monitor had to intervene, and whether it completed.
 type Worker struct {
-	Shard      int
-	Attempts   int
-	Stalls     int  // stall-kills by the liveness monitor
-	Speculated bool // a backup attempt was launched for this shard
-	SpecWon    bool // ... and it finished first
-	Elapsed    time.Duration
-	Err        error // nil when the shard completed
+	Shard    int
+	Attempts int
+	Stalls   int // stall-kills by the liveness monitor
+	Elapsed  time.Duration
+	Err      error // nil when the shard completed
 }
 
 // Coordinator forks one OS process per shard, restarts failed workers
@@ -90,14 +84,7 @@ type Worker struct {
 // catching hangs, which never surface as an exit. Staleness is measured
 // on the coordinator's local monotonic clock from the moment a content
 // change is observed; the beacon's own wall timestamp is never
-// consulted, so worker-side clock skew is harmless. With SpecCommand
-// also set, the monitor additionally projects tail stragglers: when all
-// but SpecTail shards are done and a live worker's observed progress
-// rate projects its remaining range past the stall timeout, a backup
-// attempt is launched on the same range and whichever finishes first
-// wins (the loser is killed). Checkpoint identity keying makes both
-// attempts' outputs interchangeable, so the merged result stays
-// bit-identical either way.
+// consulted, so worker-side clock skew is harmless.
 type Coordinator struct {
 	// N is the shard count; one worker process per shard.
 	N int
@@ -129,22 +116,6 @@ type Coordinator struct {
 	// DefaultStallRestarts. It is budgeted separately from Retries
 	// because stall restarts resume from checkpoints and so converge.
 	StallRestarts int
-
-	// SpecCommand, when non-nil, enables speculative re-execution of
-	// tail stragglers and builds the backup process for shard i of n.
-	// The backup must write its outputs under names of its own (a shard
-	// suffix) so the two attempts never race on files; OnSpecWin
-	// promotes the backup's outputs when it wins. Requires StallTimeout.
-	SpecCommand func(i, n int) *exec.Cmd
-	// SpecTail is how many unfinished shards count as "the tail"; a
-	// backup launches only when at most SpecTail shards remain. Zero
-	// defaults to 1.
-	SpecTail int
-	// OnSpecWin, when non-nil, runs after a backup finishes first and
-	// its loser is reaped, and before the shard is declared done —
-	// the hook that renames the backup's outputs over the canonical
-	// ones. An error fails the shard's attempt.
-	OnSpecWin func(i, n int) error
 }
 
 // Run launches all shards, supervises them to completion and returns
@@ -162,9 +133,6 @@ func (c *Coordinator) Run(ctx context.Context) ([]Worker, error) {
 	}
 	if c.StallTimeout > 0 && c.BeaconPath == nil {
 		return nil, fmt.Errorf("shard: stall monitoring needs a BeaconPath")
-	}
-	if c.SpecCommand != nil && c.StallTimeout <= 0 {
-		return nil, fmt.Errorf("shard: speculative re-execution needs a StallTimeout (its projection reads beacons)")
 	}
 	retries := c.Retries
 	if retries == 0 {
@@ -191,7 +159,6 @@ func (c *Coordinator) Run(ctx context.Context) ([]Worker, error) {
 		c.OnEvent(ev)
 	}
 
-	var doneShards atomic.Int64
 	workers := make([]Worker, c.N)
 	var wg sync.WaitGroup
 	wg.Add(c.N)
@@ -207,21 +174,14 @@ func (c *Coordinator) Run(ctx context.Context) ([]Worker, error) {
 					w.Err = err
 					return
 				}
-				res := c.attempt(ctx, i, attempt, &doneShards, emit)
+				res := c.attempt(ctx, i, attempt, emit)
 				w.Elapsed += res.elapsed
-				if res.specLaunched {
-					w.Speculated = true
-				}
 				if res.stalled {
 					w.Stalls++
 					workersStalledCtr.Add(1)
 					emit(Event{Kind: EventStalled, Shard: i, Attempt: attempt, Elapsed: res.elapsed, Err: res.err})
 				}
 				if res.err == nil {
-					if res.specWon {
-						w.SpecWon = true
-					}
-					doneShards.Add(1)
 					emit(Event{Kind: EventExit, Shard: i, Attempt: attempt, Elapsed: res.elapsed})
 					return
 				}
@@ -267,159 +227,63 @@ func (c *Coordinator) Run(ctx context.Context) ([]Worker, error) {
 // attemptOutcome is what one supervised attempt reports back to the
 // per-shard retry loop.
 type attemptOutcome struct {
-	err          error
-	stalled      bool // the monitor killed the primary for lack of beacon progress
-	specLaunched bool
-	specWon      bool
-	elapsed      time.Duration
+	err     error
+	stalled bool // the monitor killed the worker for lack of beacon progress
+	elapsed time.Duration
 }
 
-// monitorSignal is what the beacon monitor tells the attempt loop.
-type monitorSignal int
-
-const (
-	sigStall    monitorSignal = iota // no beacon progress for StallTimeout: kill the worker
-	sigStraggle                      // tail straggler projected past the deadline: launch a backup
-)
-
-// proc is a started worker process plus the channel its Wait lands on.
-type proc struct {
-	cmd  *exec.Cmd
-	done chan error
-}
-
-func startProc(cmd *exec.Cmd) (*proc, error) {
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	p := &proc{cmd: cmd, done: make(chan error, 1)}
-	go func() { p.done <- cmd.Wait() }()
-	return p, nil
-}
-
-func (p *proc) kill() { _ = p.cmd.Process.Kill() }
-
-// attempt runs one supervised attempt at shard i: the primary process,
-// optionally a beacon monitor, and optionally a speculative backup. It
-// returns when the shard's work is done (some attempt exited cleanly)
-// or the attempt failed. Every process it started has been reaped by
-// the time it returns, so no writer can touch the shard's files after.
-func (c *Coordinator) attempt(ctx context.Context, i, attempt int, doneShards *atomic.Int64, emit func(Event)) attemptOutcome {
+// attempt runs one supervised attempt at shard i: the worker process
+// and, with StallTimeout set, a beacon monitor that kills it when its
+// progress stops. The process has been reaped by the time attempt
+// returns, so no writer can touch the shard's files after.
+func (c *Coordinator) attempt(ctx context.Context, i, attempt int, emit func(Event)) attemptOutcome {
 	start := time.Now()
 	var out attemptOutcome
 	finish := func() attemptOutcome { out.elapsed = time.Since(start); return out }
 
-	primary, err := startProc(c.Command(i, c.N))
-	if err != nil {
+	cmd := c.Command(i, c.N)
+	if err := cmd.Start(); err != nil {
 		out.err = err
 		return finish()
 	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
 	workersLaunchedCtr.Add(1)
 	emit(Event{Kind: EventStart, Shard: i, Attempt: attempt})
 
-	var signal chan monitorSignal
+	var stalled chan struct{}
 	if c.StallTimeout > 0 {
-		signal = make(chan monitorSignal, 2)
+		stalled = make(chan struct{})
 		stop := make(chan struct{})
 		defer close(stop)
-		go c.monitor(i, doneShards, signal, stop)
+		go c.monitor(i, stalled, stop)
 	}
 
-	var spec *proc
-	primaryDone := primary.done
-	var specDone chan error
-	var primaryErr error
-	stallKilled := false
-	for {
-		select {
-		case err := <-primaryDone:
-			if err == nil {
-				// A clean exit wins even when a stall-kill raced it:
-				// exit 0 means the shard's work is complete on disk.
-				if spec != nil {
-					spec.kill()
-					<-spec.done
-				}
-				return finish()
-			}
-			if stallKilled {
-				err = fmt.Errorf("%w: no beacon progress for %v (shard %d/%d, attempt %d)",
-					ErrStalled, c.StallTimeout, i, c.N, attempt)
-				out.stalled = true
-			}
-			if spec == nil {
-				out.err = err
-				return finish()
-			}
-			// The backup is still running; it can finish the shard.
-			primaryErr = err
-			primaryDone = nil
-		case err := <-specDone:
-			if err == nil {
-				if primaryDone != nil {
-					primary.kill()
-					<-primaryDone
-					primaryDone = nil
-				}
-				if c.OnSpecWin != nil {
-					if werr := c.OnSpecWin(i, c.N); werr != nil {
-						out.err = fmt.Errorf("promoting speculative attempt for shard %d/%d: %w", i, c.N, werr)
-						return finish()
-					}
-				}
-				specWinsCtr.Add(1)
-				out.specWon = true
-				return finish()
-			}
-			if primaryDone == nil {
-				if out.err = primaryErr; out.err == nil {
-					out.err = err
-				}
-				return finish()
-			}
-			specDone = nil // the primary is still running; let it finish
-		case sig := <-signal:
-			switch sig {
-			case sigStall:
-				if primaryDone != nil && !stallKilled {
-					stallKilled = true
-					primary.kill()
-				}
-			case sigStraggle:
-				if spec != nil || c.SpecCommand == nil || primaryDone == nil || stallKilled {
-					break
-				}
-				sp, err := startProc(c.SpecCommand(i, c.N))
-				if err != nil {
-					break // the projected primary is still live; let it run
-				}
-				spec = sp
-				specDone = sp.done
-				out.specLaunched = true
-				workersLaunchedCtr.Add(1)
-				specLaunchesCtr.Add(1)
-				emit(Event{Kind: EventSpeculative, Shard: i, Attempt: attempt, Elapsed: time.Since(start)})
-			}
-		case <-ctx.Done():
-			if primaryDone != nil {
-				primary.kill()
-				<-primaryDone
-			}
-			if specDone != nil {
-				spec.kill()
-				<-specDone
-			}
-			out.err = ctx.Err()
-			return finish()
+	select {
+	case err := <-done:
+		out.err = err
+	case <-stalled:
+		_ = cmd.Process.Kill()
+		// A clean exit wins even when a stall-kill raced it: exit 0
+		// means the shard's work is complete on disk.
+		if err := <-done; err != nil {
+			out.err = fmt.Errorf("%w: no beacon progress for %v (shard %d/%d, attempt %d)",
+				ErrStalled, c.StallTimeout, i, c.N, attempt)
+			out.stalled = true
 		}
+	case <-ctx.Done():
+		_ = cmd.Process.Kill()
+		<-done
+		out.err = ctx.Err()
 	}
+	return finish()
 }
 
-// monitor watches shard i's beacon until stopped, telling the attempt
-// loop to kill a stalled worker or to back up a projected straggler.
-// It sends at most one stall signal (and stops: the attempt is over
-// either way) and at most one straggle signal.
-func (c *Coordinator) monitor(i int, doneShards *atomic.Int64, signal chan<- monitorSignal, stop <-chan struct{}) {
+// monitor watches shard i's beacon until stopped, closing stalled when
+// the beacon's content has not changed for StallTimeout. Process start
+// is the liveness baseline, so a worker that hangs before its first
+// beacon is caught too.
+func (c *Coordinator) monitor(i int, stalled chan<- struct{}, stop <-chan struct{}) {
 	poll := c.PollInterval
 	if poll <= 0 {
 		poll = c.StallTimeout / 4
@@ -430,17 +294,10 @@ func (c *Coordinator) monitor(i int, doneShards *atomic.Int64, signal chan<- mon
 	if poll > time.Second {
 		poll = time.Second
 	}
-	specTail := c.SpecTail
-	if specTail <= 0 {
-		specTail = 1
-	}
 	path := c.BeaconPath(i, c.N)
 	var last Beacon
 	var have bool
-	lastChange := time.Now() // process start is the liveness baseline
-	var rateStart time.Time
-	var rateBase int
-	specSent := false
+	lastChange := time.Now()
 	tick := time.NewTicker(poll)
 	defer tick.Stop()
 	for {
@@ -450,39 +307,12 @@ func (c *Coordinator) monitor(i int, doneShards *atomic.Int64, signal chan<- mon
 		case <-tick.C:
 		}
 		if b, err := ReadBeacon(path); err == nil && (!have || b.Progressed(last)) {
-			if !have || b.Bench != last.Bench {
-				// First sighting, or a new bench segment: cursor deltas
-				// across segments are meaningless, so restart the rate
-				// window.
-				rateStart, rateBase = time.Now(), b.Cursor
-			}
 			last, have = b, true
 			lastChange = time.Now()
 		}
 		if time.Since(lastChange) > c.StallTimeout {
-			select {
-			case signal <- sigStall:
-			default:
-			}
+			close(stalled)
 			return
-		}
-		if specSent || c.SpecCommand == nil || !have {
-			continue
-		}
-		if int(doneShards.Load()) < c.N-specTail {
-			continue
-		}
-		window := time.Since(rateStart).Seconds()
-		if window <= 0 || last.Cursor <= rateBase {
-			continue
-		}
-		rate := float64(last.Cursor-rateBase) / window
-		if projected := float64(last.Hi-last.Cursor) / rate; projected > c.StallTimeout.Seconds() {
-			specSent = true
-			select {
-			case signal <- sigStraggle:
-			default:
-			}
 		}
 	}
 }

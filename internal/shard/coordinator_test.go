@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -123,7 +122,7 @@ func TestCoordinatorCancellation(t *testing.T) {
 
 // beaconJSON hand-rolls a beacon for shell-script stand-in workers.
 func beaconJSON(i, n, lo, hi, cursor, seq int) string {
-	return fmt.Sprintf(`{"version":1,"domain":"sweep","index":%d,"count":%d,"lo":%d,"hi":%d,"cursor":%d,"seq":%d,"time_unix_nano":0,"pid":0}`,
+	return fmt.Sprintf(`{"version":1,"domain":"dataset","index":%d,"count":%d,"lo":%d,"hi":%d,"cursor":%d,"seq":%d,"time_unix_nano":0,"pid":0}`,
 		i, n, lo, hi, cursor, seq)
 }
 
@@ -140,7 +139,7 @@ func TestCoordinatorStallKillAndRestartConcurrent(t *testing.T) {
 		N: 2,
 		Command: func(i, n int) *exec.Cmd {
 			marker := filepath.Join(dir, fmt.Sprintf("attempted-%d", i))
-			beacon := BeaconPath(dir, "sweep", i, n)
+			beacon := BeaconPath(dir, "dataset", i, n)
 			// Attempt 1: publish one beacon, then hang. Attempt 2 (the
 			// marker exists): publish progress and exit cleanly.
 			return shCmd(fmt.Sprintf(
@@ -148,7 +147,7 @@ func TestCoordinatorStallKillAndRestartConcurrent(t *testing.T) {
 				marker, beacon, beaconJSON(i, 2, 0, 100, 50, 2), beaconJSON(i, 2, 0, 100, 10, 1)))
 		},
 		StallTimeout: 300 * time.Millisecond,
-		BeaconPath:   func(i, n int) string { return BeaconPath(dir, "sweep", i, n) },
+		BeaconPath:   func(i, n int) string { return BeaconPath(dir, "dataset", i, n) },
 		OnEvent: func(ev Event) {
 			mu.Lock()
 			events = append(events, ev)
@@ -196,7 +195,7 @@ func TestCoordinatorStallBudgetExhausted(t *testing.T) {
 		N:             1,
 		Command:       func(i, n int) *exec.Cmd { return shCmd("sleep 30") },
 		StallTimeout:  150 * time.Millisecond,
-		BeaconPath:    func(i, n int) string { return BeaconPath(dir, "sweep", i, n) },
+		BeaconPath:    func(i, n int) string { return BeaconPath(dir, "dataset", i, n) },
 		StallRestarts: 1,
 	}
 	workers, err := c.Run(context.Background())
@@ -209,78 +208,8 @@ func TestCoordinatorStallBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSpeculativeBackupWins gives shard 0 a live but
-// hopeless straggler — it heartbeats every 100ms with ~10s of projected
-// work against a 1s deadline — and a backup that finishes instantly.
-// Once shard 1 is done the tail condition holds, the projection fires,
-// and the backup must win: loser killed, OnSpecWin called, shard
-// recorded as speculated-and-won.
-func TestCoordinatorSpeculativeBackupWins(t *testing.T) {
-	dir := t.TempDir()
-	var promoted atomic.Bool
-	var mu sync.Mutex
-	var events []Event
-	c := &Coordinator{
-		N: 2,
-		Command: func(i, n int) *exec.Cmd {
-			if i == 1 {
-				return shCmd("true")
-			}
-			beacon := BeaconPath(dir, "sweep", i, n)
-			return shCmd(fmt.Sprintf(`c=0; s=0
-while [ $c -lt 1000 ]; do
-  c=$((c+10)); s=$((s+1))
-  printf '{"version":1,"domain":"sweep","index":0,"count":2,"lo":0,"hi":1000,"cursor":%%d,"seq":%%d,"time_unix_nano":0,"pid":0}' $c $s > %[1]s.tmp && mv %[1]s.tmp %[1]s
-  sleep 0.1
-done`, beacon))
-		},
-		StallTimeout: time.Second,
-		PollInterval: 50 * time.Millisecond,
-		BeaconPath:   func(i, n int) string { return BeaconPath(dir, "sweep", i, n) },
-		SpecCommand: func(i, n int) *exec.Cmd {
-			return shCmd("true")
-		},
-		OnSpecWin: func(i, n int) error {
-			promoted.Store(true)
-			return nil
-		},
-		OnEvent: func(ev Event) {
-			mu.Lock()
-			events = append(events, ev)
-			mu.Unlock()
-		},
-	}
-	start := time.Now()
-	workers, err := c.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	w := workers[0]
-	if !w.Speculated || !w.SpecWon || w.Err != nil {
-		t.Fatalf("worker 0 = %+v, want a winning speculative backup", w)
-	}
-	if !promoted.Load() {
-		t.Fatal("OnSpecWin was not called")
-	}
-	// The primary alone would have taken ~100s; the backup win must
-	// have cut the run short by killing it.
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("run took %v; the straggling primary was not preempted", elapsed)
-	}
-	sawSpec := false
-	for _, ev := range events {
-		if ev.Kind == EventSpeculative && ev.Shard == 0 {
-			sawSpec = true
-		}
-	}
-	if !sawSpec {
-		t.Fatal("no EventSpeculative was emitted")
-	}
-}
-
 // TestCoordinatorValidatesSupervisionConfig: stall monitoring without a
-// beacon path, and speculation without stall monitoring, are config
-// errors, not silent no-ops.
+// beacon path is a config error, not a silent no-op.
 func TestCoordinatorValidatesSupervisionConfig(t *testing.T) {
 	base := func() *Coordinator {
 		return &Coordinator{N: 1, Command: func(i, n int) *exec.Cmd { return shCmd("true") }}
@@ -289,10 +218,5 @@ func TestCoordinatorValidatesSupervisionConfig(t *testing.T) {
 	c.StallTimeout = time.Second
 	if _, err := c.Run(context.Background()); err == nil {
 		t.Fatal("StallTimeout without BeaconPath accepted")
-	}
-	c = base()
-	c.SpecCommand = func(i, n int) *exec.Cmd { return shCmd("true") }
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Fatal("SpecCommand without StallTimeout accepted")
 	}
 }
