@@ -19,8 +19,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -40,7 +38,6 @@ import (
 	"repro/internal/regression"
 	"repro/internal/report"
 	"repro/internal/search"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -638,83 +635,6 @@ func BenchmarkTrainDataset(b *testing.B) {
 	b.Run("path=seed", datasetBench("seed", seed))
 	b.Run("path=fast", datasetBench("fast", eval.NewSimulator(traceLen)))
 
-	// Sharded dataset build vs single process, measured paired: each
-	// iteration builds the same training dataset once as a single shard
-	// (BuildDatasetShard 0/1 + merge — the unsharded `dse dataset` path)
-	// and once split in two (shards 0/2 and 1/2 + merge), on fresh
-	// explorers so every simulation is real. The build is simulation-bound,
-	// so the split's extra checkpoint writes and merge pass should cost
-	// low single digits at most — recorded as shard_overhead_pct with
-	// per-shard rates. Both merged checkpoint sets must be byte-identical.
-	const datasetShards = 2
-	var (
-		dsSingleTime, dsShardedTime time.Duration
-		dsShardSecs                 [datasetShards]float64
-		dsShardRanges               [datasetShards]shard.Range
-	)
-	dsBenches := []string{"gzip", "mcf"}
-	const dsSamples = 100
-	b.Run(fmt.Sprintf("path=sharded/shards=%d", datasetShards), func(b *testing.B) {
-		singleDir, shardDir := b.TempDir(), b.TempDir()
-		mk := func(dir string) *core.Explorer {
-			opts := benchOptions()
-			opts.Benchmarks = dsBenches
-			opts.TrainSamples = dsSamples
-			opts.CheckpointDir = dir
-			ex, err := core.New(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return ex
-		}
-		var tSingle, tSharded time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			one := mk(singleDir)
-			t0 := time.Now()
-			if err := one.BuildDatasetShard(context.Background(), 0, 1); err != nil {
-				b.Fatal(err)
-			}
-			if err := one.MergeDatasetShards(1); err != nil {
-				b.Fatal(err)
-			}
-			tSingle += time.Since(t0)
-			many := mk(shardDir)
-			t0 = time.Now()
-			for s := 0; s < datasetShards; s++ {
-				st := time.Now()
-				if err := many.BuildDatasetShard(context.Background(), s, datasetShards); err != nil {
-					b.Fatal(err)
-				}
-				dsShardSecs[s] = time.Since(st).Seconds()
-			}
-			if err := many.MergeDatasetShards(datasetShards); err != nil {
-				b.Fatal(err)
-			}
-			tSharded += time.Since(t0)
-			for s := range dsShardRanges {
-				dsShardRanges[s] = many.DatasetShardRange(s, datasetShards)
-			}
-		}
-		b.StopTimer()
-		for _, bench := range dsBenches {
-			single, err := os.ReadFile(filepath.Join(singleDir, "train-"+bench+".ckpt"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			merged, err := os.ReadFile(filepath.Join(shardDir, "train-"+bench+".ckpt"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !bytes.Equal(single, merged) {
-				b.Fatalf("merged %s dataset checkpoint differs from single-process (%d vs %d bytes)",
-					bench, len(merged), len(single))
-			}
-		}
-		dsSingleTime, dsShardedTime = tSingle, tSharded
-		b.ReportMetric(100*(tSharded.Seconds()/tSingle.Seconds()-1), "shard-overhead-%")
-	})
-
 	fastRate, seedRate := measured["fast"], measured["seed"]
 	if fastRate > 0 && seedRate > 0 {
 		type rate struct {
@@ -722,23 +642,14 @@ func BenchmarkTrainDataset(b *testing.B) {
 			RunsPerSec  float64 `json:"runs_per_sec"`
 			MInstPerSec float64 `json:"timed_minst_per_sec"`
 		}
-		type shardRate struct {
-			Shard      int     `json:"shard"`
-			Lo         int     `json:"lo"`
-			Hi         int     `json:"hi"`
-			RunsPerSec float64 `json:"runs_per_sec"`
-		}
 		report := struct {
-			Benchmarks       []string    `json:"benchmarks"`
-			Configs          int         `json:"configs"`
-			TraceLen         int         `json:"trace_len"`
-			TimedPerRun      int         `json:"timed_instructions_per_run"`
-			NumCPU           int         `json:"num_cpu"`
-			Rates            []rate      `json:"rates"`
-			FastSpeedup      float64     `json:"fast_speedup"`
-			Shards           int         `json:"shards,omitempty"`
-			ShardOverheadPct float64     `json:"shard_overhead_pct,omitempty"`
-			PerShardRates    []shardRate `json:"per_shard_rates,omitempty"`
+			Benchmarks  []string `json:"benchmarks"`
+			Configs     int      `json:"configs"`
+			TraceLen    int      `json:"trace_len"`
+			TimedPerRun int      `json:"timed_instructions_per_run"`
+			NumCPU      int      `json:"num_cpu"`
+			Rates       []rate   `json:"rates"`
+			FastSpeedup float64  `json:"fast_speedup"`
 		}{
 			Benchmarks:  benches,
 			Configs:     len(points),
@@ -750,17 +661,6 @@ func BenchmarkTrainDataset(b *testing.B) {
 				{Path: "fast", RunsPerSec: fastRate, MInstPerSec: fastRate * float64(timedPerRun) / 1e6},
 			},
 			FastSpeedup: fastRate / seedRate,
-		}
-		if dsSingleTime > 0 && dsShardedTime > 0 {
-			report.Shards = datasetShards
-			report.ShardOverheadPct = 100 * (dsShardedTime.Seconds()/dsSingleTime.Seconds() - 1)
-			for s, r := range dsShardRanges {
-				psr := shardRate{Shard: s, Lo: r.Lo, Hi: r.Hi}
-				if dsShardSecs[s] > 0 {
-					psr.RunsPerSec = float64(r.Len()) / dsShardSecs[s]
-				}
-				report.PerShardRates = append(report.PerShardRates, psr)
-			}
 		}
 		data, err := json.MarshalIndent(report, "", " ")
 		if err != nil {

@@ -6,8 +6,10 @@
 //
 // Usage:
 //
-//	dsed [flags]             serve until SIGTERM/SIGINT (graceful drain)
-//	dsed -bench -url U ...   load-test a running daemon, write BENCH_serve.json
+//	dsed [flags]   serve until SIGTERM/SIGINT (graceful drain)
+//
+// The load generator is reprobench's serve-query workload
+// (`sh bench/run.sh --workload serve-query`), not a mode of dsed.
 //
 // Model lifecycle: -loadmodels serves a model set written by
 // `dse -savemodels`; without it the daemon trains at startup with the
@@ -79,24 +81,12 @@ func run(args []string, out io.Writer, ctrl *control) error {
 	manifestFile := fs.String("manifest", "", "write a run manifest (JSON) describing the serving session to this file at exit")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address")
 
-	benchMode := fs.Bool("bench", false, "load-test mode: drive a running daemon instead of serving")
-	benchURL := fs.String("url", "", "bench: daemon base URL (e.g. http://127.0.0.1:8080)")
-	benchDur := fs.Duration("duration", 5*time.Second, "bench: measured duration per endpoint")
-	benchConc := fs.Int("concurrency", 8, "bench: closed-loop client workers per endpoint")
-	benchEndpoints := fs.String("endpoints", "", "bench: comma-separated endpoints to drive (default healthz,predict,sweep,pareto)")
-	benchBench := fs.String("benchname", "", "bench: benchmark name in request bodies (default: daemon's first)")
-	benchPoints := fs.Int("reqpoints", 1, "bench: design points per predict/simulate request")
-	benchOut := fs.String("out", "BENCH_serve.json", "bench: report output path")
-
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		fs.Usage()
 		return fmt.Errorf("unexpected arguments %v (dsed takes flags only)", fs.Args())
-	}
-	if *benchMode {
-		return runBench(out, benchOptions(*benchURL, *benchDur, *benchConc, *benchEndpoints, *benchBench, *benchPoints, *seed), *benchOut)
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)

@@ -128,9 +128,6 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-resume"}, &out, nil); err == nil {
 		t.Fatal("-resume without -checkpoint accepted")
 	}
-	if err := run([]string{"-bench"}, &out, nil); err == nil {
-		t.Fatal("-bench without -url accepted")
-	}
 	if err := run([]string{"-not-a-flag"}, &out, nil); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
@@ -286,44 +283,6 @@ func TestTrainAtStartupAndSaveModels(t *testing.T) {
 	stop()
 	if err := <-done; err != nil {
 		t.Fatalf("daemon exit = %v\n%s", err, out.String())
-	}
-}
-
-func TestBenchModeEndToEnd(t *testing.T) {
-	url, _, stop, _ := startDaemon(t, daemonArgs())
-	defer stop()
-
-	report := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-bench",
-		"-url", url,
-		"-duration", "300ms",
-		"-concurrency", "2",
-		"-endpoints", "healthz,predict",
-		"-out", report,
-	}, &out, nil)
-	if err != nil {
-		t.Fatalf("bench mode: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "predict") || !strings.Contains(out.String(), "qps") {
-		t.Fatalf("bench table missing:\n%s", out.String())
-	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serve.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Endpoints) != 2 {
-		t.Fatalf("report endpoints = %+v", rep.Endpoints)
-	}
-	for _, ep := range rep.Endpoints {
-		if ep.QPS <= 0 || ep.Errors > 0 {
-			t.Fatalf("endpoint %s: qps = %v, errors = %d", ep.Endpoint, ep.QPS, ep.Errors)
-		}
 	}
 }
 

@@ -844,8 +844,9 @@ type HealthzResponse struct {
 	Workers       int      `json:"workers"`
 	InFlight      int64    `json:"in_flight"`
 	Requests      int64    `json:"requests"`
-	// View-cache counters (views.go): the load driver reads deltas of
-	// these around its measurement windows to report cache hit rates.
+	// View-cache counters (views.go), cumulative over the daemon's life.
+	// Deltas between two reads give a window's cache hit rate; dsed's
+	// run manifest records the final values.
 	ViewHits   int64 `json:"view_hits"`
 	ViewMisses int64 `json:"view_misses"`
 	ViewBuilds int64 `json:"view_builds"`
