@@ -22,8 +22,11 @@ import (
 
 // Default guardrail sampling intervals: roughly one in N fast-path
 // results is recomputed on the reference path and compared bit-exactly.
-// The simulator's reference run costs about as much as the fast run, so
-// 1/256 keeps overhead well under 1%; a plan prediction is so cheap
+// The simulator's reference run (full warmup, caches and predictor
+// simulated) costs about 3-4x an outcome-mask replay of the same
+// configuration (gcc, 100k instructions, measured back to back on a
+// 2-CPU x86 host), so at 1/256 the reruns add about 1.5% to simulator
+// CPU; a plan prediction is so cheap
 // that even the interpreted reference is nearly free, but 1/1024 keeps
 // the shared-counter traffic negligible in the sweep hot loop.
 const (

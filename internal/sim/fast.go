@@ -36,12 +36,13 @@ type warmKey struct {
 
 // warmEntry is one key's memo slot: the once computes the key's outcome
 // mask (one byte per timed instruction, see the m* bits in kernel.go)
-// exactly once however many goroutines race on the key. mask stays nil
-// when the memo budget is exhausted or the computation failed, in which
-// case every run of the key computes its own.
+// and activity exactly once however many goroutines race on the key.
+// mask stays nil when the memo budget is exhausted or the computation
+// failed, in which case every run of the key computes its own.
 type warmEntry struct {
 	once sync.Once
 	mask []byte
+	act  Activity
 }
 
 type warmMap map[warmKey]*warmEntry
@@ -147,7 +148,8 @@ func (r *Runner) RunInto(out *Result, cfg arch.Config, tr *trace.Trace) error {
 
 // runFast replays the key's outcome mask, computing it first if this is
 // the key's first run. A key the memo budget cannot hold has its mask
-// computed into the scratch on every run and replayed the same way.
+// computed into the scratch, and its activity counted, on every run, and
+// replayed the same way.
 func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) error {
 	e := r.entry(warmKey{
 		tr:       tr,
@@ -165,7 +167,7 @@ func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) err
 			return
 		}
 		m := make([]byte, size)
-		if onceErr = s.outcomes(p, tr, m); onceErr != nil {
+		if e.act, onceErr = s.outcomes(p, tr, m); onceErr != nil {
 			r.used.Add(-int64(size))
 			return
 		}
@@ -175,7 +177,7 @@ func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) err
 	if onceErr != nil {
 		return onceErr
 	}
-	mask := e.mask
+	mask, act := e.mask, e.act
 	switch {
 	case computed:
 		r.misses.Add(1)
@@ -188,12 +190,13 @@ func (r *Runner) runFast(out *Result, s *Scratch, p Params, tr *trace.Trace) err
 			s.mask = make([]byte, size)
 		}
 		mask = s.mask[:size]
-		if err := s.outcomes(p, tr, mask); err != nil {
+		var err error
+		if act, err = s.outcomes(p, tr, mask); err != nil {
 			return err
 		}
 		r.misses.Add(1)
 		simWarmMisses.Add(1)
 	}
-	s.timedReplay(out, p, tr, mask)
+	s.timedReplay(out, p, tr, mask, act)
 	return nil
 }

@@ -175,26 +175,40 @@ func TestRunZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRunnerWarm measures the Runner in steady state (memoized
-// outcome mask, pooled scratch).
+// BenchmarkRunnerWarm measures the replay kernel in steady state: one
+// Runner, its one warm key's outcome mask memoized, replays 16 sampled
+// TableOneSpace configurations in rotation. Their cache geometry is set
+// to the baseline's so they share that key; every other axis varies as
+// in a training sample. The trace is gcc at the paper's 100k
+// instructions. ns/timed-inst is the cost per replayed instruction.
 func BenchmarkRunnerWarm(b *testing.B) {
-	tr, err := trace.ForBenchmark("gzip", testTraceLen)
+	tr, err := trace.ForBenchmark("gcc", 100000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := arch.Baseline()
+	base := arch.Baseline()
+	space := arch.TableOneSpace()
+	var cfgs []arch.Config
+	for _, pt := range space.SampleUAR(16, 7) {
+		cfg := space.Config(pt)
+		cfg.IL1KB, cfg.DL1KB, cfg.L2KB = base.IL1KB, base.DL1KB, base.L2KB
+		cfgs = append(cfgs, cfg)
+	}
 	r := NewRunner()
 	var out Result
-	if err := r.RunInto(&out, cfg, tr); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for _, cfg := range cfgs {
 		if err := r.RunInto(&out, cfg, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.RunInto(&out, cfgs[i%len(cfgs)], tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(out.Instructions)), "ns/timed-inst")
 }
 
 // TestReplayAcrossConfigs pins the property the Runner rests on: cache
@@ -277,5 +291,108 @@ func TestRunnerConcurrent(t *testing.T) {
 	if misses != 2 || hits != goroutines*rounds*int64(len(cfgs))-2 {
 		t.Fatalf("warm stats hits=%d misses=%d, want %d/2 (one mask per key)",
 			hits, misses, goroutines*rounds*len(cfgs)-2)
+	}
+}
+
+// TestReplayMatchesReferenceProperty is the seeded property test behind
+// the replay kernel: on every benchmark, for 64 random TableOneSpace
+// points plus a design whose every resource ring has one slot, out of
+// order and in order, Runner.Run must return the Result sim.Run returns.
+// One Runner memoizes masks (its first run of a key computes, later runs
+// replay). A second with a zero budget, which recomputes the mask and
+// activity into scratch on every run, takes every eighth design, the
+// one-slot design among them: it shares the replay kernel and differs
+// only in where the mask lives.
+func TestReplayMatchesReferenceProperty(t *testing.T) {
+	space := arch.TableOneSpace()
+	cfgs := make([]arch.Config, 0, 65)
+	for _, p := range space.SampleUAR(64, 2007) {
+		cfgs = append(cfgs, space.Config(p))
+	}
+	tiny := space.Config(arch.Point{})
+	tiny.Width, tiny.LSQ, tiny.SQ, tiny.FUPerKind = 1, 1, 1, 1
+	tiny.GPR, tiny.FPR, tiny.SPR = ArchGPR+1, ArchFPR+1, ArchSPR+1
+	tiny.ResvBR, tiny.ResvFX, tiny.ResvFP = 1, 1, 1
+	cfgs = append(cfgs, tiny)
+
+	memo, scratch := NewRunner(), NewRunner()
+	scratch.budget = 0
+	for _, bench := range trace.Benchmarks() {
+		tr := testTrace(t, bench)
+		for k, cfg := range cfgs {
+			runners := []*Runner{memo}
+			if k%8 == 0 {
+				runners = append(runners, scratch)
+			}
+			for _, inOrder := range []bool{false, true} {
+				cfg.InOrder = inOrder
+				want, err := Run(cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range runners {
+					got, err := r.Run(cfg, tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if *got != *want {
+						t.Fatalf("%s %v (budget %d): replay diverged from the reference\n got %+v\nwant %+v",
+							bench, cfg, r.budget, got, want)
+					}
+				}
+			}
+		}
+	}
+	if hits, _ := memo.WarmStats(); hits == 0 {
+		t.Fatal("memoizing runner never replayed a memoized mask")
+	}
+	if hits, _ := scratch.WarmStats(); hits != 0 {
+		t.Fatalf("zero-budget runner replayed %d memoized masks, want 0", hits)
+	}
+}
+
+// TestRingNext pins the branch-free ring advance: at every capacity
+// from 1 to 8, positions run 0, 1, ..., n-1 and wrap to 0.
+func TestRingNext(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		pos := 0
+		for k := 1; k <= 3*n; k++ {
+			pos = next(pos, n)
+			if pos != k%n {
+				t.Fatalf("capacity %d, step %d: next = %d, want %d", n, k, pos, k%n)
+			}
+		}
+	}
+}
+
+// TestStoreSink pins the store route: stores take the one-slot sink as
+// their rename pool and commit to it through keep = 0, so however late
+// they retire its earliest returns its argument and the slot stays 0.
+// Every other kind commits to a real pool through keep = ^0.
+func TestStoreSink(t *testing.T) {
+	p, err := Derive(arch.Baseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	rings := s.prepare(p, 100, 30)
+	rt := routes(&rings)
+	store := rt[trace.OpStore]
+	if len(store.pool.slots) != 1 || store.keep != 0 {
+		t.Fatalf("store pool has %d slots and keep %#x, want 1 and 0", len(store.pool.slots), store.keep)
+	}
+	for _, k := range []trace.OpKind{trace.OpInt, trace.OpFP, trace.OpLoad, trace.OpBranch} {
+		if rt[k].pool == store.pool || rt[k].keep != ^0 {
+			t.Fatalf("%v: pool is the sink or keep = %#x, want a real pool and ^0", k, rt[k].keep)
+		}
+	}
+	for _, ret := range []int64{1, 7, 1 << 20, 1 << 40} {
+		store.pool.commit(ret & store.keep)
+		if got := store.pool.earliest(ret - 1); got != ret-1 {
+			t.Fatalf("after a store retiring at %d: sink earliest(%d) = %d", ret, ret-1, got)
+		}
+	}
+	if store.pool.slots[0] != 0 || store.pool.pos != 0 {
+		t.Fatalf("sink slot %d pos %d, want 0 0", store.pool.slots[0], store.pool.pos)
 	}
 }

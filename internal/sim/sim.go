@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -74,41 +75,24 @@ func newRing(capacity int) *ring {
 }
 
 // earliest returns the soonest time >= t at which a slot is free.
-func (r *ring) earliest(t int64) int64 {
-	if s := r.slots[r.pos]; s > t {
-		return s
-	}
-	return t
-}
+func (r *ring) earliest(t int64) int64 { return max(r.slots[r.pos], t) }
 
 // commit consumes the current slot until the given release time.
 func (r *ring) commit(release int64) {
 	r.slots[r.pos] = release
-	r.pos++
-	if r.pos == len(r.slots) {
-		r.pos = 0
-	}
+	r.pos = next(r.pos, len(r.slots))
 }
 
-// bw fuses earliest and commit for bandwidth-style rings — fetch and
-// retire slots and fully pipelined functional units, which always
-// recycle their slot one cycle after use: it returns the soonest time
-// >= t at which a slot is free and consumes that slot until the
-// following cycle, touching the slot array once.
-func (r *ring) bw(t int64) int64 {
-	if s := r.slots[r.pos]; s > t {
-		t = s
-	}
-	r.slots[r.pos] = t + 1
-	r.pos++
-	if r.pos == len(r.slots) {
-		r.pos = 0
-	}
-	return t
+// next returns the slot after pos in a ring of n slots without a branch:
+// pos+1, or 0 when that reaches n. (p-n)>>(UintSize-1) is all ones while
+// p < n and zero once p == n, so n is subtracted only at the wrap.
+func next(pos, n int) int {
+	p := pos + 1
+	return p - n&^((p-n)>>(bits.UintSize-1))
 }
 
 // Scratch holds every piece of per-run mutable state the cycle kernel
-// needs: the completion array, the backing storage for the fourteen
+// needs: the completion array, the backing storage for the fifteen
 // resource rings, the three caches, the branch history table and an
 // outcome-mask buffer. A Scratch reaches a steady state after a few runs
 // — its arrays grow to the largest geometry seen and are reused — so
@@ -250,13 +234,14 @@ func observeRun(out *Result, traced bool, start time.Time) {
 
 // numRings is the number of resource rings the kernel carves out of the
 // pooled backing array; see prepare for the slot assignment.
-const numRings = 14
+const numRings = 15
 
 // prepare readies the scratch's per-run arrays for the timed kernel:
 // zeroes the warmup prefix of the completion array (timed entries are
 // always written before they are read, so only the prefix needs
-// clearing) and carves the fourteen resource rings out of one pooled,
-// zeroed backing array. Shared by the reference and fast kernels.
+// clearing) and carves the fifteen resource rings out of one pooled,
+// zeroed backing array. Shared by the reference and replay kernels; the
+// reference kernel leaves the store sink untouched.
 func (s *Scratch) prepare(p Params, n, warm int) [numRings]ring {
 	cfg := p.Config
 	if cap(s.complete) < n {
@@ -284,6 +269,7 @@ func (s *Scratch) prepare(p Params, n, warm int) [numRings]ring {
 		cfg.FUPerKind, // 11: floating-point units
 		cfg.FUPerKind, // 12: load/store units
 		cfg.FUPerKind, // 13: branch units
+		1,             // 14: store sink, timedReplay's rename pool for stores
 	}
 	total := 0
 	for i, c := range capacities {
