@@ -362,6 +362,7 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	set("sim_cache_misses", sim.CacheMisses)
 	set("sim_warm_hits", sim.WarmHits)
 	set("sim_warm_misses", sim.WarmMisses)
+	set("sim_outcome_walks", sim.OutcomeWalks)
 	set("sim_panics_recovered", sim.PanicsRecovered)
 	set("sim_retries", sim.Retries)
 	set("sim_guard_checks", sim.GuardChecks)

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // TestManifestEmission runs a study with -manifest and checks the
@@ -61,6 +63,24 @@ func TestManifestEmission(t *testing.T) {
 	}
 	if got := m.Phases[1].Stats["model_swept_points"]; got != 2*262500 {
 		t.Fatalf("pareto phase model_swept_points = %d, want 525000", got)
+	}
+
+	// Training composes each warm key's outcome mask from component
+	// passes walked once each: one per trace, one per distinct IL1 size
+	// and one per distinct DL1 geometry of the training sample. The
+	// study's simulations reuse them.
+	space := arch.TableOneSpace()
+	il1s, dl1s := map[int]bool{}, map[[2]int]bool{}
+	for _, p := range space.SampleUAR(120, 2007) {
+		c := space.Config(p)
+		il1s[c.IL1KB] = true
+		dl1s[[2]int{c.DL1KB, sim.EffectiveDL1Assoc(c)}] = true
+	}
+	if got, want := m.Phases[0].Stats["sim_outcome_walks"], int64(2*(1+len(il1s)+len(dl1s))); got != want {
+		t.Fatalf("train phase sim_outcome_walks = %d, want %d", got, want)
+	}
+	if got := m.Phases[1].Stats["sim_outcome_walks"]; got != 0 {
+		t.Fatalf("pareto phase sim_outcome_walks = %d, want 0 (components reused)", got)
 	}
 
 	// Simulation counters are always on, even without -trace.

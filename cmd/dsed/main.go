@@ -316,6 +316,7 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	set("sim_cache_misses", sim.CacheMisses)
 	set("sim_warm_hits", sim.WarmHits)
 	set("sim_warm_misses", sim.WarmMisses)
+	set("sim_outcome_walks", sim.OutcomeWalks)
 	set("model_evaluations", model.Evaluations)
 	set("model_batches", model.BatchCalls)
 	set("model_swept_points", model.SweptPoints)

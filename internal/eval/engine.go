@@ -86,11 +86,16 @@ type EngineStats struct {
 	// WarmHits counts simulator runs that replayed a memoized cache/BHT
 	// outcome mask; zero for backends without an outcome memo.
 	WarmHits int64
-	// WarmMisses counts simulator runs that computed their geometry's
+	// WarmMisses counts simulator runs that composed their geometry's
 	// outcome mask (every first run of a geometry, and every run of one
 	// the memo budget cannot hold); zero for backends without an
 	// outcome memo.
 	WarmMisses int64
+	// OutcomeWalks counts the component passes the simulator walked a
+	// trace for, to compose those masks from: one per trace, IL1 size
+	// and DL1 geometry while the memo budget holds them; zero for
+	// backends without an outcome memo.
+	OutcomeWalks int64
 	// PanicsRecovered counts backend panics converted into typed
 	// TaskErrors by per-worker recovery.
 	PanicsRecovered int64
@@ -129,6 +134,7 @@ func (s EngineStats) Sub(base EngineStats) EngineStats {
 	d.BatchCalls -= base.BatchCalls
 	d.WarmHits -= base.WarmHits
 	d.WarmMisses -= base.WarmMisses
+	d.OutcomeWalks -= base.OutcomeWalks
 	d.PanicsRecovered -= base.PanicsRecovered
 	d.Retries -= base.Retries
 	d.GuardChecks -= base.GuardChecks
@@ -148,6 +154,7 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	d.BatchCalls += o.BatchCalls
 	d.WarmHits += o.WarmHits
 	d.WarmMisses += o.WarmMisses
+	d.OutcomeWalks += o.OutcomeWalks
 	d.PanicsRecovered += o.PanicsRecovered
 	d.Retries += o.Retries
 	d.GuardChecks += o.GuardChecks
@@ -279,6 +286,7 @@ func (e *Engine) Workers() int { return e.workers }
 // the sim package.
 type warmStatser interface {
 	WarmStats() (hits, misses int64)
+	OutcomeWalks() int64
 }
 
 // guardStatser is probed on the backend so engines over guarded
@@ -303,6 +311,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 	if ws, ok := e.ev.(warmStatser); ok {
 		s.WarmHits, s.WarmMisses = ws.WarmStats()
+		s.OutcomeWalks = ws.OutcomeWalks()
 	}
 	if gs, ok := e.ev.(guardStatser); ok {
 		s.GuardChecks, s.GuardDivergences, s.Degraded = gs.GuardStats()

@@ -141,11 +141,15 @@ func (s *Simulator) GuardStats() (checks, divergences int64, degraded bool) {
 }
 
 // WarmStats returns the runner's outcome-memo counters: runs that
-// replayed a memoized outcome mask (hits) versus runs that computed
+// replayed a memoized outcome mask (hits) versus runs that composed
 // their key's mask (misses).
 func (s *Simulator) WarmStats() (hits, misses int64) {
 	return s.runner.WarmStats()
 }
+
+// OutcomeWalks returns how many component passes the runner walked a
+// trace for (see sim.Runner.OutcomeWalks).
+func (s *Simulator) OutcomeWalks() int64 { return s.runner.OutcomeWalks() }
 
 // traceFor returns the memoized trace for a benchmark, synthesizing it on
 // first use. The steady-state path is one atomic load and a map read —

@@ -50,8 +50,8 @@ func TestSimulatorFastPathMatchesDisabled(t *testing.T) {
 }
 
 // TestEngineStatsExposeWarmCounters checks that an engine over the
-// simulator backend surfaces its outcome-memo counters through Stats
-// and differences them through StatsEpoch.
+// simulator backend surfaces its outcome-memo counters and component
+// walks through Stats and differences them through StatsEpoch.
 func TestEngineStatsExposeWarmCounters(t *testing.T) {
 	s := NewSimulator(20000)
 	e := NewEngine(s, Options{Workers: 1, Name: "sim"})
@@ -66,19 +66,21 @@ func TestEngineStatsExposeWarmCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The one key was composed from three component passes: the trace's
+	// branch pass, its IL1 pass and its DL1 pass.
 	st := e.Stats()
-	if st.WarmHits != 1 || st.WarmMisses != 1 {
-		t.Fatalf("engine stats warm = %d/%d, want 1/1", st.WarmHits, st.WarmMisses)
+	if st.WarmHits != 1 || st.WarmMisses != 1 || st.OutcomeWalks != 3 {
+		t.Fatalf("engine stats warm = %d/%d, walks %d, want 1/1, 3", st.WarmHits, st.WarmMisses, st.OutcomeWalks)
 	}
 	ep := e.StatsEpoch()
-	if ep.WarmHits != 1 || ep.WarmMisses != 1 {
-		t.Fatalf("first epoch warm = %d/%d, want 1/1", ep.WarmHits, ep.WarmMisses)
+	if ep.WarmHits != 1 || ep.WarmMisses != 1 || ep.OutcomeWalks != 3 {
+		t.Fatalf("first epoch warm = %d/%d, walks %d, want 1/1, 3", ep.WarmHits, ep.WarmMisses, ep.OutcomeWalks)
 	}
 	if _, _, err := s.Evaluate(b, "gzip"); err != nil {
 		t.Fatal(err)
 	}
 	ep = e.StatsEpoch()
-	if ep.WarmHits != 1 || ep.WarmMisses != 0 {
-		t.Fatalf("second epoch warm = %d/%d, want 1/0", ep.WarmHits, ep.WarmMisses)
+	if ep.WarmHits != 1 || ep.WarmMisses != 0 || ep.OutcomeWalks != 0 {
+		t.Fatalf("second epoch warm = %d/%d, walks %d, want 1/0, 0", ep.WarmHits, ep.WarmMisses, ep.OutcomeWalks)
 	}
 }

@@ -94,30 +94,55 @@ func TestWarmStateCrossGeometry(t *testing.T) {
 	}
 }
 
-// TestWarmBudgetFallback pins the over-budget behaviour: with a zero
-// budget nothing is memoized — every run computes its own outcome mask
-// into scratch — and results are still bit-identical to the seed path.
+// TestWarmBudgetFallback pins the over-budget behaviour. With a zero
+// budget nothing is memoized — every run walks its own component passes
+// and composes its own outcome mask into scratch. With a budget that
+// holds the component passes but no mask, the passes are walked once
+// and every run composes its mask from them into scratch. Either way
+// results are bit-identical to the seed path, and the budget charges
+// exactly what is memoized.
 func TestWarmBudgetFallback(t *testing.T) {
 	tr := testTrace(t, "gzip")
 	cfg := arch.Baseline()
-	r := NewRunner()
-	r.budget = 0
 	want := fullRun(t, cfg, tr)
-	for i := 0; i < 3; i++ {
-		got, err := r.Run(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *want {
-			t.Fatalf("run %d: over-budget path diverged", i)
-		}
+
+	// A generous runner memoizes the three passes and the mask; its
+	// charge less the mask's one byte per timed instruction is what the
+	// passes alone cost.
+	full := NewRunner()
+	if _, err := full.Run(cfg, tr); err != nil {
+		t.Fatal(err)
 	}
-	hits, misses := r.WarmStats()
-	if hits != 0 || misses != 3 {
-		t.Fatalf("warm stats hits=%d misses=%d, want 0/3 under zero budget", hits, misses)
-	}
-	if used := r.used.Load(); used != 0 {
-		t.Fatalf("zero budget charged %d bytes", used)
+	timed := int64(tr.Len() - warmupLen(tr.Len()))
+	passBytes := full.used.Load() - timed
+
+	for _, c := range []struct {
+		budget, walks int64
+	}{
+		{0, 3 * 3},     // every run walks all three passes
+		{passBytes, 3}, // the passes are walked once; no mask fits
+	} {
+		r := NewRunner()
+		r.budget = c.budget
+		for i := 0; i < 3; i++ {
+			got, err := r.Run(cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Fatalf("budget %d, run %d: over-budget path diverged", c.budget, i)
+			}
+		}
+		hits, misses := r.WarmStats()
+		if hits != 0 || misses != 3 {
+			t.Fatalf("budget %d: warm stats hits=%d misses=%d, want 0/3", c.budget, hits, misses)
+		}
+		if used := r.used.Load(); used != c.budget {
+			t.Fatalf("budget %d charged %d bytes, want all of it", c.budget, used)
+		}
+		if walks := r.OutcomeWalks(); walks != c.walks {
+			t.Fatalf("budget %d: %d outcome walks, want %d", c.budget, walks, c.walks)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -83,22 +82,26 @@ func (r *ring) commit(release int64) {
 	r.pos = next(r.pos, len(r.slots))
 }
 
-// next returns the slot after pos in a ring of n slots without a branch:
-// pos+1, or 0 when that reaches n. (p-n)>>(UintSize-1) is all ones while
-// p < n and zero once p == n, so n is subtracted only at the wrap.
+// next returns the slot after pos in a ring of n slots: pos+1, or 0 when
+// that reaches n. The compiler turns the wrap into a conditional move, so
+// advancing a ring costs no branch.
 func next(pos, n int) int {
 	p := pos + 1
-	return p - n&^((p-n)>>(bits.UintSize-1))
+	if p == n {
+		p = 0
+	}
+	return p
 }
 
 // Scratch holds every piece of per-run mutable state the cycle kernel
 // needs: the completion array, the backing storage for the fifteen
-// resource rings, the three caches, the branch history table and an
-// outcome-mask buffer. A Scratch reaches a steady state after a few runs
-// — its arrays grow to the largest geometry seen and are reused — so
-// simulating through one performs zero heap allocations. The zero value
-// is ready to use. A Scratch is not safe for concurrent use; Run and
-// Runner draw them from pools.
+// resource rings, the three caches, the branch history table, and the
+// component passes and outcome mask of a Runner key the memo cannot
+// hold. A Scratch reaches a steady state after a few runs — its arrays
+// grow to the largest geometry seen and are reused — so simulating
+// through one performs zero heap allocations. The zero value is ready to
+// use. A Scratch is not safe for concurrent use; Run and Runner draw
+// them from pools.
 type Scratch struct {
 	complete []int64
 	ringBuf  []int64
@@ -106,7 +109,10 @@ type Scratch struct {
 	dl1      cache.Cache
 	l2       cache.Cache
 	bht      branch.Predictor
-	mask     []byte // outcome mask of a Runner key the memo cannot hold
+	branch   branchPass
+	il1Pass  missPass
+	dl1Pass  missPass
+	mask     []byte
 }
 
 // scratchPool recycles run scratch for the package-level Run entry
