@@ -1,8 +1,11 @@
 package cacti
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/arch"
 )
 
 func TestAccessTimeMonotoneInSize(t *testing.T) {
@@ -112,5 +115,45 @@ func TestQuickCyclesMonotoneInFrequency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMonotoneInCapacityOverDesignSpace checks that access time and
+// access energy never fall as capacity grows, over every cache size of
+// the Table 1 space (all powers of two) at associativity 1, 2 and 4.
+func TestMonotoneInCapacityOverDesignSpace(t *testing.T) {
+	s := arch.TableOneSpace()
+	levels := s.Levels()
+	seen := map[int]bool{}
+	var p arch.Point
+	for ; p[arch.AxisIL1] < levels[arch.AxisIL1]; p[arch.AxisIL1]++ {
+		seen[s.Config(p).IL1KB] = true
+	}
+	p = arch.Point{}
+	for ; p[arch.AxisDL1] < levels[arch.AxisDL1]; p[arch.AxisDL1]++ {
+		seen[s.Config(p).DL1KB] = true
+	}
+	p = arch.Point{}
+	for ; p[arch.AxisL2] < levels[arch.AxisL2]; p[arch.AxisL2]++ {
+		seen[s.Config(p).L2KB] = true
+	}
+	sizes := make([]int, 0, len(seen))
+	for kb := range seen {
+		if kb&(kb-1) != 0 {
+			t.Fatalf("design-space cache size %d KB is not a power of two", kb)
+		}
+		sizes = append(sizes, kb)
+	}
+	sort.Ints(sizes)
+	for _, assoc := range []int{1, 2, 4} {
+		for i := 1; i < len(sizes); i++ {
+			small, big := sizes[i-1], sizes[i]
+			if a, b := AccessTimeNS(small, assoc), AccessTimeNS(big, assoc); b < a {
+				t.Errorf("%d-way access time falls from %v ns at %d KB to %v ns at %d KB", assoc, a, small, b, big)
+			}
+			if a, b := EnergyPerAccessNJ(small, assoc), EnergyPerAccessNJ(big, assoc); b < a {
+				t.Errorf("%d-way access energy falls from %v nJ at %d KB to %v nJ at %d KB", assoc, a, small, b, big)
+			}
+		}
 	}
 }

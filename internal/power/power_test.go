@@ -174,3 +174,50 @@ func BenchmarkEstimate(b *testing.B) {
 		_ = Estimate(res)
 	}
 }
+
+// TestBreakdownProperties runs seeded random Table 1 designs on every
+// benchmark at short traces, each at all three width levels, and checks
+// the trends DESIGN.md §1 relies on: no component is negative, the
+// total is at least the leakage floor, and leakage never falls as the
+// design widens with the other axes fixed.
+func TestBreakdownProperties(t *testing.T) {
+	s := arch.TableOneSpace()
+	widths := s.Levels()[arch.AxisWidth]
+	points := s.SampleUAR(8, 2007)
+	for _, bench := range trace.Benchmarks() {
+		tr, err := trace.ForBenchmark(bench, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			prevLeak := 0.0
+			for w := 0; w < widths; w++ {
+				p[arch.AxisWidth] = w
+				cfg := s.Config(p)
+				res, err := sim.Run(cfg, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := Estimate(res)
+				for name, v := range map[string]float64{
+					"FrontEnd": b.FrontEnd, "RegFile": b.RegFile, "IssueQ": b.IssueQ,
+					"FuncUnits": b.FuncUnits, "LSQ": b.LSQ, "Predictor": b.Predictor,
+					"IL1": b.IL1, "DL1": b.DL1, "L2": b.L2, "Memory": b.Memory,
+					"Clock": b.Clock, "Leakage": b.Leakage,
+				} {
+					if !(v >= 0) {
+						t.Errorf("%s on %s: %s = %v, want >= 0", bench, cfg, name, v)
+					}
+				}
+				if b.Total() < b.Leakage {
+					t.Errorf("%s on %s: total %v W below leakage %v W", bench, cfg, b.Total(), b.Leakage)
+				}
+				if b.Leakage < prevLeak {
+					t.Errorf("%s on %s: leakage %v W fell from %v W one width level narrower",
+						bench, cfg, b.Leakage, prevLeak)
+				}
+				prevLeak = b.Leakage
+			}
+		}
+	}
+}

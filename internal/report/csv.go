@@ -2,6 +2,9 @@ package report
 
 import (
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -38,26 +41,113 @@ func Figure1CSV(w io.Writer, rep *core.ValidationReport) error {
 	return c.Flush()
 }
 
+// figure2ChunkRows is how many characterization rows one worker of
+// Figure2CSV formats at a time, about 220 KB of CSV.
+const figure2ChunkRows = 4096
+
+// figure2RowBytes bounds a typical Figure 2 row, which sizes the chunk
+// buffers so they rarely grow.
+const figure2RowBytes = 64
+
+// figure2Bufs keeps chunk buffers between Figure2CSV calls: a report
+// writes one scatter per benchmark, and fresh buffers for each would be
+// about 1 MB of garbage a call.
+var figure2Bufs = sync.Pool{New: func() any { return make([]byte, 0, figure2ChunkRows*figure2RowBytes) }}
+
 // Figure2CSV writes the full exhaustive characterization scatter:
-// index,delay_s,power_w,depth_fo4,width. One row per design (262,500
-// rows), suitable for recreating the paper's scatter plot.
+// index,delay_s,power_w,depth_fo4,width,l2_kb. One row per design
+// (262,500 rows), suitable for recreating the paper's scatter plot.
+//
+// GOMAXPROCS workers format fixed chunks of rows into reused buffers,
+// and the calling goroutine writes the chunks in index order, so the
+// bytes do not depend on the worker count or the schedule. At most two
+// buffers per worker are in flight: a worker takes a free buffer before
+// it claims the next chunk, and the writer frees each buffer once the
+// chunk is written. After a write error the workers claim no further
+// chunk; Figure2CSV returns the error once every worker has exited.
 func Figure2CSV(w io.Writer, space *arch.Space, res *paretostudy.Result) error {
 	c := newCSVWriter(w)
 	c.strs("index", "delay_s", "power_w", "depth_fo4", "width", "l2_kb")
-	for _, p := range res.Characterization {
+	preds := res.Characterization
+	size := space.Size()
+	for _, p := range preds {
+		if p.BIPS > 0 && p.Watts > 0 {
+			checkIndex(p.Index, size)
+		}
+	}
+	cols := figure2Columns{
+		depth: newAxisColumn(space, arch.AxisDepth, func(c arch.Config) int { return c.DepthFO4 }),
+		width: newAxisColumn(space, arch.AxisWidth, func(c arch.Config) int { return c.Width }),
+		l2:    newAxisColumn(space, arch.AxisL2, func(c arch.Config) int { return c.L2KB }),
+	}
+
+	chunks := (len(preds) + figure2ChunkRows - 1) / figure2ChunkRows
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	inflight := 2 * workers
+	free := make(chan []byte, inflight)
+	for range inflight {
+		free <- figure2Bufs.Get().([]byte)
+	}
+	// Chunk k is handed over in ready[k%inflight]. A worker holds a
+	// buffer from before it claims chunk k until the writer has written
+	// it, so chunk k+inflight cannot be claimed while chunk k waits in
+	// its slot, and no send blocks.
+	ready := make([]chan []byte, inflight)
+	for i := range ready {
+		ready[i] = make(chan []byte, 1)
+	}
+	var next atomic.Int64 // the next chunk to claim
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for buf := range free {
+				k := int(next.Add(1)) - 1
+				if k >= chunks {
+					figure2Bufs.Put(buf[:0])
+					return
+				}
+				lo := k * figure2ChunkRows
+				hi := min(lo+figure2ChunkRows, len(preds))
+				ready[k%inflight] <- cols.appendRows(buf[:0], preds[lo:hi])
+			}
+		}()
+	}
+	for k := 0; k < chunks && c.err == nil; k++ {
+		buf := <-ready[k%inflight]
+		c.write(buf)
+		free <- buf
+	}
+	// After an error no chunk is left to claim, and a worker waiting
+	// for a buffer finds the free list closed.
+	next.Store(int64(chunks))
+	close(free)
+	wg.Wait()
+	for buf := range free {
+		figure2Bufs.Put(buf[:0])
+	}
+	return c.Flush()
+}
+
+// figure2Columns decodes a Figure 2 row's design columns from its index.
+type figure2Columns struct{ depth, width, l2 axisColumn }
+
+// appendRows appends the CSV rows of the valid predictions to dst.
+func (f *figure2Columns) appendRows(dst []byte, preds []core.Prediction) []byte {
+	for _, p := range preds {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		cfg := space.Config(space.PointAt(p.Index))
-		c.int(p.Index)
-		c.float(metrics.Delay(p.BIPS))
-		c.float(p.Watts)
-		c.int(cfg.DepthFO4)
-		c.int(cfg.Width)
-		c.int(cfg.L2KB)
-		c.endRow()
+		dst = appendIntCell(dst, p.Index)
+		dst = appendFloatCell(dst, metrics.Delay(p.BIPS))
+		dst = appendFloatCell(dst, p.Watts)
+		dst = appendIntCell(dst, f.depth.value(p.Index))
+		dst = appendIntCell(dst, f.width.value(p.Index))
+		dst = appendIntCell(dst, f.l2.value(p.Index))
+		dst[len(dst)-1] = '\n'
 	}
-	return c.Flush()
+	return dst
 }
 
 // Figure3CSV writes the frontier: model and simulated coordinates.

@@ -8,9 +8,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -159,6 +161,31 @@ func fullCharacterization() (*arch.Space, *paretostudy.Result) {
 	return space, &paretostudy.Result{Benchmark: "gzip", Characterization: preds}
 }
 
+// boundaryCharacterization is fullCharacterization with invalid rows
+// (BIPS <= 0 or Watts <= 0) at the chunk boundaries, a whole chunk of
+// them and an invalid last row. The boundaries take turns: the last row
+// before one is invalid, the first row after the next, both rows at the
+// third, so a row lost or doubled on either side of a boundary shows.
+// Its length, the space's 262,500 designs, is not a multiple of the
+// chunk size.
+func boundaryCharacterization() (*arch.Space, *paretostudy.Result) {
+	space, res := fullCharacterization()
+	preds := res.Characterization
+	for b, lo := 0, figure2ChunkRows; lo < len(preds); b, lo = b+1, lo+figure2ChunkRows {
+		if b%3 != 1 {
+			preds[lo-1].Watts = 0
+		}
+		if b%3 != 0 {
+			preds[lo].BIPS = -preds[lo].BIPS
+		}
+	}
+	for i := 3 * figure2ChunkRows; i < 4*figure2ChunkRows; i++ {
+		preds[i].Watts = -1
+	}
+	preds[len(preds)-1].BIPS = 0
+	return space, res
+}
+
 // emitterCase pairs a streamed emitter with its reference on one input.
 type emitterCase struct {
 	name string
@@ -215,6 +242,53 @@ func TestCSVEmittersMatchReference(t *testing.T) {
 			}
 			t.Fatalf("%s: streamed output differs from reference at byte %d of %d/%d:\n got  %.80q\n want %.80q",
 				tc.name, i, len(g), len(w), g[i:], w[i:])
+		}
+	}
+}
+
+// TestFigure2CSVIndependentOfGOMAXPROCS pins the chunk-parallel
+// emitter's bytes to the reference at one, two and seven workers.
+func TestFigure2CSVIndependentOfGOMAXPROCS(t *testing.T) {
+	space, res := boundaryCharacterization()
+	if len(res.Characterization)%figure2ChunkRows == 0 {
+		t.Fatalf("%d rows is a whole number of chunks", len(res.Characterization))
+	}
+	var want bytes.Buffer
+	if err := refFigure2CSV(&want, space, res); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		var got bytes.Buffer
+		if err := Figure2CSV(&got, space, res); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("GOMAXPROCS %d: %d bytes differ from the reference's %d", procs, got.Len(), want.Len())
+		}
+	}
+}
+
+func TestFigure2OutOfSpaceIndexPanics(t *testing.T) {
+	space := arch.ExplorationSpace()
+	for _, idx := range []int{-1, space.Size()} {
+		res := &paretostudy.Result{Benchmark: "gzip", Characterization: []core.Prediction{
+			{Index: 0, BIPS: 1, Watts: 10},
+			{Index: idx, BIPS: 1, Watts: 10},
+		}}
+		for name, emit := range map[string]func(){
+			"Figure2":    func() { Figure2(space, res) },
+			"Figure2CSV": func() { _ = Figure2CSV(io.Discard, space, res) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted index %d of a %d-design space", name, idx, space.Size())
+					}
+				}()
+				emit()
+			}()
 		}
 	}
 }
@@ -314,7 +388,10 @@ func (w *failAfter) Write(p []byte) (int, error) {
 	return n, errWriterFull
 }
 
+// TestCSVEmittersSurfaceWriteErrors also checks that an emitter which
+// meets a write error leaves no goroutine behind.
 func TestCSVEmittersSurfaceWriteErrors(t *testing.T) {
+	start := runtime.NumGoroutine()
 	for _, tc := range emitterCases() {
 		var full countingWriter
 		if err := tc.emit(&full); err != nil {
@@ -324,6 +401,15 @@ func TestCSVEmittersSurfaceWriteErrors(t *testing.T) {
 			if err := tc.emit(&failAfter{n: n}); !errors.Is(err, errWriterFull) {
 				t.Fatalf("%s failing after %d of %d bytes: err = %v, want %v", tc.name, n, full.bytes, err, errWriterFull)
 			}
+			// A worker that has signalled its exit may not have
+			// returned yet, so allow it a moment.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s failing after %d of %d bytes: %d goroutines, %d before",
+						tc.name, n, full.bytes, runtime.NumGoroutine(), start)
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}
 }
@@ -332,6 +418,11 @@ var benchSink error
 
 func BenchmarkFigure2CSV(b *testing.B) {
 	space, res := fullCharacterization()
+	var size countingWriter
+	if err := Figure2CSV(&size, space, res); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size.bytes))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

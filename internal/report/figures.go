@@ -34,27 +34,66 @@ func Figure1(rep *core.ValidationReport) string {
 	return b.String()
 }
 
+// axisColumn reads one axis's value straight from a flat design index.
+// AxisDepth is the most significant digit of arch.Space.FlatIndex, so
+// an index's level on an axis is index/stride % levels, where stride is
+// the product of the less significant axes' level counts; vals maps each
+// level to the Config field the column reports.
+type axisColumn struct {
+	stride, levels int
+	vals           []int
+}
+
+func newAxisColumn(space *arch.Space, axis int, field func(arch.Config) int) axisColumn {
+	levels := space.Levels()
+	col := axisColumn{stride: 1, levels: levels[axis], vals: make([]int, levels[axis])}
+	for a := axis + 1; a < arch.NumAxes; a++ {
+		col.stride *= levels[a]
+	}
+	for l := range col.vals {
+		var p arch.Point
+		p[axis] = l
+		col.vals[l] = field(space.Config(p))
+	}
+	return col
+}
+
+func (c axisColumn) level(i int) int { return i / c.stride % c.levels }
+func (c axisColumn) value(i int) int { return c.vals[c.level(i)] }
+
+// checkIndex panics, as arch.Space.PointAt does, on an index outside a
+// space of the given size, which decoding by stride would wrap silently.
+func checkIndex(i, size int) {
+	if i < 0 || i >= size {
+		panic(fmt.Sprintf("report: design index %d outside space of size %d", i, size))
+	}
+}
+
 // Figure2 summarizes the exhaustive design-space characterization: the
 // scatter's cluster structure as one row per (depth, width) combination
 // with delay and power ranges. The full scatter is available through
 // Figure2CSV.
 func Figure2(space *arch.Space, res *paretostudy.Result) string {
-	type key struct{ depth, width int }
 	type agg struct {
 		minD, maxD, minP, maxP float64
 		n                      int
 	}
-	groups := make(map[key]*agg)
+	depth := newAxisColumn(space, arch.AxisDepth, func(c arch.Config) int { return c.DepthFO4 })
+	width := newAxisColumn(space, arch.AxisWidth, func(c arch.Config) int { return c.Width })
+	groups := make([][]agg, depth.levels)
+	for d := range groups {
+		groups[d] = make([]agg, width.levels)
+	}
+	size := space.Size()
 	for _, p := range res.Characterization {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		cfg := space.Config(space.PointAt(p.Index))
-		k := key{cfg.DepthFO4, cfg.Width}
+		checkIndex(p.Index, size)
+		a := &groups[depth.level(p.Index)][width.level(p.Index)]
 		d := metrics.Delay(p.BIPS)
-		a, ok := groups[k]
-		if !ok {
-			groups[k] = &agg{minD: d, maxD: d, minP: p.Watts, maxP: p.Watts, n: 1}
+		if a.n == 0 {
+			*a = agg{minD: d, maxD: d, minP: p.Watts, maxP: p.Watts, n: 1}
 			continue
 		}
 		if d < a.minD {
@@ -71,28 +110,24 @@ func Figure2(space *arch.Space, res *paretostudy.Result) string {
 		}
 		a.n++
 	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].depth != keys[j].depth {
-			return keys[i].depth < keys[j].depth
-		}
-		return keys[i].width < keys[j].width
-	})
 	t := NewTable(
 		fmt.Sprintf("Figure 2 (%s): predicted delay-power clusters by depth-width combination", res.Benchmark),
 		"depth", "width", "designs", "delay range (s)", "power range (W)")
-	for _, k := range keys {
-		a := groups[k]
-		t.AddRow(
-			fmt.Sprintf("%dFO4", k.depth),
-			fmt.Sprintf("%d", k.width),
-			fmt.Sprintf("%d", a.n),
-			fmt.Sprintf("%.3f-%.3f", a.minD, a.maxD),
-			fmt.Sprintf("%.1f-%.1f", a.minP, a.maxP),
-		)
+	// Every axis's values ascend with its level, so level order is
+	// (depth, width) order.
+	for dl, row := range groups {
+		for wl, a := range row {
+			if a.n == 0 {
+				continue
+			}
+			t.AddRow(
+				fmt.Sprintf("%dFO4", depth.vals[dl]),
+				fmt.Sprintf("%d", width.vals[wl]),
+				fmt.Sprintf("%d", a.n),
+				fmt.Sprintf("%.3f-%.3f", a.minD, a.maxD),
+				fmt.Sprintf("%.1f-%.1f", a.minP, a.maxP),
+			)
+		}
 	}
 	return t.String()
 }

@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core/depthstudy"
 	"repro/internal/core/heterostudy"
 	"repro/internal/core/paretostudy"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
@@ -104,6 +107,76 @@ func TestFigure2Renders(t *testing.T) {
 	// The invalid prediction must not create extra groups: only two rows.
 	if got := strings.Count(s, "FO4"); got != 2 {
 		t.Fatalf("expected 2 cluster rows, found %d", got)
+	}
+}
+
+// refFigure2 is the oracle for Figure2: it groups the points in a map
+// keyed by the configuration PointAt resolves and sorts the keys.
+func refFigure2(space *arch.Space, res *paretostudy.Result) string {
+	type key struct{ depth, width int }
+	type agg struct {
+		minD, maxD, minP, maxP float64
+		n                      int
+	}
+	groups := make(map[key]*agg)
+	for _, p := range res.Characterization {
+		if p.BIPS <= 0 || p.Watts <= 0 {
+			continue
+		}
+		cfg := space.Config(space.PointAt(p.Index))
+		k := key{cfg.DepthFO4, cfg.Width}
+		d := metrics.Delay(p.BIPS)
+		a, ok := groups[k]
+		if !ok {
+			groups[k] = &agg{minD: d, maxD: d, minP: p.Watts, maxP: p.Watts, n: 1}
+			continue
+		}
+		if d < a.minD {
+			a.minD = d
+		}
+		if d > a.maxD {
+			a.maxD = d
+		}
+		if p.Watts < a.minP {
+			a.minP = p.Watts
+		}
+		if p.Watts > a.maxP {
+			a.maxP = p.Watts
+		}
+		a.n++
+	}
+	keys := make([]key, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].depth != keys[j].depth {
+			return keys[i].depth < keys[j].depth
+		}
+		return keys[i].width < keys[j].width
+	})
+	t := NewTable(
+		fmt.Sprintf("Figure 2 (%s): predicted delay-power clusters by depth-width combination", res.Benchmark),
+		"depth", "width", "designs", "delay range (s)", "power range (W)")
+	for _, k := range keys {
+		a := groups[k]
+		t.AddRow(fmt.Sprintf("%dFO4", k.depth), fmt.Sprintf("%d", k.width), fmt.Sprintf("%d", a.n),
+			fmt.Sprintf("%.3f-%.3f", a.minD, a.maxD), fmt.Sprintf("%.1f-%.1f", a.minP, a.maxP))
+	}
+	return t.String()
+}
+
+func TestFigure2MatchesReference(t *testing.T) {
+	space, full := boundaryCharacterization()
+	sparse := &paretostudy.Result{Benchmark: "mcf"}
+	for i := len(full.Characterization) - 1; i >= 0; i -= 7919 {
+		sparse.Characterization = append(sparse.Characterization, full.Characterization[i])
+	}
+	for _, res := range []*paretostudy.Result{full, sparse, sampleParetoResult()} {
+		if got, want := Figure2(space, res), refFigure2(space, res); got != want {
+			t.Fatalf("%s, %d points: Figure2 differs from the reference:\n%s\nwant:\n%s",
+				res.Benchmark, len(res.Characterization), got, want)
+		}
 	}
 }
 

@@ -123,15 +123,22 @@ func (c *csvWriter) str(s string) {
 	c.row = append(c.row, ',')
 }
 
-func (c *csvWriter) int(v int) {
-	c.row = strconv.AppendInt(c.row, int64(v), 10)
-	c.row = append(c.row, ',')
-}
+func (c *csvWriter) int(v int) { c.row = appendIntCell(c.row, v) }
 
 // float appends v exactly as fmt's %g formats it.
-func (c *csvWriter) float(v float64) {
-	c.row = strconv.AppendFloat(c.row, v, 'g', -1, 64)
-	c.row = append(c.row, ',')
+func (c *csvWriter) float(v float64) { c.row = appendFloatCell(c.row, v) }
+
+// appendIntCell appends v and its separator to dst.
+func appendIntCell(dst []byte, v int) []byte {
+	dst = strconv.AppendInt(dst, int64(v), 10)
+	return append(dst, ',')
+}
+
+// appendFloatCell appends v, formatted as fmt's %g, and its separator
+// to dst.
+func appendFloatCell(dst []byte, v float64) []byte {
+	dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+	return append(dst, ',')
 }
 
 // strs writes a whole row of string cells, such as a header.
@@ -154,6 +161,13 @@ func (c *csvWriter) endRow() {
 		_, c.err = c.w.Write(c.row)
 	}
 	c.row = c.row[:0]
+}
+
+// write hands whole rows, each ending in its newline, to the buffer.
+func (c *csvWriter) write(rows []byte) {
+	if c.err == nil {
+		_, c.err = c.w.Write(rows)
+	}
 }
 
 // Flush writes out the buffer and returns the first error the writer
