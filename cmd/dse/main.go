@@ -17,13 +17,12 @@
 //	hetero    multiprocessor heterogeneity study      (Table 4, Figures 8-9)
 //	search    heuristic search vs exhaustive sweep    (future-work extension)
 //	report    run everything
-//	dataset   build the training dataset checkpoints (shardable)
+//	dataset   simulate the training sample into checkpoints, fitting nothing
 //
-// The dataset command partitions across processes: -shard i/n computes
-// one deterministic slice into its own checkpoint, -merge n reassembles
-// completed shards into the standard checkpoint files (byte-identical
-// to a single-process run), and -distribute n forks n workers, restarts
-// failures from their checkpoints, and merges.
+// The dataset command requires -checkpoint: it writes the per-benchmark
+// train-<bench>.ckpt files a checkpointed train writes, byte for byte,
+// and a later `-checkpoint d -resume train` fits from them without
+// simulating. A killed dataset build finishes with -resume.
 //
 // Flags control the training budget; see -help.
 package main
@@ -48,7 +47,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/search"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -78,10 +76,6 @@ func run(args []string, out io.Writer) error {
 	checkpointDir := fs.String("checkpoint", "", "write crash-safe training checkpoints into this directory")
 	resume := fs.Bool("resume", false, "resume from checkpoints in the -checkpoint directory (results are bit-identical to an uninterrupted run)")
 	deadline := fs.Duration("deadline", 0, "per-batch evaluation deadline (0 = none); an expired batch fails with a deadline error")
-	shardSpec := fs.String("shard", "", "compute only shard i/n of the dataset build (e.g. 0/4; requires -checkpoint; dataset command only)")
-	mergeN := fs.Int("merge", 0, "merge n completed dataset shard checkpoints into the standard checkpoint files (requires -checkpoint; dataset command only)")
-	distribute := fs.Int("distribute", 0, "coordinator mode: fork n dataset worker processes (one per shard), restart failures from their checkpoints, then merge (requires -checkpoint; dataset command only)")
-	stallTimeout := fs.Duration("stall-timeout", 0, "with -distribute: kill and restart (with resume) a worker whose progress beacon shows no change for this long; must exceed worker startup plus one checkpoint chunk (0 = no liveness monitoring)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -98,41 +92,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-tile must be >= 0, got %d", *tile)
 	}
 
-	shardable := cmd == "dataset"
-	shardModes := 0
-	for _, on := range []bool{*shardSpec != "", *mergeN > 0, *distribute > 0} {
-		if on {
-			shardModes++
-		}
-	}
-	if shardModes > 1 {
-		return fmt.Errorf("-shard, -merge and -distribute are mutually exclusive")
-	}
-	if shardModes == 1 {
-		if !shardable {
-			return fmt.Errorf("-shard/-merge/-distribute apply to the dataset command only")
-		}
-		if *checkpointDir == "" {
-			return fmt.Errorf("-shard/-merge/-distribute require -checkpoint (shard outputs are checkpoints)")
-		}
-	}
-	if *mergeN < 0 || *distribute < 0 {
-		return fmt.Errorf("-merge and -distribute must be >= 0")
-	}
-	if *stallTimeout < 0 {
-		return fmt.Errorf("-stall-timeout must be >= 0")
-	}
-	if *stallTimeout > 0 && *distribute == 0 {
-		return fmt.Errorf("-stall-timeout requires -distribute (the coordinator runs the beacon monitor)")
-	}
-	shardIdx, shardCount := 0, 1
-	if *shardSpec != "" {
-		var err error
-		if shardIdx, shardCount, err = shard.ParseSpec(*shardSpec); err != nil {
-			return err
-		}
-	}
-	if shardable && *checkpointDir == "" {
+	if cmd == "dataset" && *checkpointDir == "" {
 		return fmt.Errorf("the dataset command requires -checkpoint (its outputs are checkpoint files)")
 	}
 
@@ -270,40 +230,15 @@ func run(args []string, out io.Writer) error {
 	case "search":
 		err = phase("search", func() error { return cmdSearch(e, out) })
 	case "dataset":
-		sh := &shardRun{
-			e: e, out: out, man: man,
-			idx: shardIdx, count: shardCount, explicit: *shardSpec != "",
-			merge: *mergeN, distribute: *distribute, stallTimeout: *stallTimeout,
-		}
-		// Worker argv is reconstructed from the parsed flags (not the raw
-		// argument list), so every worker inherits exactly the options that
-		// shape the run identity plus -resume — a restarted worker picks up
-		// at its own checkpoint instead of redoing its shard.
-		sh.workerArgs = func(i, n int) []string {
-			wargs := []string{
-				"-samples", fmt.Sprint(*samples),
-				"-validation", fmt.Sprint(*validation),
-				"-tracelen", fmt.Sprint(*tracelen),
-				"-seed", fmt.Sprint(*seed),
-				"-workers", fmt.Sprint(*workers),
-				"-checkpoint", *checkpointDir,
-				"-resume",
+		err = phase("dataset", func() error {
+			start := time.Now()
+			if err := e.BuildDataset(context.Background()); err != nil {
+				return err
 			}
-			if *benchList != "" {
-				wargs = append(wargs, "-benchmarks", *benchList)
-			}
-			if *deadline != 0 {
-				wargs = append(wargs, "-deadline", deadline.String())
-			}
-			if *traceFile != "" {
-				wargs = append(wargs, "-trace", fmt.Sprintf("%s.shard%d", *traceFile, i))
-			}
-			if *manifestFile != "" {
-				wargs = append(wargs, "-manifest", fmt.Sprintf("%s.shard%d", *manifestFile, i))
-			}
-			return append(wargs, "-shard", fmt.Sprintf("%d/%d", i, n), cmd)
-		}
-		err = phase(cmd, sh.run)
+			fmt.Fprintf(out, "built dataset checkpoints (%d samples x %d benchmarks) in %.1fs\n",
+				opts.TrainSamples, len(e.Benchmarks()), time.Since(start).Seconds())
+			return nil
+		})
 	case "report":
 		for _, st := range []struct {
 			name string
@@ -386,11 +321,14 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	return m
 }
 
-// writeCSV opens dir/name and hands the file to emit.
+// writeCSV opens dir/name and hands the file to emit, under a
+// report.csv span.
 func writeCSV(dir, name string, emit func(io.Writer) error) error {
 	if dir == "" {
 		return nil
 	}
+	sp := obs.Begin("report.csv", obs.String("file", name))
+	defer sp.End()
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err

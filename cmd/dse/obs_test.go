@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,5 +179,51 @@ func TestTraceFlagWritesSpanLog(t *testing.T) {
 		if !strings.Contains(s, `"name":"`+want+`"`) {
 			t.Fatalf("span log missing %q span", want)
 		}
+	}
+}
+
+// TestTraceCoversCSVOutput: with -trace and -csvdir, every CSV file the
+// run writes has exactly one report.csv span naming it.
+func TestTraceCoversCSVOutput(t *testing.T) {
+	prevEnabled := obs.Enabled()
+	defer obs.Enable(prevEnabled)
+
+	dir := t.TempDir()
+	csvDir := filepath.Join(dir, "csv")
+	spanLog := filepath.Join(dir, "spans.jsonl")
+	var out bytes.Buffer
+	if err := run(datasetArgs("-nosim", "-trace", spanLog, "-csvdir", csvDir, "pareto"), &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(spanLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec obs.SpanRecord
+		if err := json.Unmarshal([]byte(l), &rec); err != nil {
+			t.Fatalf("span log line %q: %v", l, err)
+		}
+		if rec.Name != "report.csv" {
+			continue
+		}
+		for _, a := range rec.Attrs {
+			if a.Key == "file" {
+				spans[a.Value]++
+			}
+		}
+	}
+	files := dirFiles(t, csvDir)
+	if len(files) == 0 {
+		t.Fatal("pareto -csvdir wrote no CSV files")
+	}
+	for _, f := range files {
+		if spans[f] != 1 {
+			t.Errorf("%s has %d report.csv spans, want 1", f, spans[f])
+		}
+	}
+	if len(spans) != len(files) {
+		t.Errorf("report.csv spans name %v, files written %v", spans, files)
 	}
 }

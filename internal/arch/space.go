@@ -289,9 +289,7 @@ func (s *Space) SampleUAR(n int, seed uint64) []Point {
 // Fingerprint returns a stable FNV-1a hash over every axis's level
 // values, identifying the concrete design space independently of how it
 // was constructed. Two spaces with the same levels hash identically;
-// TableOneSpace and ExplorationSpace differ. Sharded runs key their
-// checkpoints on this, so a shard computed over one space can never be
-// merged into a sweep over another.
+// TableOneSpace and ExplorationSpace differ.
 func (s *Space) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

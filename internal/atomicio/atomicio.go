@@ -73,7 +73,7 @@ func WriteTo(path string, perm os.FileMode, emit func(io.Writer) error) error {
 	// The rename published the name to readers; now make the directory
 	// entry durable. Unlike the content fsync above, failure here leaves
 	// a valid file behind, but callers that promise crash-durable output
-	// (checkpoints, beacons) must hear about it rather than find out at
+	// (checkpoints, manifests) must hear about it rather than find out at
 	// the next power loss.
 	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("atomicio: fsync %s after renaming %s: %w", dir, base, err)

@@ -10,10 +10,9 @@
 // versus a fault-free run) is asserted by the round callback with
 // ByteIdentical.
 //
-// The package deliberately knows nothing about explorers, shards or
-// servers: it manipulates only fault plans and clocks, so any workload
-// — in-process library calls or forked worker processes — can be put
-// under soak.
+// The package deliberately knows nothing about explorers or servers:
+// it manipulates only fault plans and clocks, so any workload can be
+// put under soak.
 package chaos
 
 import (
@@ -47,8 +46,8 @@ type RuleSpec struct {
 	MaxAfter int64
 
 	// Count caps total firings, passed through unchanged. Kinds that
-	// can only be survived by supervision (KindHang, KindFatal) should
-	// set it, or a round may never converge.
+	// can only be survived by restarting the workload (KindHang,
+	// KindFatal) should set it, or a round may never converge.
 	Count int64
 
 	// MaxDelay caps the drawn sleep for KindDelay rules; the draw is
@@ -60,22 +59,22 @@ type RuleSpec struct {
 // of them armed in every drawn plan.
 type Menu []RuleSpec
 
-// DefaultDatasetMenu is the standard drill for a distributed dataset
+// DefaultDatasetMenu is the standard drill for a checkpointed dataset
 // build. It composes, in one plan, every fault class the pipeline
 // claims to survive: transient evaluator errors, evaluator panics
-// (recovered and retried by the eval engine), evaluator delays, a
-// worker hung at a checkpoint chunk (recoverable only by liveness
-// supervision), a checkpoint write failure, and a worker killed during
-// beacon publication. Hangs and kills are count-bounded so a supervised
-// run always converges.
+// (recovered and retried by the eval engine), evaluator delays, a hung
+// evaluation (recoverable only by cancelling the attempt), a checkpoint
+// write failure, and a fatal evaluator failure that kills the attempt.
+// The hang and the kill are count-bounded so a run restarted with
+// resume always converges.
 func DefaultDatasetMenu() Menu {
 	return Menu{
 		{Site: "eval.invoke", Kind: fault.KindError, MaxProb: 0.02},
 		{Site: "eval.invoke", Kind: fault.KindPanic, MaxProb: 0.005},
 		{Site: "eval.invoke", Kind: fault.KindDelay, MaxProb: 0.01, MaxDelay: 2 * time.Millisecond},
-		{Site: "core.dataset.shard", Kind: fault.KindHang, Every: 1, MaxAfter: 2, Count: 1},
+		{Site: "eval.invoke", Kind: fault.KindHang, Every: 1, MaxAfter: 20, Count: 1},
 		{Site: "ckpt.save", Kind: fault.KindError, MaxProb: 0.01},
-		{Site: "shard.beacon", Kind: fault.KindFatal, Every: 1, MaxAfter: 4, Count: 1},
+		{Site: "eval.invoke", Kind: fault.KindFatal, Every: 1, MaxAfter: 30, Count: 1},
 	}
 }
 

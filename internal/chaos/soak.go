@@ -73,8 +73,8 @@ type Report struct {
 // count settles back to its pre-drill baseline afterwards (nothing the
 // faults interrupted leaked a worker). The round callback receives the
 // armed plan so it can include it in its own failure messages; content
-// invariants — merged artifacts byte-identical to a fault-free run,
-// servers answering health checks — belong in the callback, next to the
+// invariants — artifacts byte-identical to a fault-free run, servers
+// answering health checks — belong in the callback, next to the
 // workload that produces them.
 //
 // The previously armed fault plan (if any) is restored on return, so a
@@ -159,8 +159,8 @@ func settleGoroutines(baseline int, timeout time.Duration) error {
 }
 
 // RunToCompletion drives one fallible operation to success with bounded
-// per-attempt wall time: the in-process analogue of the coordinator's
-// stall-kill-restart loop. Each attempt runs under a child context with
+// per-attempt wall time: a kill-and-restart loop in one process. Each
+// attempt runs under a child context with
 // attemptTimeout; an attempt that hangs at a context-honouring fault
 // site is cancelled and retried, an attempt that fails is retried, and
 // the operation is expected to make durable progress (checkpoints)
@@ -185,9 +185,8 @@ func RunToCompletion(ctx context.Context, attemptTimeout time.Duration, maxAttem
 	return maxAttempts, fmt.Errorf("chaos: still failing after %d attempts: %w", maxAttempts, err)
 }
 
-// ByteIdentical asserts two files hold identical bytes — the merge
-// guarantee every distributed drill checks against its fault-free
-// golden run.
+// ByteIdentical asserts two files hold identical bytes — the guarantee
+// every checkpoint drill checks against its fault-free golden run.
 func ByteIdentical(got, want string) error {
 	g, err := os.ReadFile(got)
 	if err != nil {

@@ -22,8 +22,8 @@ import (
 )
 
 // soakOptions mirrors the core package's checkpoint-test configuration:
-// small but real, with several dataset chunks per half-shard so
-// count-bounded kill/hang rules have depth to land in.
+// small but real, with several dataset chunks so count-bounded kill and
+// hang rules have depth to land in.
 func soakOptions(dir string) core.Options {
 	opts := core.DefaultOptions()
 	opts.TrainSamples = 40
@@ -37,34 +37,17 @@ func soakOptions(dir string) core.Options {
 	return opts
 }
 
-// bothShards runs f for shard 0 and 1 concurrently — two workers of a
-// distributed run sharing one fault plan, as two processes would share
-// one inherited REPRO_FAULT_PLAN.
-func bothShards(ctx context.Context, f func(ctx context.Context, i int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// TestSoakDistributedDatasetBitIdentical is the tentpole soak: the
-// distributed dataset build — dataset shards, then their merge — run
-// round after round under randomized seeded fault plans that compose
-// evaluator errors, panics and delays, a worker hang (recoverable only
-// by cancelling the attempt, the in-process analogue of the
-// coordinator's stall-kill), a checkpoint-write failure and a
-// beacon-write crash. Every round must converge within its budget and
+// TestSoakDatasetBitIdentical is the tentpole soak: the checkpointed
+// training run — dataset build, fit and sweep — round after round under
+// randomized seeded fault plans that compose evaluator errors, panics
+// and delays, a hung evaluation (recoverable only by cancelling the
+// attempt), a checkpoint-write failure and a fatal evaluator failure.
+// Each attempt is a fresh explorer resuming from the checkpoints the
+// previous ones left. Every round must converge within its budget and
 // produce a training checkpoint byte-identical to the fault-free golden
-// run, and models fitted from it must sweep the study space exactly as
-// the golden models do; afterwards no goroutine may be left behind.
-func TestSoakDistributedDatasetBitIdentical(t *testing.T) {
+// run, and its models must sweep the study space exactly as the golden
+// models do; afterwards no goroutine may be left behind.
+func TestSoakDatasetBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-round soak")
 	}
@@ -87,55 +70,35 @@ func TestSoakDistributedDatasetBitIdentical(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "chaos")
 	round := func(ctx context.Context, r int, plan *fault.Plan) error {
-		// Each round is a fresh distributed run: wipe every shard file,
-		// beacon and merged checkpoint from the previous one.
+		// Each round is a fresh run: wipe the previous round's checkpoints.
 		if err := os.RemoveAll(dir); err != nil {
 			return err
 		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		if err := bothShards(ctx, func(ctx context.Context, i int) error {
-			_, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(actx context.Context) error {
-				// A fresh explorer per attempt is a worker restart: it
-				// resumes from the shard checkpoint.
-				w, err := core.New(soakOptions(dir))
-				if err != nil {
-					return err
-				}
-				return w.BuildDatasetShard(actx, i, 2)
-			})
-			return err
-		}); err != nil {
-			return fmt.Errorf("dataset shards: %w", err)
-		}
-		if _, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(context.Context) error {
-			w, err := core.New(soakOptions(dir))
-			if err != nil {
-				return err
-			}
-			return w.MergeDatasetShards(2)
-		}); err != nil {
-			return fmt.Errorf("dataset merge: %w", err)
-		}
-		if err := chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt")); err != nil {
-			return err
-		}
-		// Training resumes from the merged dataset without simulating;
-		// its models must sweep exactly as the golden ones.
 		var got []core.Prediction
-		if _, err := chaos.RunToCompletion(ctx, 15*time.Second, 8, func(context.Context) error {
+		attempts, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(actx context.Context) error {
+			// A fresh explorer per attempt is a process restart: it
+			// resumes from the checkpoints on disk.
 			w, err := core.New(soakOptions(dir))
 			if err != nil {
 				return err
 			}
-			if err := w.Train(); err != nil {
+			if err := w.TrainContext(actx); err != nil {
 				return err
 			}
 			got, err = w.ExhaustivePredict("gzip")
 			return err
-		}); err != nil {
-			return fmt.Errorf("fit and sweep: %w", err)
+		})
+		if err != nil {
+			return fmt.Errorf("train and sweep: %w", err)
+		}
+		if attempts < 2 {
+			return fmt.Errorf("converged in %d attempt; the hang and fatal rules should each have ended one", attempts)
+		}
+		if err := chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt")); err != nil {
+			return err
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -219,7 +182,7 @@ func TestSoakServeUnderLoad(t *testing.T) {
 		// server's own deadline shortly after, never left stuck.
 		client := &http.Client{Timeout: 500 * time.Millisecond}
 		var ok, rejected atomic.Int64
-		err = bothShardsN(ctx, clients, func(ctx context.Context, c int) error {
+		err = concurrently(ctx, clients, func(ctx context.Context, c int) error {
 			for i := 0; i < perClient; i++ {
 				body, _ := json.Marshal(serve.PointRequest{Bench: "gzip", Indices: []int{(c*perClient + i) * 97}})
 				resp, err := client.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
@@ -276,8 +239,9 @@ func TestSoakServeUnderLoad(t *testing.T) {
 	}
 }
 
-// bothShardsN generalizes bothShards to n concurrent workers.
-func bothShardsN(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
+// concurrently runs f for i in [0, n) on n goroutines and joins their
+// errors.
+func concurrently(ctx context.Context, n int, f func(ctx context.Context, i int) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -151,6 +154,71 @@ func TestResumeSkipsCompletedDataset(t *testing.T) {
 	}
 	if got := second.SimStats().Evaluations; got != 0 {
 		t.Errorf("resumed run simulated %d samples, want 0 (all checkpointed)", got)
+	}
+}
+
+// TestBuildDatasetMatchesTrain: BuildDataset writes the checkpoint a
+// checkpointed Train writes, byte for byte, fits no models, and a
+// resumed Train over it fits with zero simulations. Without a
+// checkpoint directory it has nowhere to put its output and refuses.
+func TestBuildDatasetMatchesTrain(t *testing.T) {
+	if fault.Active() {
+		t.Skip("exact eval counts need a fault-free world")
+	}
+	trainDir, dataDir := t.TempDir(), t.TempDir()
+	opts := ckptTestOptions()
+	opts.CheckpointDir = trainDir
+	trained, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trained.Train(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.CheckpointDir = dataDir
+	built, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.BuildDataset(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if built.Trained() {
+		t.Fatal("BuildDataset fitted models")
+	}
+	want, err := os.ReadFile(filepath.Join(trainDir, "train-gzip.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dataDir, "train-gzip.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("BuildDataset checkpoint (%d bytes) differs from Train's (%d bytes)", len(got), len(want))
+	}
+
+	opts.Resume = true
+	resumed, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Train(); err != nil {
+		t.Fatal(err)
+	}
+	if n := resumed.SimStats().Evaluations; n != 0 {
+		t.Errorf("train resumed from BuildDataset simulated %d samples, want 0", n)
+	}
+
+	opts.CheckpointDir = ""
+	opts.Resume = false
+	bare, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.BuildDataset(context.Background()); err == nil {
+		t.Fatal("BuildDataset without CheckpointDir succeeded")
 	}
 }
 

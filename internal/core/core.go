@@ -256,11 +256,7 @@ func (e *Explorer) TrainContext(ctx context.Context) error {
 		obs.Int("samples", int64(e.opts.TrainSamples)),
 		obs.Int("benchmarks", int64(len(e.benchmarks))))
 	defer sp.End()
-	points := e.SampleSpace.SampleUAR(e.opts.TrainSamples, e.opts.Seed)
-	configs := make([]arch.Config, len(points))
-	for i, p := range points {
-		configs[i] = e.SampleSpace.Config(p)
-	}
+	configs := e.trainingConfigs()
 	for _, bench := range e.benchmarks {
 		ds, err := e.buildDataset(ctx, configs, bench)
 		if err != nil {
@@ -287,6 +283,34 @@ func (e *Explorer) TrainContext(ctx context.Context) error {
 	}
 	e.modelsBackend.Reset()
 	return nil
+}
+
+// BuildDataset simulates the training sample on every benchmark into
+// the per-benchmark checkpoint files, exactly as TrainContext does, but
+// fits no models. A later Train with Resume loads the files and fits
+// without simulating. Requires CheckpointDir: the checkpoints are the
+// output.
+func (e *Explorer) BuildDataset(ctx context.Context) error {
+	if e.opts.CheckpointDir == "" {
+		return fmt.Errorf("core: BuildDataset requires CheckpointDir (its output is the checkpoint files)")
+	}
+	configs := e.trainingConfigs()
+	for _, bench := range e.benchmarks {
+		if _, err := e.buildDataset(ctx, configs, bench); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// trainingConfigs draws the training sample from the run seed.
+func (e *Explorer) trainingConfigs() []arch.Config {
+	points := e.SampleSpace.SampleUAR(e.opts.TrainSamples, e.opts.Seed)
+	configs := make([]arch.Config, len(points))
+	for i, p := range points {
+		configs[i] = e.SampleSpace.Config(p)
+	}
+	return configs
 }
 
 // pairPlan returns a benchmark's compiled model pair, or nil when the

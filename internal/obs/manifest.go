@@ -25,25 +25,6 @@ type Phase struct {
 	Stats   map[string]int64 `json:"stats,omitempty"`
 }
 
-// ShardRecord describes one shard of a distributed run: which slice of
-// which work domain it owned and how its worker fared. A worker records
-// its own single shard; a coordinator records one entry per worker,
-// including restart counts — the manifest-level trail of the per-shard
-// progress stream.
-type ShardRecord struct {
-	Domain   string  `json:"domain"` // work-domain name, e.g. "dataset"
-	Index    int     `json:"index"`  // shard index in [0, Count)
-	Count    int     `json:"count"`  // total shards in the partition
-	Lo       int     `json:"lo"`     // owned flat-index range [Lo, Hi)
-	Hi       int     `json:"hi"`
-	Attempts int     `json:"attempts,omitempty"` // worker launches (coordinator only)
-	Seconds  float64 `json:"seconds,omitempty"`  // total worker wall time (coordinator only)
-	Status   string  `json:"status,omitempty"`   // "ok" or "failed" (coordinator only)
-
-	// Stalls counts stall-kills by the beacon monitor (coordinator only).
-	Stalls int `json:"stalls,omitempty"`
-}
-
 // Manifest is the run record a command emits next to its results: what
 // ran (tool, command, arguments, git revision), over what (seed, space
 // sizes, benchmarks, workers), and where the time went (per-phase wall
@@ -67,11 +48,6 @@ type Manifest struct {
 	Start       string  `json:"start,omitempty"` // RFC 3339
 	WallSeconds float64 `json:"wall_seconds"`
 	Phases      []Phase `json:"phases"`
-
-	// Shards lists the distributed-run slices this invocation owned
-	// (worker: its one shard) or supervised (coordinator: all of them).
-	// Empty for unsharded runs.
-	Shards []ShardRecord `json:"shards,omitempty"`
 
 	Counters   map[string]int64    `json:"counters,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`

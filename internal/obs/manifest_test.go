@@ -187,25 +187,3 @@ func TestGitRevisionUnknownOutsideRepo(t *testing.T) {
 		t.Fatalf("revision in temp dir = %q, want unknown", rev)
 	}
 }
-
-// TestManifestShardRecordsRoundTrip: sharded runs append ShardRecords;
-// they must survive WriteFile/ReadManifest and stay omitted (so the
-// schema golden above is untouched) when the run is unsharded.
-func TestManifestShardRecordsRoundTrip(t *testing.T) {
-	m := goldenManifest()
-	m.Shards = []ShardRecord{
-		{Domain: "dataset", Index: 0, Count: 2, Lo: 0, Hi: 1000, Attempts: 2, Seconds: 3.5, Status: "ok", Stalls: 1},
-		{Domain: "dataset", Index: 1, Count: 2, Lo: 1000, Hi: 2000, Attempts: 1, Seconds: 1.25, Status: "ok"},
-	}
-	path := filepath.Join(t.TempDir(), "manifest.json")
-	if err := m.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Shards, m.Shards) {
-		t.Fatalf("shards round-trip mismatch:\ngot  %+v\nwant %+v", got.Shards, m.Shards)
-	}
-}

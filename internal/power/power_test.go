@@ -178,8 +178,8 @@ func BenchmarkEstimate(b *testing.B) {
 // TestBreakdownProperties runs seeded random Table 1 designs on every
 // benchmark at short traces, each at all three width levels, and checks
 // the trends DESIGN.md §1 relies on: no component is negative, the
-// total is at least the leakage floor, and leakage never falls as the
-// design widens with the other axes fixed.
+// total is at least the leakage floor, and neither leakage nor total
+// power falls as the design widens with the other axes fixed.
 func TestBreakdownProperties(t *testing.T) {
 	s := arch.TableOneSpace()
 	widths := s.Levels()[arch.AxisWidth]
@@ -190,7 +190,7 @@ func TestBreakdownProperties(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range points {
-			prevLeak := 0.0
+			prevLeak, prevTotal := 0.0, 0.0
 			for w := 0; w < widths; w++ {
 				p[arch.AxisWidth] = w
 				cfg := s.Config(p)
@@ -216,7 +216,11 @@ func TestBreakdownProperties(t *testing.T) {
 					t.Errorf("%s on %s: leakage %v W fell from %v W one width level narrower",
 						bench, cfg, b.Leakage, prevLeak)
 				}
-				prevLeak = b.Leakage
+				if b.Total() < prevTotal {
+					t.Errorf("%s on %s: total %v W fell from %v W one width level narrower",
+						bench, cfg, b.Total(), prevTotal)
+				}
+				prevLeak, prevTotal = b.Leakage, b.Total()
 			}
 		}
 	}
