@@ -197,7 +197,8 @@ func BenchmarkFigure2Characterization(b *testing.B) {
 
 // BenchmarkExhaustivePredictParallel measures the 262,500-point
 // exhaustive sweep as a worker-scaling curve (1, 2 and 4 workers) on the
-// sweep kernel (the blocked structure-of-arrays SweepPlan kernel) and on
+// sweep kernel (eval.PairPlan.SweepRange, the prefix-factored plane
+// kernel; the "blocked" path label predates it) and on
 // its oracle (the interpreted per-request path, taken by an explorer
 // whose guardrail has tripped). Every (path, workers) combination must
 // produce bit-identical predictions. The measured rates are written to
@@ -436,7 +437,7 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 			sweepBench("interpreted", workers, true))
 	}
 	// Speedups at the highest worker count, the configuration that matters
-	// for study wall-clock; parallel efficiency from the blocked kernel's
+	// for study wall-clock; parallel efficiency from the sweep kernel's
 	// 1-to-2-worker step.
 	maxWorkers := counts[len(counts)-1]
 	blockedRate := measured[rateKey{Path: "blocked", Workers: maxWorkers}]

@@ -97,19 +97,16 @@ func PredictorLevelValues(s *Space) [][]float64 {
 }
 
 // PredictorGetter adapts a configuration to the lookup function consumed
-// by regression.Model.Predict.
+// by regression.Model.Predict. It panics on a name outside
+// PredictorNames.
 func PredictorGetter(c Config) func(string) float64 {
-	vals := Predictors(c)
-	names := PredictorNames()
-	m := make(map[string]float64, len(names))
-	for i, n := range names {
-		m[n] = vals[i]
-	}
+	var vals [NumAxes]float64
+	PredictorsInto(c, vals[:])
 	return func(name string) float64 {
-		v, ok := m[name]
-		if !ok {
+		i := PredictorIndex(name)
+		if i < 0 {
 			panic("arch: unknown predictor " + name)
 		}
-		return v
+		return vals[i]
 	}
 }

@@ -286,40 +286,6 @@ func (s *Space) SampleUAR(n int, seed uint64) []Point {
 	return out
 }
 
-// Fingerprint returns a stable FNV-1a hash over every axis's level
-// values, identifying the concrete design space independently of how it
-// was constructed. Two spaces with the same levels hash identically;
-// TableOneSpace and ExplorationSpace differ.
-func (s *Space) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v int) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= uint64(v) >> shift & 0xff
-			h *= prime64
-		}
-	}
-	for _, d := range s.depths {
-		mix(d)
-	}
-	for _, w := range s.widths {
-		mix(w.width)
-		mix(w.lsq)
-		mix(w.sq)
-		mix(w.fu)
-	}
-	for _, group := range [][]int{s.regs, s.resv, s.il1, s.dl1, s.l2} {
-		mix(len(group))
-		for _, v := range group {
-			mix(v)
-		}
-	}
-	return h
-}
-
 // DepthLevels returns the FO4 values of the depth axis.
 func (s *Space) DepthLevels() []int {
 	return append([]int(nil), s.depths...)

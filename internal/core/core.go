@@ -108,8 +108,8 @@ const DefaultSweepTile = 3750
 type Explorer struct {
 	opts Options
 
-	// sweepPool recycles blocked-kernel scratch (level blocks and output
-	// buffers) across sweep tiles and sweeps.
+	// sweepPool recycles the sweep kernel's output buffers across sweep
+	// tiles and sweeps.
 	sweepPool sync.Pool
 
 	// SampleSpace is the 375,000-point Table 1 space used for training;
@@ -467,33 +467,16 @@ func (e *Explorer) ExhaustivePredict(bench string) ([]Prediction, error) {
 	return out, nil
 }
 
-// sweepChunk is the number of design points assembled and evaluated per
-// blocked-kernel call: large enough to amortize the odometer and the
-// guardrail tick, small enough that the level block plus both output
+// sweepChunk is the number of design points evaluated per kernel call:
+// a whole number of the study space's 25-point DL1×L2 planes, large
+// enough to amortize the guardrail tick, small enough that both output
 // slices stay far inside L1.
-const sweepChunk = 512
+const sweepChunk = 500
 
-// sweepScratch is one worker's reusable blocked-kernel buffers: a flat
-// arena of level indices pre-sliced into per-point vectors, and the two
-// output blocks. Pooled so tiles allocate nothing in steady state.
+// sweepScratch is one worker's reusable kernel output buffers, pooled
+// so tiles allocate nothing in steady state.
 type sweepScratch struct {
-	lev    [][]int
-	bips   []float64
-	watts  []float64
-	points []arch.Point // backing store for lev, one Point per slot
-}
-
-func newSweepScratch() *sweepScratch {
-	s := &sweepScratch{
-		lev:    make([][]int, sweepChunk),
-		bips:   make([]float64, sweepChunk),
-		watts:  make([]float64, sweepChunk),
-		points: make([]arch.Point, sweepChunk),
-	}
-	for i := range s.lev {
-		s.lev[i] = s.points[i][:]
-	}
-	return s
+	bips, watts [sweepChunk]float64
 }
 
 // ExhaustivePredictInto runs the exhaustive sweep for one benchmark into
@@ -501,12 +484,12 @@ func newSweepScratch() *sweepScratch {
 // cache. Results are deterministic and independent of the worker count
 // and kernel: dst[i] always holds the prediction for flat index i.
 //
-// The sweep runs as a blocked structure-of-arrays kernel: the engine
-// hands each worker contiguous flat-index tiles sized to divide the
-// space's depth blocks, and each tile walks a mixed-radix level odometer
-// to assemble sweepChunk level vectors at a time — shared by the
-// performance and power plans — which eval.PairPlan.EvalBlock evaluates
-// eight points per unrolled step from coefficient-premultiplied tables.
+// The engine hands each worker contiguous flat-index tiles sized to
+// divide the space's depth blocks, and each tile is evaluated
+// sweepChunk points at a time by eval.PairPlan.SweepRange, which walks
+// the level odometer itself: partial sums of the leading axes' columns
+// are hoisted out of the per-point loop, and both models are evaluated
+// over whole DL1×L2 planes from coefficient-premultiplied plane tables.
 // The output is bit-identical to the interpreted models, which the
 // guardrail checks and which re-run the sweep if the guardrail trips.
 func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst []Prediction) error {
@@ -546,43 +529,26 @@ func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst 
 	return nil
 }
 
-// sweepBlocked is the sweep kernel: tiles of the flat index
-// range, each walked chunk-by-chunk — odometer-assemble sweepChunk
-// level vectors, evaluate both models' SweepPlans over the block, store
-// straight into dst. The guardrail counts every point (TickCount per
-// chunk) and cross-checks one evenly-spaced representative per crossed
-// boundary against the interpreted models, so guard coverage matches
-// the configured one-in-interval rate however tiles and chunks divide
-// the space.
+// sweepBlocked is the sweep kernel: tiles of the flat index range, each
+// walked chunk-by-chunk — evaluate both models' SweepPlans over
+// sweepChunk consecutive flat indices, store into dst. The guardrail
+// counts every point (TickCount per chunk) and cross-checks one
+// evenly-spaced representative per crossed boundary against the
+// interpreted models, so guard coverage matches the configured
+// one-in-interval rate however tiles and chunks divide the space.
 func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.PairPlan, guard *eval.Guardrail, dst []Prediction) error {
-	space := e.StudySpace
-	levels := space.Levels()
 	return e.modelEngine.Sweep(ctx, len(dst), func(lo, hi int) error {
 		// Hoisted per tile so the per-point loop stays free of atomic
 		// traffic when no fault plan is armed (the common case).
 		faultActive := fault.Active()
 		s, _ := e.sweepPool.Get().(*sweepScratch)
 		if s == nil {
-			s = newSweepScratch()
+			s = new(sweepScratch)
 		}
 		defer e.sweepPool.Put(s)
-		pt := space.PointAt(lo) // decode once; the odometer does the rest
 		for base := lo; base < hi; base += sweepChunk {
-			k := hi - base
-			if k > sweepChunk {
-				k = sweepChunk
-			}
-			for i := 0; i < k; i++ {
-				s.points[i] = pt
-				for a := arch.NumAxes - 1; a >= 0; a-- {
-					pt[a]++
-					if pt[a] < levels[a] {
-						break
-					}
-					pt[a] = 0
-				}
-			}
-			plan.EvalBlock(s.lev[:k], s.bips[:k], s.watts[:k])
+			k := min(hi-base, sweepChunk)
+			plan.SweepRange(base, s.bips[:k], s.watts[:k])
 			if faultActive {
 				for i := 0; i < k; i++ {
 					s.bips[i] = fault.Flip("core.sweep.compiled", s.bips[i])
@@ -615,8 +581,8 @@ func (e *Explorer) interpretedPredict(bench string, index int) (bips, watts floa
 	if err != nil {
 		return 0, 0, err
 	}
-	get := arch.PredictorGetter(e.StudySpace.Config(e.StudySpace.PointAt(index)))
-	return perf.Predict(get), pow.Predict(get), nil
+	bips, watts = eval.PredictInterpreted(perf, pow, e.StudySpace.Config(e.StudySpace.PointAt(index)))
+	return bips, watts, nil
 }
 
 // BestEfficiency scans predictions for the bips^3/w-maximizing design,

@@ -201,6 +201,33 @@ func TestExhaustivePredictWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestExhaustivePredictTileInvariance pins the sweep's output against
+// the tile size: tiles that start mid-plane (7), hold one DL1×L2 plane
+// (25) or straddle plane and depth-block boundaries (3,751) must give
+// the default tile's bits, on the compiled path.
+func TestExhaustivePredictTileInvariance(t *testing.T) {
+	e := testExplorer(t)
+	want, err := e.ExhaustivePredict("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]Prediction, len(want))
+	for _, tile := range []int{7, 25, 3751} {
+		ex := explorerLike(t, e, func(o *Options) { o.SweepTile = tile })
+		if err := ex.ExhaustivePredictInto(context.Background(), "gzip", got); err != nil {
+			t.Fatal(err)
+		}
+		if ex.modelsBackend.Guard().Degraded() || ex.ModelStats().SweptPoints == 0 {
+			t.Fatalf("tile %d: sweep left the compiled path", tile)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("tile %d: prediction %d = %+v, want %+v", tile, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestExhaustivePredictIntoValidatesLength(t *testing.T) {
 	e := testExplorer(t)
 	if err := e.ExhaustivePredictInto(context.Background(), "gzip", make([]Prediction, 3)); err == nil {

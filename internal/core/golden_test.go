@@ -93,7 +93,7 @@ func interpretedExplorer(t testing.TB, src *Explorer, mutate func(*Options)) *Ex
 }
 
 // TestSweepBlockedBitIdenticalToInterpreted is the golden equivalence
-// check for the exhaustive sweep: the blocked structure-of-arrays kernel
+// check for the exhaustive sweep: the compiled range kernel
 // and the interpreted per-request path must produce bit-identical
 // output over the full 262,500-point study space for every trained
 // benchmark — and each explorer must actually take its intended path.

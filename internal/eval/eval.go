@@ -347,7 +347,7 @@ func (m *Models) Evaluate(cfg arch.Config, bench string) (float64, float64, erro
 				watts = fault.Flip("eval.model.compiled", watts)
 			}
 			if m.guard.Tick() {
-				refBIPS, refWatts := interpretedPredict(r, cfg)
+				refBIPS, refWatts := PredictInterpreted(r.perf, r.pow, cfg)
 				diverged := bips != refBIPS || watts != refWatts
 				m.guard.Record(diverged)
 				if diverged {
@@ -357,14 +357,15 @@ func (m *Models) Evaluate(cfg arch.Config, bench string) (float64, float64, erro
 			return bips, watts, nil
 		}
 	}
-	bips, watts := interpretedPredict(r, cfg)
+	bips, watts := PredictInterpreted(r.perf, r.pow, cfg)
 	return bips, watts, nil
 }
 
-// interpretedPredict predicts through the interpreted regression models
-// — the reference path the compiled tables were built from, and the only
-// path for configurations off their grid.
-func interpretedPredict(r *resolvedModels, cfg arch.Config) (bips, watts float64) {
+// PredictInterpreted predicts through the interpreted regression models
+// — the reference path the compiled tables were built from, the only
+// path for configurations off their grid, and the sweep guardrail's
+// check. It allocates nothing: the lookup closure stays on the stack.
+func PredictInterpreted(perf, pow *regression.Model, cfg arch.Config) (bips, watts float64) {
 	var buf [arch.NumAxes]float64
 	vals := arch.PredictorsInto(cfg, buf[:])
 	get := func(name string) float64 {
@@ -374,5 +375,5 @@ func interpretedPredict(r *resolvedModels, cfg arch.Config) (bips, watts float64
 		}
 		return vals[idx]
 	}
-	return r.perf.Predict(get), r.pow.Predict(get)
+	return perf.Predict(get), pow.Predict(get)
 }

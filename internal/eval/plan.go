@@ -10,16 +10,12 @@ import (
 
 // PairPlan is one benchmark's performance and power models lowered
 // against the predictor levels of one design space: both models'
-// SweepPlans, evaluated from one shared level vector per design point —
-// block-at-a-time by the sweep kernel, one point at a time per request.
-// Predictions are bit-identical to the interpreted
-// regression.Model.Predict. Immutable and safe for concurrent use.
+// SweepPlans, evaluated over flat-index ranges of the space by the
+// sweep kernel and one point at a time per request. Predictions are
+// bit-identical to the interpreted regression.Model.Predict. Immutable
+// and safe for concurrent use.
 type PairPlan struct {
 	perf, pow *regression.SweepPlan
-	// congruent: both plans share column structure (one spec fitted to
-	// two responses), so EvalBlock may run the fused pair kernel that
-	// loads each level index once for both models.
-	congruent bool
 	// levels[a][l] is predictor a's value at level l of its axis — the
 	// values the tables were built from, which EvalConfig matches a
 	// configuration's predictors against.
@@ -39,19 +35,17 @@ func CompilePair(perf, pow *regression.Model, space *arch.Space) (*PairPlan, err
 	if err != nil {
 		return nil, fmt.Errorf("eval: compiling %q model: %w", pow.Response(), err)
 	}
-	return &PairPlan{perf: perfPlan, pow: powPlan, congruent: perfPlan.Congruent(powPlan), levels: levels}, nil
+	return &PairPlan{perf: perfPlan, pow: powPlan, levels: levels}, nil
 }
 
-// EvalBlock evaluates both models for len(bips) design points given as
-// per-axis level index vectors, writing predicted bips and watts per
-// point. Results are bit-identical to EvalPoint point by point.
-func (p *PairPlan) EvalBlock(lev [][]int, bips, watts []float64) {
-	if p.congruent {
-		p.perf.PredictBlockPair(p.pow, lev, bips, watts)
-		return
-	}
-	p.perf.PredictBlock(lev, bips)
-	p.pow.PredictBlock(lev, watts)
+// SweepRange evaluates both models at the space's flat indices lo,
+// lo+1, ..., lo+len(bips)-1 (arch.Space.FlatIndex order), writing
+// predicted bips and watts per point; len(watts) must equal len(bips).
+// Results are bit-identical to EvalPoint point by point. The models of
+// one spec share one fused pass; ranges that start or end inside a
+// DL1×L2 plane evaluate those points one at a time.
+func (p *PairPlan) SweepRange(lo int, bips, watts []float64) {
+	p.perf.SweepRange(p.pow, lo, bips, watts)
 }
 
 // EvalPoint evaluates both models for a single design point given as

@@ -3,6 +3,7 @@ package regression
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -16,13 +17,21 @@ import (
 // but len(beta)-1 table loads and adds into one accumulator, in the
 // interpreter's column order.
 //
+// For whole-grid sweeps the plan is also prefix-factored. A column's
+// hoist level is the running maximum, in column order, of the highest
+// axis it reads, so the columns at one hoist level form a contiguous
+// group whose partial sum depends only on the axes up to that level.
+// The last two axes span a plane of points contiguous in flat index;
+// the columns whose hoist level lies inside it are expanded into plane
+// tables, so a plane is a few contiguous adds per column. Each point
+// still adds the same table entries in the same order, starting from
+// the intercept, so sweep outputs are bit-identical to PredictLevels.
+//
 // Because the per-point operations (one multiply per column, folded into
 // the table; one add per column, performed in the same left-to-right
 // order; the same transform inverse) are bit-for-bit the interpreter's,
 // plan predictions are bit-identical to Model.Predict at the level
-// values — regardless of block size, since blocking interleaves the
-// accumulation chains of *distinct* points without reordering any
-// point's own chain.
+// values. A spec whose columns are not in axis order just hoists less.
 //
 // A SweepPlan is immutable and safe for concurrent use.
 type SweepPlan struct {
@@ -30,6 +39,18 @@ type SweepPlan struct {
 	intercept float64 // beta[0]: the interpreter's 0 + 1*beta[0]
 	cols      []planCol
 	nPred     int
+
+	// radix[a] is predictor a's level count; a flat index is mixed-radix
+	// over radix, predictor 0 most significant. size is their product.
+	radix []int
+	size  int
+	// The plane is the grid over axes plane..nPred-1 (the last two):
+	// planeSize points, contiguous in flat index.
+	plane, planeSize int
+	// hoistEnd[a], for a < plane, is one past the last column of hoist
+	// level a; the columns from hoistEnd[plane-1] on are planeCols.
+	hoistEnd  []int
+	planeCols []planeCol
 }
 
 // planCol is one design column of the plan: a level-indexed table of
@@ -42,6 +63,31 @@ type planCol struct {
 	axis   int
 	axis2  int
 	stride int
+}
+
+// at is the column's value at the point with levels lv.
+func (c *planCol) at(lv []int) float64 {
+	if c.stride == 0 {
+		return c.table[lv[c.axis]]
+	}
+	return c.table[lv[c.axis]*c.stride+lv[c.axis2]]
+}
+
+// planeCol is a column whose hoist level lies in the plane, expanded
+// over it: with off = lv[outer[0]]*mult[0] + lv[outer[1]]*mult[1] for
+// the outer (non-plane) axes the column reads, table[off:off+planeSize]
+// holds its value at each point of the plane — planeSize values per
+// level combination of those axes. Unused outer slots have mult 0.
+type planeCol struct {
+	table []float64
+	outer [2]int
+	mult  [2]int
+}
+
+// offset is the start of the column's plane table for the outer levels
+// in lv.
+func (c *planeCol) offset(lv []int) int {
+	return lv[c.outer[0]]*c.mult[0] + lv[c.outer[1]]*c.mult[1]
 }
 
 // Compile lowers the model into its sweep plan against a predictor
@@ -116,7 +162,72 @@ func (m *Model) Compile(names []string, levels [][]float64) (*SweepPlan, error) 
 			}
 		}
 	}
+	p.factor(levels)
 	return p, nil
+}
+
+// factor lays the plan out for SweepRange: the level radix, the hoist
+// groups, and the plane tables of the columns hoisted into the plane.
+func (p *SweepPlan) factor(levels [][]float64) {
+	n := len(levels)
+	p.radix = make([]int, n)
+	p.size = 1
+	for a, l := range levels {
+		p.radix[a] = len(l)
+		p.size *= len(l)
+	}
+	p.plane = max(n-2, 0)
+	p.planeSize = 1
+	for _, r := range p.radix[p.plane:] {
+		p.planeSize *= r
+	}
+	p.hoistEnd = make([]int, p.plane)
+	level := 0
+	for ci := range p.cols {
+		level = max(level, p.cols[ci].axis, p.cols[ci].axis2)
+		for a := level; a < p.plane; a++ {
+			p.hoistEnd[a] = ci + 1
+		}
+	}
+	first := 0
+	if p.plane > 0 {
+		first = p.hoistEnd[p.plane-1]
+	}
+	lv := make([]int, n)
+	for ci := first; ci < len(p.cols); ci++ {
+		c := &p.cols[ci]
+		var pc planeCol
+		nOuter := 0
+		for _, x := range []int{c.axis, c.axis2} {
+			if x >= 0 && x < p.plane && (nOuter == 0 || x != pc.outer[0]) {
+				pc.outer[nOuter] = x
+				nOuter++
+			}
+		}
+		stride := p.planeSize
+		for k := nOuter - 1; k >= 0; k-- {
+			pc.mult[k] = stride
+			stride *= p.radix[pc.outer[k]]
+		}
+		pc.table = make([]float64, stride)
+		for off := range pc.table {
+			// off decodes as the outer levels (row-major over outer, in
+			// mult order) followed by the plane position.
+			rest := off / p.planeSize
+			for k := nOuter - 1; k >= 0; k-- {
+				x := pc.outer[k]
+				lv[x] = rest % p.radix[x]
+				rest /= p.radix[x]
+			}
+			j := off % p.planeSize
+			for a := n - 1; a >= p.plane; a-- {
+				lv[a] = j % p.radix[a]
+				j /= p.radix[a]
+			}
+			pc.table[off] = c.at(lv)
+		}
+		p.planeCols = append(p.planeCols, pc)
+	}
 }
 
 // NumPredictors returns the predictor-vector length the plan was laid
@@ -126,90 +237,15 @@ func (p *SweepPlan) NumPredictors() int { return p.nPred }
 // NumColumns returns the number of non-intercept design columns.
 func (p *SweepPlan) NumColumns() int { return len(p.cols) }
 
-// PlanBlock is the point count PredictBlock processes per unrolled
-// iteration. Eight independent accumulation chains are enough to hide
-// the floating-point add latency that serializes a one-point loop
-// (each chain is a strict left-to-right dependency, so a single point
-// can never saturate the FP units).
-const PlanBlock = 8
-
-// PredictBlock evaluates the plan for len(out) design points, where
-// lev[i] holds point i's per-predictor level indices, writing the
-// response-scale prediction for point i into out[i]. Points are
-// processed in blocks of PlanBlock with the per-column table and axis
-// loads hoisted out of the unrolled point loop; the remainder runs the
-// same per-point operation sequence one point at a time, so every
-// point's result is bit-identical to PredictLevels no matter how the
-// caller sizes or aligns the batch.
-func (p *SweepPlan) PredictBlock(lev [][]int, out []float64) {
-	n := len(out)
-	if len(lev) < n {
-		panic(fmt.Sprintf("regression: PredictBlock with %d level vectors for %d outputs", len(lev), n))
-	}
-	cols := p.cols
-	base := 0
-	for ; base+PlanBlock <= n; base += PlanBlock {
-		l0, l1, l2, l3 := lev[base], lev[base+1], lev[base+2], lev[base+3]
-		l4, l5, l6, l7 := lev[base+4], lev[base+5], lev[base+6], lev[base+7]
-		a0, a1, a2, a3 := p.intercept, p.intercept, p.intercept, p.intercept
-		a4, a5, a6, a7 := p.intercept, p.intercept, p.intercept, p.intercept
-		for ci := range cols {
-			c := &cols[ci]
-			t, ax := c.table, c.axis
-			if c.stride == 0 {
-				a0 += t[l0[ax]]
-				a1 += t[l1[ax]]
-				a2 += t[l2[ax]]
-				a3 += t[l3[ax]]
-				a4 += t[l4[ax]]
-				a5 += t[l5[ax]]
-				a6 += t[l6[ax]]
-				a7 += t[l7[ax]]
-			} else {
-				s, ax2 := c.stride, c.axis2
-				a0 += t[l0[ax]*s+l0[ax2]]
-				a1 += t[l1[ax]*s+l1[ax2]]
-				a2 += t[l2[ax]*s+l2[ax2]]
-				a3 += t[l3[ax]*s+l3[ax2]]
-				a4 += t[l4[ax]*s+l4[ax2]]
-				a5 += t[l5[ax]*s+l5[ax2]]
-				a6 += t[l6[ax]*s+l6[ax2]]
-				a7 += t[l7[ax]*s+l7[ax2]]
-			}
-		}
-		// One transform dispatch per block, not per point; the applied
-		// operation per point is exactly Transform.Inverse's.
-		switch p.transform {
-		case Identity:
-			out[base+0], out[base+1], out[base+2], out[base+3] = a0, a1, a2, a3
-			out[base+4], out[base+5], out[base+6], out[base+7] = a4, a5, a6, a7
-		case Sqrt:
-			out[base+0], out[base+1], out[base+2], out[base+3] = a0*a0, a1*a1, a2*a2, a3*a3
-			out[base+4], out[base+5], out[base+6], out[base+7] = a4*a4, a5*a5, a6*a6, a7*a7
-		case Log:
-			out[base+0], out[base+1], out[base+2], out[base+3] = math.Exp(a0), math.Exp(a1), math.Exp(a2), math.Exp(a3)
-			out[base+4], out[base+5], out[base+6], out[base+7] = math.Exp(a4), math.Exp(a5), math.Exp(a6), math.Exp(a7)
-		default:
-			out[base+0], out[base+1], out[base+2], out[base+3] =
-				p.transform.Inverse(a0), p.transform.Inverse(a1), p.transform.Inverse(a2), p.transform.Inverse(a3)
-			out[base+4], out[base+5], out[base+6], out[base+7] =
-				p.transform.Inverse(a4), p.transform.Inverse(a5), p.transform.Inverse(a6), p.transform.Inverse(a7)
-		}
-	}
-	for ; base < n; base++ {
-		out[base] = p.PredictLevels(lev[base])
-	}
-}
-
-// Congruent reports whether two plans share column structure — same
-// predictor count and, column by column, the same driving axes, stride
-// and table length. Congruent plans (e.g. the performance and power
-// models of one benchmark, fitted from one spec over one design space)
-// can be evaluated by the fused PredictBlockPair kernel, which loads
-// each point's level indices once for both models. Coefficients, table
+// Congruent reports whether two plans share column structure — the same
+// predictor layout (count and levels per predictor) and, column by
+// column, the same driving axes, stride and table length — and with it
+// the same hoist groups and plane-table shapes. Congruent plans (the
+// performance and power models of one benchmark, fitted from one spec
+// over one design space) sweep in one fused pass. Coefficients, table
 // contents and transforms are free to differ.
 func (p *SweepPlan) Congruent(q *SweepPlan) bool {
-	if q == nil || p.nPred != q.nPred || len(p.cols) != len(q.cols) {
+	if q == nil || p.nPred != q.nPred || len(p.cols) != len(q.cols) || !slices.Equal(p.radix, q.radix) {
 		return false
 	}
 	for i := range p.cols {
@@ -221,131 +257,169 @@ func (p *SweepPlan) Congruent(q *SweepPlan) bool {
 	return true
 }
 
-// pairBlock is the point count PredictBlockPair processes per unrolled
-// iteration. Eight points across two models give sixteen independent
-// accumulation chains; the accumulators overflow the sixteen
-// architectural vector registers, but the spills are cheap stack
-// traffic and measured throughput beats the narrower four-point
-// variant — each loaded level index feeds two table loads, so wider
-// blocks amortize more index loads per memory access.
-const pairBlock = 8
-
-// PredictBlockPair evaluates two congruent plans over one shared batch
-// of level vectors: out1[i] is p's prediction and out2[i] is q's for
-// the point lev[i]. Each level index is loaded once and indexes both
-// models' column tables, halving the index traffic of two PredictBlock
-// passes. Per point and per model the operation sequence is exactly
-// PredictLevels', so both outputs are bit-identical to it.
-// Callers must ensure p.Congruent(q); len(out2) and len(lev) must be at
-// least len(out1).
-func (p *SweepPlan) PredictBlockPair(q *SweepPlan, lev [][]int, out1, out2 []float64) {
+// SweepRange evaluates p into out1 and q into out2 at the flat indices
+// lo, lo+1, ..., lo+len(out1)-1 of the plans' layout: mixed-radix over
+// the predictors' level counts, predictor 0 most significant (the order
+// of arch.Space.FlatIndex). Every output is bit-identical to
+// PredictLevels at that point.
+//
+// Whole planes run the prefix-factored kernel: the hoisted groups'
+// partial sums change only when the odometer carries into their axis,
+// and each plane column is one contiguous add over the plane. Congruent
+// plans share the walk with two accumulators; a pair that is not
+// congruent is swept one plan at a time. Points before the range's
+// first plane boundary and after its last one take PredictLevels.
+// len(out2) must equal len(out1), and the range must lie in the layout.
+func (p *SweepPlan) SweepRange(q *SweepPlan, lo int, out1, out2 []float64) {
 	n := len(out1)
-	if len(out2) < n || len(lev) < n {
-		panic(fmt.Sprintf("regression: PredictBlockPair with %d level vectors, %d+%d outputs", len(lev), n, len(out2)))
+	if len(out2) != n || lo < 0 || lo+n > p.size || lo+n > q.size {
+		panic(fmt.Sprintf("regression: SweepRange over [%d, %d) with %d+%d outputs in a %d-point layout",
+			lo, lo+n, n, len(out2), p.size))
 	}
-	// Reslicing to exact lengths lets the compiler hoist the qc[ci],
-	// lev[base+i] and out[base+i] bounds checks out of the hot loops.
-	pc := p.cols
-	qc := q.cols[:len(p.cols)]
-	lev = lev[:n]
-	out1 = out1[:n]
+	if n == 0 {
+		return
+	}
+	if p.Congruent(q) {
+		sweepRange(p, q, lo, out1, out2)
+		return
+	}
+	// Each plan paired with itself; the second output is discarded.
+	spare := make([]float64, n)
+	sweepRange(p, p, lo, out1, spare)
+	sweepRange(q, q, lo, out2, spare)
+}
+
+// sweepRange is SweepRange's kernel for two congruent plans.
+func sweepRange(p, q *SweepPlan, lo int, out1, out2 []float64) {
+	n := len(out1)
 	out2 = out2[:n]
-	base := 0
-	for ; base+pairBlock <= n; base += pairBlock {
-		l0, l1, l2, l3 := lev[base], lev[base+1], lev[base+2], lev[base+3]
-		l4, l5, l6, l7 := lev[base+4], lev[base+5], lev[base+6], lev[base+7]
-		a0, a1, a2, a3 := p.intercept, p.intercept, p.intercept, p.intercept
-		a4, a5, a6, a7 := p.intercept, p.intercept, p.intercept, p.intercept
-		b0, b1, b2, b3 := q.intercept, q.intercept, q.intercept, q.intercept
-		b4, b5, b6, b7 := q.intercept, q.intercept, q.intercept, q.intercept
-		for ci := range pc {
-			c := &pc[ci]
-			t, u := c.table, qc[ci].table
-			ax := c.axis
-			var i0, i1, i2, i3, i4, i5, i6, i7 int
-			if c.stride == 0 {
-				i0, i1, i2, i3 = l0[ax], l1[ax], l2[ax], l3[ax]
-				i4, i5, i6, i7 = l4[ax], l5[ax], l6[ax], l7[ax]
-			} else {
-				s, ax2 := c.stride, c.axis2
-				i0 = l0[ax]*s + l0[ax2]
-				i1 = l1[ax]*s + l1[ax2]
-				i2 = l2[ax]*s + l2[ax2]
-				i3 = l3[ax]*s + l3[ax2]
-				i4 = l4[ax]*s + l4[ax2]
-				i5 = l5[ax]*s + l5[ax2]
-				i6 = l6[ax]*s + l6[ax2]
-				i7 = l7[ax]*s + l7[ax2]
+	var lvBuf [16]int
+	var partBuf [2 * 16]float64
+	lv, part := lvBuf[:], partBuf[:]
+	if p.nPred > len(lvBuf) {
+		lv, part = make([]int, p.nPred), make([]float64, 2*p.nPred)
+	}
+	lv = lv[:p.nPred]
+	psum, qsum := part[:p.plane], part[p.plane:2*p.plane]
+	size := p.planeSize
+	i := 0
+	// Head: the points before the first plane boundary.
+	for ; i < n && (lo+i)%size != 0; i++ {
+		p.levelsAt(lo+i, lv)
+		out1[i], out2[i] = p.PredictLevels(lv), q.PredictLevels(lv)
+	}
+	if n-i >= size {
+		p.levelsAt(lo+i, lv) // plane axes decode to 0
+	}
+	// carry is the most significant axis whose level changed since the
+	// previous plane: hoist groups from there on are recomputed.
+	carry := 0
+	pc, qc := p.cols, q.cols[:len(p.cols)]
+	pp, qp := p.planeCols, q.planeCols[:len(p.planeCols)]
+	for ; n-i >= size; i += size {
+		s, t := p.intercept, q.intercept
+		if carry > 0 {
+			s, t = psum[carry-1], qsum[carry-1]
+		}
+		for a := carry; a < p.plane; a++ {
+			for c := p.hoistStart(a); c < p.hoistEnd[a]; c++ {
+				s += pc[c].at(lv)
+				t += qc[c].at(lv)
 			}
-			a0 += t[i0]
-			a1 += t[i1]
-			a2 += t[i2]
-			a3 += t[i3]
-			a4 += t[i4]
-			a5 += t[i5]
-			a6 += t[i6]
-			a7 += t[i7]
-			b0 += u[i0]
-			b1 += u[i1]
-			b2 += u[i2]
-			b3 += u[i3]
-			b4 += u[i4]
-			b5 += u[i5]
-			b6 += u[i6]
-			b7 += u[i7]
+			psum[a], qsum[a] = s, t
 		}
-		switch p.transform {
-		case Identity:
-			out1[base+0], out1[base+1], out1[base+2], out1[base+3] = a0, a1, a2, a3
-			out1[base+4], out1[base+5], out1[base+6], out1[base+7] = a4, a5, a6, a7
-		case Sqrt:
-			out1[base+0], out1[base+1], out1[base+2], out1[base+3] = a0*a0, a1*a1, a2*a2, a3*a3
-			out1[base+4], out1[base+5], out1[base+6], out1[base+7] = a4*a4, a5*a5, a6*a6, a7*a7
-		case Log:
-			out1[base+0], out1[base+1], out1[base+2], out1[base+3] = math.Exp(a0), math.Exp(a1), math.Exp(a2), math.Exp(a3)
-			out1[base+4], out1[base+5], out1[base+6], out1[base+7] = math.Exp(a4), math.Exp(a5), math.Exp(a6), math.Exp(a7)
-		default:
-			out1[base+0], out1[base+1], out1[base+2], out1[base+3] =
-				p.transform.Inverse(a0), p.transform.Inverse(a1), p.transform.Inverse(a2), p.transform.Inverse(a3)
-			out1[base+4], out1[base+5], out1[base+6], out1[base+7] =
-				p.transform.Inverse(a4), p.transform.Inverse(a5), p.transform.Inverse(a6), p.transform.Inverse(a7)
+		a1, a2 := out1[i:i+size], out2[i:i+size]
+		for j := range a1 {
+			a1[j], a2[j] = s, t
 		}
-		switch q.transform {
-		case Identity:
-			out2[base+0], out2[base+1], out2[base+2], out2[base+3] = b0, b1, b2, b3
-			out2[base+4], out2[base+5], out2[base+6], out2[base+7] = b4, b5, b6, b7
-		case Sqrt:
-			out2[base+0], out2[base+1], out2[base+2], out2[base+3] = b0*b0, b1*b1, b2*b2, b3*b3
-			out2[base+4], out2[base+5], out2[base+6], out2[base+7] = b4*b4, b5*b5, b6*b6, b7*b7
-		case Log:
-			out2[base+0], out2[base+1], out2[base+2], out2[base+3] = math.Exp(b0), math.Exp(b1), math.Exp(b2), math.Exp(b3)
-			out2[base+4], out2[base+5], out2[base+6], out2[base+7] = math.Exp(b4), math.Exp(b5), math.Exp(b6), math.Exp(b7)
-		default:
-			out2[base+0], out2[base+1], out2[base+2], out2[base+3] =
-				q.transform.Inverse(b0), q.transform.Inverse(b1), q.transform.Inverse(b2), q.transform.Inverse(b3)
-			out2[base+4], out2[base+5], out2[base+6], out2[base+7] =
-				q.transform.Inverse(b4), q.transform.Inverse(b5), q.transform.Inverse(b6), q.transform.Inverse(b7)
+		// Columns are added two per pass, a[j] = (a[j] + x[j]) + x2[j]:
+		// the column order of one add per pass, with half the stores.
+		k := 0
+		for ; k+2 <= len(pp); k += 2 {
+			o, o2 := pp[k].offset(lv), pp[k+1].offset(lv)
+			x, y := pp[k].table[o:o+size], qp[k].table[o:o+size]
+			x2, y2 := pp[k+1].table[o2:o2+size], qp[k+1].table[o2:o2+size]
+			for j := range a1 {
+				a1[j] = a1[j] + x[j] + x2[j]
+				a2[j] = a2[j] + y[j] + y2[j]
+			}
+		}
+		if k < len(pp) {
+			o := pp[k].offset(lv)
+			x, y := pp[k].table[o:o+size], qp[k].table[o:o+size]
+			for j := range a1 {
+				a1[j] += x[j]
+				a2[j] += y[j]
+			}
+		}
+		p.transform.inverseAll(a1)
+		q.transform.inverseAll(a2)
+		// Advance the outer odometer by one plane. Axis 0 runs past its
+		// last level only after the layout's last plane, which ends the
+		// range.
+		carry = p.plane - 1
+		for carry > 0 && lv[carry]+1 == p.radix[carry] {
+			lv[carry] = 0
+			carry--
+		}
+		if carry >= 0 {
+			lv[carry]++
+		} else {
+			carry = 0
 		}
 	}
-	for ; base < n; base++ {
-		out1[base] = p.PredictLevels(lev[base])
-		out2[base] = q.PredictLevels(lev[base])
+	// Tail: the points after the last whole plane.
+	for ; i < n; i++ {
+		p.levelsAt(lo+i, lv)
+		out1[i], out2[i] = p.PredictLevels(lv), q.PredictLevels(lv)
+	}
+}
+
+// hoistStart is the first column of hoist group a.
+func (p *SweepPlan) hoistStart(a int) int {
+	if a == 0 {
+		return 0
+	}
+	return p.hoistEnd[a-1]
+}
+
+// levelsAt decodes flat index i of the layout into per-predictor levels.
+func (p *SweepPlan) levelsAt(i int, lv []int) {
+	for a := p.nPred - 1; a >= 0; a-- {
+		lv[a] = i % p.radix[a]
+		i /= p.radix[a]
+	}
+}
+
+// inverseAll applies Inverse to every element of a in place, with one
+// transform dispatch for the whole slice.
+func (t Transform) inverseAll(a []float64) {
+	switch t {
+	case Identity:
+	case Sqrt:
+		for j, v := range a {
+			a[j] = v * v
+		}
+	case Log:
+		for j, v := range a {
+			a[j] = math.Exp(v)
+		}
+	default:
+		for j, v := range a {
+			a[j] = t.Inverse(v)
+		}
 	}
 }
 
 // PredictLevels evaluates the plan for one design point given as
-// per-predictor level indices — the scalar tail of PredictBlock and the
-// per-request entry. Bit-identical to Model.Predict at the level values.
+// per-predictor level indices — the per-request entry and SweepRange's
+// fallback off plane boundaries. Bit-identical to Model.Predict at the
+// level values.
 func (p *SweepPlan) PredictLevels(lv []int) float64 {
 	a := p.intercept
 	cols := p.cols
 	for ci := range cols {
-		c := &cols[ci]
-		if c.stride == 0 {
-			a += c.table[lv[c.axis]]
-		} else {
-			a += c.table[lv[c.axis]*c.stride+lv[c.axis2]]
-		}
+		a += cols[ci].at(lv)
 	}
 	return p.transform.Inverse(a)
 }

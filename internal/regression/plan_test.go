@@ -184,8 +184,9 @@ func TestCompileRestoredModel(t *testing.T) {
 }
 
 func TestPlanBitIdenticalToPredictLevels(t *testing.T) {
-	// The fused pair kernel must give both models exactly their
-	// single-point PredictLevels answers, for every batch size.
+	// The fused sweep must give both models exactly their single-point
+	// PredictLevels answers for every range of the grid, aligned to its
+	// 6-point planes or not.
 	m, names, levels := compileFixture(t, Sqrt)
 	m2, _, _ := compileFixture(t, Log)
 	p, q := mustCompile(t, m, names, levels), mustCompile(t, m2, names, levels)
@@ -193,52 +194,35 @@ func TestPlanBitIdenticalToPredictLevels(t *testing.T) {
 		t.Fatal("plans of one spec over one layout are not congruent")
 	}
 	grid := planGrid(levels)
-	for size := 1; size <= len(grid); size++ {
-		out1, out2 := make([]float64, size), make([]float64, size)
-		for base := 0; base+size <= len(grid); base += size {
-			p.PredictBlockPair(q, grid[base:], out1, out2)
-			for i, lev := range grid[base : base+size] {
+	for lo := range grid {
+		for hi := lo + 1; hi <= len(grid); hi++ {
+			out1, out2 := make([]float64, hi-lo), make([]float64, hi-lo)
+			p.SweepRange(q, lo, out1, out2)
+			for i, lev := range grid[lo:hi] {
 				if out1[i] != p.PredictLevels(lev) || out2[i] != q.PredictLevels(lev) {
-					t.Fatalf("batch size %d, levels %v: pair (%v, %v), single (%v, %v)",
-						size, lev, out1[i], out2[i], p.PredictLevels(lev), q.PredictLevels(lev))
+					t.Fatalf("range [%d, %d), levels %v: sweep (%v, %v), single (%v, %v)",
+						lo, hi, lev, out1[i], out2[i], p.PredictLevels(lev), q.PredictLevels(lev))
 				}
 			}
 		}
 	}
 }
 
-func TestPlanBlockMatchesScalar(t *testing.T) {
-	m, names, levels := compileFixture(t, Sqrt)
-	p := mustCompile(t, m, names, levels)
-	grid := planGrid(levels) // 48 points: several full blocks plus a tail
-	want := make([]float64, len(grid))
-	for i, lev := range grid {
-		want[i] = m.Predict(levelGetter(t, names, levels, lev))
-	}
-	// Every batch size — aligned, unaligned, sub-block — must agree
-	// bit-for-bit with the interpreter for every point.
-	for size := 1; size <= len(grid); size++ {
-		out := make([]float64, size)
-		for base := 0; base+size <= len(grid); base += size {
-			p.PredictBlock(grid[base:], out)
-			for i, got := range out {
-				if got != want[base+i] {
-					t.Fatalf("batch size %d, point %d: block %v, Predict %v", size, base+i, got, want[base+i])
-				}
-			}
-		}
-	}
-}
-
-func TestPlanBlockShortInputPanics(t *testing.T) {
+func TestSweepRangeOutsideLayoutPanics(t *testing.T) {
 	m, names, levels := compileFixture(t, Identity)
 	p := mustCompile(t, m, names, levels)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PredictBlock with fewer level vectors than outputs did not panic")
-		}
-	}()
-	p.PredictBlock([][]int{{0, 0, 0}}, make([]float64, 2))
+	for _, c := range []struct {
+		lo, n1, n2 int
+	}{{47, 2, 2}, {-1, 1, 1}, {0, 2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SweepRange(lo=%d, %d+%d outputs) on a 48-point grid did not panic", c.lo, c.n1, c.n2)
+				}
+			}()
+			p.SweepRange(p, c.lo, make([]float64, c.n1), make([]float64, c.n2))
+		}()
+	}
 }
 
 func TestPlanRequiresLevels(t *testing.T) {
@@ -262,39 +246,6 @@ func planBenchInput(levels [][]float64, n int) [][]int {
 		lev[i] = v
 	}
 	return lev
-}
-
-func BenchmarkPlanPredictBlock(b *testing.B) {
-	m, names, levels := compileFixture(b, Sqrt)
-	p := mustCompile(b, m, names, levels)
-	const chunk = 512
-	lev := planBenchInput(levels, chunk)
-	out := make([]float64, chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PredictBlock(lev, out)
-	}
-	b.ReportMetric(float64(chunk)*float64(b.N)/b.Elapsed().Seconds(), "predictions/s")
-}
-
-func BenchmarkPlanPredictBlockPair(b *testing.B) {
-	m, names, levels := compileFixture(b, Sqrt)
-	m2, _, _ := compileFixture(b, Log)
-	p, q := mustCompile(b, m, names, levels), mustCompile(b, m2, names, levels)
-	if !p.Congruent(q) {
-		b.Fatal("fixture plans not congruent")
-	}
-	const chunk = 512
-	lev := planBenchInput(levels, chunk)
-	out1 := make([]float64, chunk)
-	out2 := make([]float64, chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PredictBlockPair(q, lev, out1, out2)
-	}
-	b.ReportMetric(float64(chunk)*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }
 
 func BenchmarkPlanPredictScalar(b *testing.B) {
