@@ -215,8 +215,7 @@ func BenchmarkFigure2Characterization(b *testing.B) {
 // speedup, so there the gate is skipped and recorded as such. With
 // -guardgate it fails if the guardrail overhead exceeds its 8% budget
 // (that gate never skips: the pair shares whatever host it gets). It also
-// reports the simulation engine's cache hit rate, the other lever that
-// makes the studies cheap (they revisit the same designs repeatedly).
+// reports how many simulations the fixture ran.
 func BenchmarkExhaustivePredictParallel(b *testing.B) {
 	e := sharedFixture(b)
 	// Share the fixture's trained models across sub-benchmarks so each
@@ -525,9 +524,8 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 		}
 	}
 	sim := e.SimStats()
-	logFigure(b, fmt.Sprintf(
-		"evaluation engine: %d simulations run, %d cache hits, %d misses (%.1f%% hit rate), %d workers",
-		sim.Evaluations, sim.CacheHits, sim.CacheMisses, 100*sim.HitRate(), sim.Workers))
+	logFigure(b, fmt.Sprintf("evaluation engine: %d simulations run, %d workers",
+		sim.Evaluations, sim.Workers))
 }
 
 // tripModelGuard sends one corrupted plan prediction through ex's
@@ -554,8 +552,8 @@ func tripModelGuard(b *testing.B, ex *core.Explorer, bench string) {
 // methodology — on both simulator paths: the production path
 // (eval.Simulator over sim.Runner: pooled scratch, one memoized outcome
 // mask per cache geometry) and the seed full-warmup path (an eval.Func
-// over sim.Run). Both paths run through a NoCache engine so every
-// evaluation is a real simulation, and both must produce bit-identical
+// over sim.Run). Both paths run through an engine, which runs every
+// evaluation as a real simulation, and both must produce bit-identical
 // datasets. The measured rates (runs/sec and simulated timed MInst/sec)
 // and the fast-over-seed speedup are written to BENCH_train.json at the
 // repo root.
@@ -596,7 +594,7 @@ func BenchmarkTrainDataset(b *testing.B) {
 	var baseline []eval.Result
 	datasetBench := func(path string, backend eval.Evaluator) func(b *testing.B) {
 		return func(b *testing.B) {
-			eng := eval.NewEngine(backend, eval.Options{NoCache: true, Name: "train-" + path})
+			eng := eval.NewEngine(backend, eval.Options{Name: "train-" + path})
 			// One full pass outside the timer: like trace synthesis, the
 			// production path's outcome memo is populated once per geometry
 			// and amortized across the whole training sweep (and every
@@ -984,8 +982,7 @@ func BenchmarkExtensionHeuristicSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	obj := func(cfg arch.Config) float64 {
-		get := arch.PredictorGetter(cfg)
-		pb, pw := perf.Predict(get), pow.Predict(get)
+		pb, pw := eval.PredictInterpreted(perf, pow, cfg)
 		if pb <= 0 || pw <= 0 {
 			return 0
 		}
@@ -1181,11 +1178,12 @@ func BenchmarkPredictionThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	get := arch.PredictorGetter(arch.Baseline())
+	cfg := arch.Baseline()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += perf.Predict(get) + pow.Predict(get)
+		bips, watts := eval.PredictInterpreted(perf, pow, cfg)
+		sink += bips + watts
 	}
 	b.StopTimer()
 	if sink <= 0 {
@@ -1208,8 +1206,8 @@ func BenchmarkCompiledPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := e.StudySpace.Config(arch.BaselinePoint(e.StudySpace))
-	get := arch.PredictorGetter(cfg)
-	want := perf.Predict(get) + pow.Predict(get)
+	wantB, wantW := eval.PredictInterpreted(perf, pow, cfg)
+	want := wantB + wantW
 	// The sinks add the same value b.N times, so they must equal the
 	// same repeated sum bit for bit (want*n rounds differently).
 	check := func(b *testing.B, sink float64, n int) {
@@ -1225,7 +1223,8 @@ func BenchmarkCompiledPredict(b *testing.B) {
 	b.Run("interpreted", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += perf.Predict(get) + pow.Predict(get)
+			bips, watts := eval.PredictInterpreted(perf, pow, cfg)
+			sink += bips + watts
 		}
 		b.StopTimer()
 		check(b, sink, b.N)

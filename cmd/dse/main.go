@@ -293,8 +293,6 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	}
 	set("sim_evaluations", sim.Evaluations)
 	set("sim_batches", sim.BatchCalls)
-	set("sim_cache_hits", sim.CacheHits)
-	set("sim_cache_misses", sim.CacheMisses)
 	set("sim_warm_hits", sim.WarmHits)
 	set("sim_warm_misses", sim.WarmMisses)
 	set("sim_outcome_walks", sim.OutcomeWalks)
@@ -340,24 +338,36 @@ func writeCSV(dir, name string, emit func(io.Writer) error) error {
 	return f.Close()
 }
 
+// printText renders one figure, table or model summary and writes it
+// to out, under a report.text span naming it.
+func printText(out io.Writer, name string, render func() string) {
+	sp := obs.Begin("report.text", obs.String("figure", name))
+	defer sp.End()
+	fmt.Fprintln(out, render())
+}
+
 func cmdTrain(e *core.Explorer, out io.Writer) error {
 	for _, bench := range e.Benchmarks() {
 		perf, pow, err := e.Models(bench)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "=== %s performance model ===\n%s\n", bench, perf.Summary())
-		fmt.Fprintf(out, "=== %s power model ===\n%s\n", bench, pow.Summary())
+		printText(out, "models_"+bench, func() string {
+			return fmt.Sprintf("=== %s performance model ===\n%s\n=== %s power model ===\n%s",
+				bench, perf.Summary(), bench, pow.Summary())
+		})
 		if assoc, err := e.PredictorAssociations(bench); err == nil {
-			t := report.NewTable(
-				fmt.Sprintf("%s predictor associations (Spearman rank correlation)", bench),
-				"predictor", "perf rho", "power rho")
-			for _, a := range assoc {
-				t.AddRow(a.Predictor,
-					fmt.Sprintf("%+.3f", a.PerfRho),
-					fmt.Sprintf("%+.3f", a.PowerRho))
-			}
-			fmt.Fprintln(out, t.String())
+			printText(out, "associations_"+bench, func() string {
+				t := report.NewTable(
+					fmt.Sprintf("%s predictor associations (Spearman rank correlation)", bench),
+					"predictor", "perf rho", "power rho")
+				for _, a := range assoc {
+					t.AddRow(a.Predictor,
+						fmt.Sprintf("%+.3f", a.PerfRho),
+						fmt.Sprintf("%+.3f", a.PowerRho))
+				}
+				return t.String()
+			})
 		}
 	}
 	return nil
@@ -368,7 +378,7 @@ func cmdValidate(e *core.Explorer, out io.Writer, csvDir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(out, report.Figure1(rep))
+	printText(out, "figure1", func() string { return report.Figure1(rep) })
 	return writeCSV(csvDir, "figure1.csv", func(w io.Writer) error {
 		return report.Figure1CSV(w, rep)
 	})
@@ -384,25 +394,24 @@ func cmdPareto(e *core.Explorer, out io.Writer, targets int, simulate bool, csvD
 	}
 	// Figure 2 for the paper's two representative benchmarks when
 	// available, otherwise the first benchmark.
-	shown := 0
+	var shown []string
 	for _, bench := range []string{"ammp", "mcf"} {
-		if r, ok := results[bench]; ok {
-			fmt.Fprintln(out, report.Figure2(e.StudySpace, r))
-			fmt.Fprintln(out, report.Figure3(r))
-			shown++
+		if _, ok := results[bench]; ok {
+			shown = append(shown, bench)
 		}
 	}
-	if shown == 0 {
-		for _, bench := range e.Benchmarks() {
-			fmt.Fprintln(out, report.Figure2(e.StudySpace, results[bench]))
-			fmt.Fprintln(out, report.Figure3(results[bench]))
-			break
-		}
+	if benches := e.Benchmarks(); len(shown) == 0 && len(benches) > 0 {
+		shown = benches[:1]
+	}
+	for _, bench := range shown {
+		r := results[bench]
+		printText(out, "figure2_"+bench, func() string { return report.Figure2(e.StudySpace, r) })
+		printText(out, "figure3_"+bench, func() string { return report.Figure3(r) })
 	}
 	if simulate {
-		fmt.Fprintln(out, report.Figure4(results))
+		printText(out, "figure4", func() string { return report.Figure4(results) })
 	}
-	fmt.Fprintln(out, report.Table2(results))
+	printText(out, "table2", func() string { return report.Table2(results) })
 	if csvDir != "" {
 		// Benchmark order, not map order: a write error mid-run leaves the
 		// same files behind every time.
@@ -437,13 +446,13 @@ func cmdDepth(e *core.Explorer, out io.Writer, simulate bool, csvDir string) err
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(out, report.Figure5a(avg))
-	fmt.Fprintln(out, report.Figure5b(results, e.StudySpace))
+	printText(out, "figure5a", func() string { return report.Figure5a(avg) })
+	printText(out, "figure5b", func() string { return report.Figure5b(results, e.StudySpace) })
 	if simulate {
-		fmt.Fprintln(out, report.Figure6(avg))
+		printText(out, "figure6", func() string { return report.Figure6(avg) })
 		for _, bench := range []string{"gzip", "mcf"} {
 			if r, ok := results[bench]; ok {
-				fmt.Fprintln(out, report.Figure7(r))
+				printText(out, "figure7_"+bench, func() string { return report.Figure7(r) })
 			}
 		}
 	}
@@ -499,8 +508,9 @@ func cmdSearch(e *core.Explorer, out io.Writer) error {
 			fmt.Sprintf("%.1f%%", 100*res.BestScore/bestEff),
 		)
 	}
-	fmt.Fprintln(out, t.String())
-	fmt.Fprintf(out, "exhaustive sweep evaluates %d designs per benchmark\n", space.Size())
+	printText(out, "search", func() string {
+		return fmt.Sprintf("%s\nexhaustive sweep evaluates %d designs per benchmark", t.String(), space.Size())
+	})
 	return nil
 }
 
@@ -512,9 +522,9 @@ func cmdHetero(e *core.Explorer, out io.Writer, simulate bool, csvDir string) er
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(out, report.Table4(res))
-	fmt.Fprintln(out, report.Figure8(res))
-	fmt.Fprintln(out, report.Figure9(res, e.Benchmarks()))
+	printText(out, "table4", func() string { return report.Table4(res) })
+	printText(out, "figure8", func() string { return report.Figure8(res) })
+	printText(out, "figure9", func() string { return report.Figure9(res, e.Benchmarks()) })
 	return writeCSV(csvDir, "figure9.csv", func(w io.Writer) error {
 		return report.Figure9CSV(w, res, e.Benchmarks())
 	})

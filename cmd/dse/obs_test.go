@@ -227,3 +227,52 @@ func TestTraceCoversCSVOutput(t *testing.T) {
 		t.Errorf("report.csv spans name %v, files written %v", spans, files)
 	}
 }
+
+// TestTraceCoversTextOutput: a traced report has a report.text span for
+// each figure and table it prints, each naming what it rendered.
+func TestTraceCoversTextOutput(t *testing.T) {
+	prevEnabled, prevTracer := obs.Enabled(), obs.DefaultTracer
+	defer func() { obs.Enable(prevEnabled); obs.DefaultTracer = prevTracer }()
+	// A fresh tracer: spans from earlier traced runs in this test
+	// process would otherwise count twice.
+	obs.DefaultTracer = obs.NewTracer(1 << 14)
+
+	dir := t.TempDir()
+	spanLog := filepath.Join(dir, "spans.jsonl")
+	var out bytes.Buffer
+	if err := run(datasetArgs("-nosim", "-trace", spanLog, "report"), &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(spanLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	figures := map[string]int{}
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec obs.SpanRecord
+		if err := json.Unmarshal([]byte(l), &rec); err != nil {
+			t.Fatalf("span log line %q: %v", l, err)
+		}
+		if rec.Name != "report.text" {
+			continue
+		}
+		named := false
+		for _, a := range rec.Attrs {
+			if a.Key == "figure" && a.Value != "" {
+				figures[a.Value]++
+				named = true
+			}
+		}
+		if !named {
+			t.Errorf("report.text span %+v names no figure", rec)
+		}
+	}
+	if len(figures) == 0 {
+		t.Fatal("traced report has no report.text span")
+	}
+	for _, want := range []string{"figure1", "figure2_mcf", "table2", "figure5a", "figure5b", "figure9"} {
+		if figures[want] != 1 {
+			t.Errorf("%s has %d report.text spans, want 1 (all: %v)", want, figures[want], figures)
+		}
+	}
+}

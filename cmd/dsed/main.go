@@ -312,8 +312,6 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	}
 	set("sim_evaluations", sim.Evaluations)
 	set("sim_batches", sim.BatchCalls)
-	set("sim_cache_hits", sim.CacheHits)
-	set("sim_cache_misses", sim.CacheMisses)
 	set("sim_warm_hits", sim.WarmHits)
 	set("sim_warm_misses", sim.WarmMisses)
 	set("sim_outcome_walks", sim.OutcomeWalks)

@@ -95,18 +95,3 @@ func PredictorLevelValues(s *Space) [][]float64 {
 	}
 	return out
 }
-
-// PredictorGetter adapts a configuration to the lookup function consumed
-// by regression.Model.Predict. It panics on a name outside
-// PredictorNames.
-func PredictorGetter(c Config) func(string) float64 {
-	var vals [NumAxes]float64
-	PredictorsInto(c, vals[:])
-	return func(name string) float64 {
-		i := PredictorIndex(name)
-		if i < 0 {
-			panic("arch: unknown predictor " + name)
-		}
-		return vals[i]
-	}
-}

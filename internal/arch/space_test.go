@@ -238,19 +238,6 @@ func TestPredictors(t *testing.T) {
 	}
 }
 
-func TestPredictorGetter(t *testing.T) {
-	get := PredictorGetter(Baseline())
-	if get(PredDepth) != 19 || get(PredL2) != 11 {
-		t.Fatal("getter values wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown predictor did not panic")
-		}
-	}()
-	get("bogus")
-}
-
 func TestConfigStringMentionsKeyFields(t *testing.T) {
 	s := Baseline().String()
 	for _, want := range []string{"19FO4", "width=4", "2MB"} {

@@ -5,7 +5,7 @@
 // the exploration space for the three design-space studies.
 //
 // Every (configuration, benchmark) → (bips, watts) query — simulated or
-// model-predicted — is served by eval.Engine: a batched, memoized,
+// model-predicted — is served by eval.Engine: a batched, retrying,
 // cancellable evaluation layer shared by training, validation, the
 // exhaustive sweep, the studies and heuristic search.
 package core
@@ -119,13 +119,12 @@ type Explorer struct {
 
 	benchmarks []string
 
-	// simEngine serves detailed simulations: memoized (studies revisit
-	// the same designs repeatedly) with singleflight de-duplication so
-	// concurrent callers never simulate the same key twice.
+	// simEngine serves detailed simulations. Every request runs the
+	// simulator: the method simulates each sampled design once, so a
+	// result cache would almost never hit.
 	simEngine *eval.Engine
-	// modelEngine serves regression predictions: uncached, because a
-	// prediction is cheaper than a cache probe; whole sweeps are cached
-	// separately in sweepCache.
+	// modelEngine serves regression predictions, one backend call per
+	// request; whole sweeps are cached separately in sweepCache.
 	modelEngine *eval.Engine
 	// modelsBackend is the engine's regression backend, kept so trained
 	// state changes can invalidate its per-batch resolution memo.
@@ -196,7 +195,7 @@ func New(opts Options) (*Explorer, error) {
 	}
 	e.modelEngine = eval.NewEngine(
 		e.modelsBackend,
-		eval.Options{Workers: opts.Workers, NoCache: true, Name: "model", BatchTimeout: opts.BatchTimeout, Tile: tile},
+		eval.Options{Workers: opts.Workers, Name: "model", BatchTimeout: opts.BatchTimeout, Tile: tile},
 	)
 	return e, nil
 }
@@ -210,7 +209,7 @@ func (e *Explorer) Benchmarks() []string {
 func (e *Explorer) Options() Options { return e.opts }
 
 // SimStats returns the simulation engine's counters: detailed
-// simulations run, cache hits and misses, in-flight work.
+// simulations run, retries, in-flight work.
 func (e *Explorer) SimStats() eval.EngineStats { return e.simEngine.Stats() }
 
 // ModelStats returns the model engine's counters.
@@ -225,9 +224,8 @@ func (e *Explorer) StatsEpoch() (sim, model eval.EngineStats) {
 }
 
 // Simulate runs the detailed simulator for one configuration and
-// benchmark, returning bips and watts. Results are memoized (studies
-// revisit the same designs repeatedly) and concurrent callers of the
-// same key share a single simulation.
+// benchmark, returning bips and watts. Each call runs the simulator;
+// the result is a deterministic function of its arguments.
 func (e *Explorer) Simulate(cfg arch.Config, bench string) (bips, watts float64, err error) {
 	r, err := e.simEngine.Evaluate(context.Background(), eval.Request{Config: cfg, Bench: bench})
 	if err != nil {

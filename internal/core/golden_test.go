@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/arch"
 	"repro/internal/eval"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -31,8 +30,7 @@ func TestCompiledGoldenEquivalence(t *testing.T) {
 		}
 		for _, pt := range space.SampleUAR(10000, 0xC0FFEE) {
 			cfg := space.Config(pt)
-			get := arch.PredictorGetter(cfg)
-			wantB, wantW := perf.Predict(get), pow.Predict(get)
+			wantB, wantW := eval.PredictInterpreted(perf, pow, cfg)
 			if b, w, ok := plan.EvalConfig(cfg); !ok || b != wantB || w != wantW {
 				t.Fatalf("%s: EvalConfig(%v) = (%v, %v, %v), interpreted (%v, %v)",
 					bench, cfg, b, w, ok, wantB, wantW)
@@ -55,8 +53,7 @@ func TestCompiledGoldenEquivalence(t *testing.T) {
 	}
 	for i := 0; i < space.Size(); i++ {
 		pt := space.PointAt(i)
-		get := arch.PredictorGetter(space.Config(pt))
-		wantB, wantW := perf.Predict(get), pow.Predict(get)
+		wantB, wantW := eval.PredictInterpreted(perf, pow, space.Config(pt))
 		if b, w := plan.EvalPoint(pt[:]); b != wantB || w != wantW {
 			t.Fatalf("gzip flat %d: plan (%v, %v), interpreted (%v, %v)",
 				i, b, w, wantB, wantW)

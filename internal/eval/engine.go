@@ -15,20 +15,11 @@ import (
 // ErrClosed is returned by batch evaluation after Close.
 var ErrClosed = errors.New("eval: engine closed")
 
-// Options configures an Engine. The zero value is usable: all cores, 16
-// cache shards, caching enabled.
+// Options configures an Engine. The zero value is usable: all cores,
+// default retries, no batch deadline.
 type Options struct {
 	// Workers bounds batch parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Shards is the number of cache shards (rounded up to a power of
-	// two); 0 means 16. More shards reduce lock contention when many
-	// workers hit the cache simultaneously.
-	Shards int
-	// NoCache disables memoization and singleflight de-duplication.
-	// Appropriate for backends whose evaluations are cheaper than a map
-	// lookup (e.g. regression models in an exhaustive sweep, where the
-	// caller caches whole sweeps instead).
-	NoCache bool
 	// Name labels the engine in spans, latency histograms and progress
 	// lines ("sim", "model", ...); empty means "engine". Purely
 	// observational — it never affects results.
@@ -70,14 +61,16 @@ const DefaultRetryBackoff = time.Millisecond
 type EngineStats struct {
 	// Evaluations counts backend Evaluate calls that actually ran.
 	Evaluations int64
-	// CacheHits counts requests served from the memoization cache,
-	// including singleflight waiters that piggybacked on another
-	// caller's in-flight evaluation.
+	// CacheHits is always zero: the engine has no result cache, and
+	// every request runs its backend. It is kept only because the
+	// benchmark harness (bench/cmd/reprobench/inproc.go) still reads
+	// it; delete it with that read. Sub and Add leave it alone.
 	CacheHits int64
-	// CacheMisses counts requests that had to run the backend.
+	// CacheMisses is always zero, for the same reason as CacheHits;
+	// Evaluations counts the backend runs.
 	CacheMisses int64
 	// SweptPoints counts design points evaluated through Sweep, the
-	// uncached one-shot batch mode (they bypass the cache counters).
+	// one-shot batch mode (they are not counted in Evaluations).
 	SweptPoints int64
 	// BatchCalls counts EvaluateBatch/EvaluateIndexed invocations (not
 	// the requests inside them). The serving layer issues one batch per
@@ -128,8 +121,6 @@ type EngineStats struct {
 func (s EngineStats) Sub(base EngineStats) EngineStats {
 	d := s
 	d.Evaluations -= base.Evaluations
-	d.CacheHits -= base.CacheHits
-	d.CacheMisses -= base.CacheMisses
 	d.SweptPoints -= base.SweptPoints
 	d.BatchCalls -= base.BatchCalls
 	d.WarmHits -= base.WarmHits
@@ -148,8 +139,6 @@ func (s EngineStats) Sub(base EngineStats) EngineStats {
 func (s EngineStats) Add(o EngineStats) EngineStats {
 	d := s
 	d.Evaluations += o.Evaluations
-	d.CacheHits += o.CacheHits
-	d.CacheMisses += o.CacheMisses
 	d.SweptPoints += o.SweptPoints
 	d.BatchCalls += o.BatchCalls
 	d.WarmHits += o.WarmHits
@@ -162,35 +151,12 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	return d
 }
 
-// HitRate returns the fraction of cacheable requests served without a
-// backend evaluation, or 0 before any traffic.
-func (s EngineStats) HitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
-// entry is one memoized evaluation. The goroutine that creates the entry
-// ("the owner") runs the backend and closes done; concurrent callers of
-// the same key wait on done instead of re-running the backend
-// (singleflight de-duplication).
-type entry struct {
-	done        chan struct{}
-	bips, watts float64
-	err         error
-}
-
-type shard struct {
-	mu sync.Mutex
-	m  map[Request]*entry
-}
-
 // Engine is a concurrent evaluation service over one backend. It
 // provides bounded-parallelism batch evaluation with deterministic
-// result ordering and context cancellation, an N-way sharded memoization
-// cache with singleflight de-duplication, and lifetime counters.
+// result ordering and context cancellation, bounded retry of transient
+// failures, and lifetime counters. It keeps no results: every request
+// runs the backend, because the paper's method simulates each sampled
+// design once and lets the models answer everything else.
 //
 // Batch calls spawn at most Workers goroutines for their own duration
 // and always join them before returning, so an Engine holds no
@@ -199,19 +165,14 @@ type shard struct {
 type Engine struct {
 	ev      Evaluator
 	workers int
-	nocache bool
 	name    string
 	retries int
 	backoff time.Duration
 	timeout time.Duration
 	tile    int
-	mask    uint64
-	shards  []shard
 	closed  atomic.Bool
 
 	evals    atomic.Int64
-	hits     atomic.Int64
-	misses   atomic.Int64
 	swept    atomic.Int64
 	batches  atomic.Int64
 	inflight atomic.Int64
@@ -235,15 +196,6 @@ func NewEngine(ev Evaluator, opts Options) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := opts.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shard selection is a mask.
-	size := 1
-	for size < n {
-		size <<= 1
-	}
 	name := opts.Name
 	if name == "" {
 		name = "engine"
@@ -258,24 +210,17 @@ func NewEngine(ev Evaluator, opts Options) *Engine {
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
 	}
-	e := &Engine{
+	return &Engine{
 		ev:         ev,
 		workers:    workers,
-		nocache:    opts.NoCache,
 		name:       name,
 		retries:    retries,
 		backoff:    backoff,
 		timeout:    opts.BatchTimeout,
 		tile:       opts.Tile,
-		mask:       uint64(size - 1),
-		shards:     make([]shard, size),
 		invokeHist: obs.DefaultRegistry.Histogram("eval." + name + ".invoke"),
 		tileHist:   obs.DefaultRegistry.Histogram("eval." + name + ".tile"),
 	}
-	for i := range e.shards {
-		e.shards[i].m = make(map[Request]*entry)
-	}
-	return e
 }
 
 // Workers returns the engine's batch parallelism.
@@ -300,8 +245,6 @@ type guardStatser interface {
 func (e *Engine) Stats() EngineStats {
 	s := EngineStats{
 		Evaluations:     e.evals.Load(),
-		CacheHits:       e.hits.Load(),
-		CacheMisses:     e.misses.Load(),
 		SweptPoints:     e.swept.Load(),
 		BatchCalls:      e.batches.Load(),
 		PanicsRecovered: e.panics.Load(),
@@ -342,7 +285,7 @@ func (e *Engine) StatsEpoch() EngineStats {
 func (e *Engine) Close() { e.closed.Store(true) }
 
 // reqHash combines the request fields into one fnv1a hash without
-// allocating; it keys both the cache shard choice and the retry jitter.
+// allocating; it seeds the retry jitter.
 func reqHash(req Request) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -368,10 +311,6 @@ func reqHash(req Request) uint64 {
 		mix(uint64(req.Bench[i]))
 	}
 	return h
-}
-
-func (e *Engine) shardFor(req Request) *shard {
-	return &e.shards[reqHash(req)&e.mask]
 }
 
 // splitmix64 finalizes a hash into an independent uniform draw (the
@@ -405,9 +344,7 @@ func (e *Engine) retryDelay(req Request, attempt int) time.Duration {
 // invokeOnce runs the backend exactly once, maintaining the counters
 // and converting a backend panic into a transient *PanicError instead
 // of crashing the worker — determinism of the batch is preserved (the
-// task fails typed; no result slot is corrupted) and the singleflight
-// cache never sees the panic (failed entries are dropped, so nothing is
-// poisoned).
+// task fails typed; no result slot is corrupted).
 func (e *Engine) invokeOnce(ctx context.Context, req Request) (res Result, err error) {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
@@ -472,61 +409,15 @@ func (e *Engine) invokeTraced(ctx context.Context, req Request) (Result, error) 
 	return res, err
 }
 
-// Evaluate serves one request on the caller's goroutine: cache and
-// singleflight apply, but no worker dispatch, so single-point queries
-// (interactive prediction, annealing steps) stay cheap and Evaluate
-// remains safe to call from inside another evaluation.
+// Evaluate serves one request on the caller's goroutine with no worker
+// dispatch, so single-point queries (interactive prediction, annealing
+// steps) stay cheap and Evaluate remains safe to call from inside
+// another evaluation. Every call runs the backend.
 func (e *Engine) Evaluate(ctx context.Context, req Request) (Result, error) {
-	if e.nocache {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		return e.invokeTraced(ctx, req)
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		sh := e.shardFor(req)
-		sh.mu.Lock()
-		if ent, ok := sh.m[req]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-ent.done:
-			case <-ctx.Done():
-				return Result{}, ctx.Err()
-			}
-			if ent.err == nil {
-				e.hits.Add(1)
-				return Result{BIPS: ent.bips, Watts: ent.watts}, nil
-			}
-			if errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded) {
-				// The owner was cancelled before producing a value; the
-				// key was removed, so retry (possibly becoming the owner).
-				continue
-			}
-			return Result{}, ent.err
-		}
-		ent := &entry{done: make(chan struct{})}
-		sh.m[req] = ent
-		sh.mu.Unlock()
-		e.misses.Add(1)
-
-		res, err := e.invokeTraced(ctx, req)
-		if err != nil {
-			// Do not cache failures: drop the key so later callers retry,
-			// then wake waiters with the error.
-			sh.mu.Lock()
-			delete(sh.m, req)
-			sh.mu.Unlock()
-			ent.err = err
-			close(ent.done)
-			return Result{}, err
-		}
-		ent.bips, ent.watts = res.BIPS, res.Watts
-		close(ent.done)
-		return res, nil
-	}
+	return e.invokeTraced(ctx, req)
 }
 
 // SweepFunc evaluates the half-open index tile [lo, hi) of a sweep,
@@ -546,11 +437,8 @@ type sweepShard struct {
 
 // Sweep partitions the index range [0, n) into contiguous tiles and
 // invokes fn across the engine's workers — the batch mode for one-shot
-// exhaustive sweeps. Unlike EvaluateBatch it touches neither the cache
-// nor the singleflight table: a 262,500-point sweep would insert 262,500
-// unique keys per benchmark, pure hash-and-store overhead and a memory
-// blow-up for results the caller stores (and typically caches whole)
-// anyway. No request or result slices are materialized; the kernel
+// exhaustive sweeps. Unlike EvaluateBatch it never goes through
+// Evaluate: no request or result slices are materialized; the kernel
 // enumerates its tile in flat order and writes wherever it pleases.
 //
 // Tiles are fixed-size contiguous index blocks (Options.Tile, or an

@@ -24,7 +24,7 @@ func withObsTracing(t *testing.T, capacity int) *obs.Tracer {
 	return obs.DefaultTracer
 }
 
-// uniqueRequests builds n requests with pairwise-distinct cache keys.
+// uniqueRequests builds n pairwise-distinct requests.
 func uniqueRequests(n int) []Request {
 	reqs := make([]Request, n)
 	for i := range reqs {
@@ -44,33 +44,33 @@ func TestStatsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := e.StatsEpoch()
-	if first.Evaluations != 32 || first.CacheMisses != 32 || first.CacheHits != 0 {
-		t.Fatalf("first epoch = %+v, want 32 evaluations/misses", first)
+	if first.Evaluations != 32 {
+		t.Fatalf("first epoch = %+v, want 32 evaluations", first)
 	}
 	if first.Workers != 4 {
 		t.Fatalf("epoch workers = %d, want the gauge passed through", first.Workers)
 	}
 
-	// Second pass over the same keys is all cache hits; the epoch delta
-	// must contain only that.
+	// A second pass over the same keys runs the backend again; the
+	// epoch delta must contain only that pass.
 	if _, err := e.EvaluateBatch(context.Background(), reqs); err != nil {
 		t.Fatal(err)
 	}
 	second := e.StatsEpoch()
-	if second.Evaluations != 0 || second.CacheMisses != 0 || second.CacheHits != 32 {
-		t.Fatalf("second epoch = %+v, want 32 hits only", second)
+	if second.Evaluations != 32 || second.BatchCalls != 1 {
+		t.Fatalf("second epoch = %+v, want 32 evaluations in 1 batch", second)
 	}
 
 	// An immediate third epoch has seen no traffic at all.
 	third := e.StatsEpoch()
-	if third.Evaluations != 0 || third.CacheHits != 0 || third.CacheMisses != 0 || third.SweptPoints != 0 {
+	if third.Evaluations != 0 || third.BatchCalls != 0 || third.SweptPoints != 0 {
 		t.Fatalf("idle epoch = %+v, want zero deltas", third)
 	}
 
 	// Lifetime totals are unaffected by epoch resets.
 	st := e.Stats()
-	if st.Evaluations != 32 || st.CacheHits != 32 || st.CacheMisses != 32 {
-		t.Fatalf("lifetime stats = %+v, want 32/32/32", st)
+	if st.Evaluations != 64 || st.BatchCalls != 2 {
+		t.Fatalf("lifetime stats = %+v, want 64 evaluations in 2 batches", st)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestStatsEpoch(t *testing.T) {
 // the lock-free span ring from the engine's worker pool.
 func TestSpanNestingConcurrentBatch(t *testing.T) {
 	tr := withObsTracing(t, 256)
-	e := NewEngine(&countingEvaluator{}, Options{Workers: 8, NoCache: true, Name: "spantest"})
+	e := NewEngine(&countingEvaluator{}, Options{Workers: 8, Name: "spantest"})
 	const n = 64
 	if _, err := e.EvaluateBatch(context.Background(), uniqueRequests(n)); err != nil {
 		t.Fatal(err)
@@ -183,19 +183,19 @@ func TestSweepTracedMatchesUntraced(t *testing.T) {
 // newer snapshot untouched. StatsEpoch is built on Sub.
 func TestEngineStatsSub(t *testing.T) {
 	base := EngineStats{
-		Evaluations: 10, CacheHits: 5, CacheMisses: 5, SweptPoints: 100,
+		Evaluations: 10, SweptPoints: 100,
 		BatchCalls: 2, WarmHits: 3, WarmMisses: 1, PanicsRecovered: 1,
 		Retries: 2, GuardChecks: 4, GuardDivergences: 1,
 		Degraded: true, InFlight: 9, Workers: 2,
 	}
 	cur := EngineStats{
-		Evaluations: 25, CacheHits: 11, CacheMisses: 9, SweptPoints: 350,
+		Evaluations: 25, SweptPoints: 350,
 		BatchCalls: 5, WarmHits: 7, WarmMisses: 2, PanicsRecovered: 1,
 		Retries: 6, GuardChecks: 9, GuardDivergences: 1,
 		Degraded: false, InFlight: 3, Workers: 4,
 	}
 	want := EngineStats{
-		Evaluations: 15, CacheHits: 6, CacheMisses: 4, SweptPoints: 250,
+		Evaluations: 15, SweptPoints: 250,
 		BatchCalls: 3, WarmHits: 4, WarmMisses: 1, PanicsRecovered: 0,
 		Retries: 4, GuardChecks: 5, GuardDivergences: 0,
 		Degraded: false, InFlight: 3, Workers: 4,

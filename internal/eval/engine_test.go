@@ -71,47 +71,11 @@ func skipUnderFaultPlan(t *testing.T) {
 	}
 }
 
-func TestSingleflightOneEvaluationPerKey(t *testing.T) {
-	skipUnderFaultPlan(t)
-	ev := &countingEvaluator{delay: 2 * time.Millisecond}
-	e := NewEngine(ev, Options{Workers: 8})
-	req := Request{Config: arch.Baseline(), Bench: "gzip"}
-
-	const callers = 32
-	var wg sync.WaitGroup
-	results := make([]Result, callers)
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = e.Evaluate(context.Background(), req)
-		}(i)
-	}
-	wg.Wait()
-
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if results[i] != results[0] {
-			t.Fatalf("caller %d got %v, want %v", i, results[i], results[0])
-		}
-	}
-	if got := ev.calls.Load(); got != 1 {
-		t.Fatalf("backend ran %d times for one key, want exactly 1", got)
-	}
-	st := e.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != callers-1 {
-		t.Fatalf("stats misses=%d hits=%d, want 1 and %d", st.CacheMisses, st.CacheHits, callers-1)
-	}
-}
-
 func TestBatchDeterministicOrdering(t *testing.T) {
 	reqs := testRequests(300)
 	var want []Result
 	for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0), 2 * runtime.GOMAXPROCS(0)} {
-		e := NewEngine(&countingEvaluator{}, Options{Workers: workers, NoCache: true})
+		e := NewEngine(&countingEvaluator{}, Options{Workers: workers})
 		got, err := e.EvaluateBatch(context.Background(), reqs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -146,7 +110,7 @@ func TestBatchFirstErrorCancelsOutstandingWork(t *testing.T) {
 			return nil
 		},
 	}
-	e := NewEngine(ev, Options{Workers: 4, NoCache: true})
+	e := NewEngine(ev, Options{Workers: 4})
 	const n = 500
 	start := time.Now()
 	_, err := e.EvaluateBatch(context.Background(), testRequests(n))
@@ -196,40 +160,6 @@ func TestBatchContextCancellation(t *testing.T) {
 	}
 }
 
-func TestEvaluateWaiterHonorsCancellation(t *testing.T) {
-	skipUnderFaultPlan(t)
-	release := make(chan struct{})
-	ev := &countingEvaluator{block: release}
-	e := NewEngine(ev, Options{Workers: 2})
-	req := Request{Config: arch.Baseline(), Bench: "gzip"}
-
-	// Owner starts and blocks inside the backend.
-	ownerDone := make(chan struct{})
-	go func() {
-		defer close(ownerDone)
-		if _, err := e.Evaluate(context.Background(), req); err != nil {
-			t.Errorf("owner: %v", err)
-		}
-	}()
-	for e.Stats().InFlight < 1 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// A waiter with a short deadline must give up without waiting for
-	// the owner.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := e.Evaluate(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("waiter err = %v, want deadline exceeded", err)
-	}
-
-	close(release)
-	<-ownerDone
-	if got := ev.calls.Load(); got != 1 {
-		t.Fatalf("backend ran %d times, want 1", got)
-	}
-}
-
 func TestFailedEvaluationIsNotCached(t *testing.T) {
 	skipUnderFaultPlan(t)
 	var failures atomic.Int64
@@ -274,8 +204,8 @@ func TestEngineGoroutineLifecycle(t *testing.T) {
 	if _, err := e.EvaluateBatch(context.Background(), testRequests(10)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch after Close err = %v, want ErrClosed", err)
 	}
-	// Evaluate after Close still serves from cache state (Close fences
-	// batches), but must not panic.
+	// Evaluate after Close still runs the backend (Close fences only
+	// batches) and must not panic.
 	if _, err := e.Evaluate(context.Background(), testRequests(1)[0]); err != nil {
 		t.Fatalf("evaluate after close: %v", err)
 	}
@@ -296,7 +226,7 @@ func TestEngineGoroutineLifecycle(t *testing.T) {
 }
 
 func TestEvaluateIndexedGeneratesRequestsOnDemand(t *testing.T) {
-	e := NewEngine(&countingEvaluator{}, Options{Workers: 4, NoCache: true})
+	e := NewEngine(&countingEvaluator{}, Options{Workers: 4})
 	n := 1000
 	res, err := e.EvaluateIndexed(context.Background(), n, func(i int) Request {
 		return Request{Config: testConfig(i), Bench: "gen"}
@@ -326,22 +256,20 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := e.EvaluateBatch(context.Background(), reqs); err != nil {
 		t.Fatal(err)
 	}
-	// Second pass over the same keys must be all hits.
+	// A second pass over the same keys runs the backend again: the
+	// engine keeps no results.
 	if _, err := e.EvaluateBatch(context.Background(), reqs); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.Evaluations != 64 {
-		t.Fatalf("evaluations = %d, want 64", st.Evaluations)
+	if st.Evaluations != 128 || ev.calls.Load() != 128 {
+		t.Fatalf("evaluations = %d, backend calls = %d, want 128", st.Evaluations, ev.calls.Load())
 	}
-	if st.CacheHits != 64 || st.CacheMisses != 64 {
-		t.Fatalf("hits=%d misses=%d, want 64/64", st.CacheHits, st.CacheMisses)
+	if st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("hits=%d misses=%d, want always zero", st.CacheHits, st.CacheMisses)
 	}
 	if st.InFlight != 0 {
 		t.Fatalf("inflight = %d at rest", st.InFlight)
-	}
-	if hr := st.HitRate(); hr != 0.5 {
-		t.Fatalf("hit rate = %v, want 0.5", hr)
 	}
 	if st.Workers != 2 {
 		t.Fatalf("workers = %d, want 2", st.Workers)

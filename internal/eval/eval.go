@@ -1,10 +1,10 @@
 // Package eval provides the unified evaluation layer: every
 // (configuration, benchmark) → (bips, watts) query in the system — from
 // the detailed simulator or from fitted regression models — is routed
-// through one batched, cached, cancellable Engine. The studies, the
+// through one batched, retrying, cancellable Engine. The studies, the
 // training pipeline, heuristic search and the exhaustive sweep all
-// consume the same service, so parallelism, memoization, de-duplication
-// and instrumentation live in exactly one place.
+// consume the same service, so parallelism, retry, panic recovery and
+// instrumentation live in exactly one place.
 package eval
 
 import (
@@ -35,8 +35,7 @@ const (
 )
 
 // Request identifies one evaluation: a fully-resolved design point and
-// the benchmark to run it on. Requests are comparable and serve directly
-// as cache keys.
+// the benchmark to run it on.
 type Request struct {
 	Config arch.Config
 	Bench  string

@@ -170,8 +170,7 @@ func TestPairPlanMatchesInterpreted(t *testing.T) {
 	}
 	for _, pt := range space.SampleUAR(500, 7) {
 		cfg := space.Config(pt)
-		get := arch.PredictorGetter(cfg)
-		wantB, wantW := perf.Predict(get), pow.Predict(get)
+		wantB, wantW := PredictInterpreted(perf, pow, cfg)
 		if b, w, ok := plan.EvalConfig(cfg); !ok || b != wantB || w != wantW {
 			t.Fatalf("EvalConfig(%v) = (%v, %v, %v), want (%v, %v, true)", cfg, b, w, ok, wantB, wantW)
 		}
@@ -183,6 +182,36 @@ func TestPairPlanMatchesInterpreted(t *testing.T) {
 	if _, _, ok := plan.EvalConfig(arch.Baseline()); ok { // depth 19 is not a level
 		t.Fatal("EvalConfig accepted the off-grid baseline")
 	}
+}
+
+// TestPredictInterpreted pins the interpreted path against a lookup
+// built by name from arch.Predictors, and its panic on a model that
+// names a predictor outside arch.PredictorNames.
+func TestPredictInterpreted(t *testing.T) {
+	perf, pow, _ := fitTestModels(t)
+	cfg := arch.Baseline()
+	vals := make(map[string]float64)
+	for i, name := range arch.PredictorNames() {
+		vals[name] = arch.Predictors(cfg)[i]
+	}
+	if b, w := PredictInterpreted(perf, pow, cfg); b != perf.PredictMap(vals) || w != pow.PredictMap(vals) {
+		t.Fatalf("PredictInterpreted = (%v, %v), by-name lookup (%v, %v)",
+			b, w, perf.PredictMap(vals), pow.PredictMap(vals))
+	}
+
+	ds := regression.NewDataset(4)
+	ds.AddColumn("bogus", []float64{1, 2, 3, 4})
+	ds.AddColumn("bips", []float64{2, 4, 6, 8.5})
+	bogus, err := regression.Fit(regression.NewSpec("bips", regression.Identity).Linear("bogus"), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown predictor did not panic")
+		}
+	}()
+	PredictInterpreted(bogus, bogus, cfg)
 }
 
 // TestModelsRoutesOnGridThroughPlan pins the per-request routing: a
@@ -204,8 +233,7 @@ func TestModelsRoutesOnGridThroughPlan(t *testing.T) {
 	m.SetGuardInterval(1)
 	check := func(what string, cfg arch.Config, wantChecks int64) {
 		t.Helper()
-		get := arch.PredictorGetter(cfg)
-		wantB, wantW := perf.Predict(get), pow.Predict(get)
+		wantB, wantW := PredictInterpreted(perf, pow, cfg)
 		b, w, err := m.Evaluate(cfg, "gzip")
 		if err != nil {
 			t.Fatal(err)
@@ -302,8 +330,7 @@ func TestModelsCompiledLookupPreferred(t *testing.T) {
 		return pair
 	}
 	cfg := space.Config(arch.Point{1, 1, 1, 1, 1, 1, 1})
-	get := arch.PredictorGetter(cfg)
-	wantB, wantW := perf.Predict(get), pow.Predict(get)
+	wantB, wantW := PredictInterpreted(perf, pow, cfg)
 	b, w, err := m.Evaluate(cfg, "gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +388,8 @@ func TestSweepCoversRangeExactlyOnce(t *testing.T) {
 	if st.SweptPoints != n {
 		t.Fatalf("SweptPoints = %d, want %d", st.SweptPoints, n)
 	}
-	if st.CacheHits != 0 || st.CacheMisses != 0 || st.Evaluations != 0 {
-		t.Fatalf("sweep touched the cache/backend counters: %+v", st)
+	if st.Evaluations != 0 {
+		t.Fatalf("sweep counted backend evaluations: %+v", st)
 	}
 }
 

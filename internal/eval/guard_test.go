@@ -172,8 +172,7 @@ func TestModelsGuardCatchesFlippedCompiledPath(t *testing.T) {
 	m.SetGuardInterval(1)
 
 	cfg := space.Config(arch.Point{1, 1, 1, 1, 1, 1, 1})
-	get := arch.PredictorGetter(cfg)
-	wantB, wantW := perf.Predict(get), pow.Predict(get)
+	wantB, wantW := PredictInterpreted(perf, pow, cfg)
 
 	b, w, err := m.Evaluate(cfg, "gzip")
 	if err != nil {

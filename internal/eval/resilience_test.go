@@ -45,7 +45,7 @@ func TestPanicConvertedToTypedTaskError(t *testing.T) {
 		t.Skip("exact attempt counts do not hold under an ambient fault plan")
 	}
 	ev := &panicEvaluator{panicFirst: 1 << 30} // always panics
-	e := NewEngine(ev, Options{Workers: 2, NoCache: true, Retries: -1})
+	e := NewEngine(ev, Options{Workers: 2, Retries: -1})
 
 	_, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"})
 	if err == nil {
@@ -72,7 +72,7 @@ func TestPanicRetriedThenSucceeds(t *testing.T) {
 		t.Skip("exact attempt counts do not hold under an ambient fault plan")
 	}
 	ev := &panicEvaluator{panicFirst: 1}
-	e := NewEngine(ev, Options{Workers: 2, NoCache: true, RetryBackoff: time.Microsecond})
+	e := NewEngine(ev, Options{Workers: 2, RetryBackoff: time.Microsecond})
 
 	res, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestTransientErrorRetried(t *testing.T) {
 		}
 		return nil
 	}}
-	e := NewEngine(ev, Options{Workers: 2, NoCache: true, RetryBackoff: time.Microsecond})
+	e := NewEngine(ev, Options{Workers: 2, RetryBackoff: time.Microsecond})
 
 	if _, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"}); err != nil {
 		t.Fatalf("retry did not absorb the transient error: %v", err)
@@ -118,7 +118,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	}
 	boom := errors.New("permanent")
 	ev := &countingEvaluator{failFor: func(Request) error { return boom }}
-	e := NewEngine(ev, Options{Workers: 2, NoCache: true})
+	e := NewEngine(ev, Options{Workers: 2})
 
 	_, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"})
 	var te *TaskError
@@ -138,7 +138,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Skip("exact attempt counts do not hold under an ambient fault plan")
 	}
 	ev := &countingEvaluator{failFor: func(Request) error { return transientTestErr{} }}
-	e := NewEngine(ev, Options{Workers: 2, NoCache: true, Retries: 1, RetryBackoff: time.Microsecond})
+	e := NewEngine(ev, Options{Workers: 2, Retries: 1, RetryBackoff: time.Microsecond})
 
 	_, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"})
 	var te *TaskError
@@ -172,12 +172,13 @@ func TestCacheNotPoisonedByPanic(t *testing.T) {
 	if res.BIPS != 1.5 {
 		t.Fatalf("result = %+v", res)
 	}
-	// Third call must be a cache hit of the good value.
-	if _, err := e.Evaluate(context.Background(), req); err != nil {
-		t.Fatal(err)
+	// A recovered panic leaves nothing behind: the third call runs the
+	// backend again and gets the same good value.
+	if res, err := e.Evaluate(context.Background(), req); err != nil || res.BIPS != 1.5 {
+		t.Fatalf("third evaluation = %+v, %v", res, err)
 	}
-	if got := ev.calls.Load(); got != 2 {
-		t.Fatalf("backend ran %d times, want 2 (panic not cached, success cached)", got)
+	if got := ev.calls.Load(); got != 3 {
+		t.Fatalf("backend ran %d times, want 3 (one per call)", got)
 	}
 }
 
@@ -193,7 +194,7 @@ func TestInjectedFaultPlanAbsorbedDeterministically(t *testing.T) {
 		// Retries generous relative to the fault density: with every=5
 		// errors, back-to-back attempts have a real chance of re-hitting a
 		// firing visit, and the test is about absorption, not budgets.
-		e := NewEngine(&countingEvaluator{}, Options{Workers: 4, NoCache: true, Retries: 8, RetryBackoff: time.Microsecond})
+		e := NewEngine(&countingEvaluator{}, Options{Workers: 4, Retries: 8, RetryBackoff: time.Microsecond})
 		res, err := e.EvaluateBatch(context.Background(), testRequests(200))
 		return res, e.Stats(), err
 	}
@@ -222,7 +223,7 @@ func TestFatalInjectionKillsRunWithTypedError(t *testing.T) {
 	withPlan(t, &fault.Plan{Rules: []fault.Rule{
 		{Site: "eval.invoke", Kind: fault.KindFatal, After: 10, Every: 1, Count: 1},
 	}})
-	e := NewEngine(&countingEvaluator{}, Options{Workers: 1, NoCache: true, RetryBackoff: time.Microsecond})
+	e := NewEngine(&countingEvaluator{}, Options{Workers: 1, RetryBackoff: time.Microsecond})
 	_, err := e.EvaluateBatch(context.Background(), testRequests(50))
 	var inj *fault.Injected
 	if !errors.As(err, &inj) {
@@ -239,7 +240,7 @@ func TestFatalInjectionKillsRunWithTypedError(t *testing.T) {
 
 func TestBatchTimeoutEnforced(t *testing.T) {
 	ev := &countingEvaluator{delay: 10 * time.Millisecond}
-	e := NewEngine(ev, Options{Workers: 2, NoCache: true, BatchTimeout: 25 * time.Millisecond})
+	e := NewEngine(ev, Options{Workers: 2, BatchTimeout: 25 * time.Millisecond})
 	start := time.Now()
 	_, err := e.EvaluateBatch(context.Background(), testRequests(500))
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -270,7 +271,7 @@ func TestSweepTimeoutEnforced(t *testing.T) {
 func TestCancelledBatchReturnsNoPartialResults(t *testing.T) {
 	release := make(chan struct{})
 	ev := &countingEvaluator{block: release}
-	e := NewEngine(ev, Options{Workers: 2, NoCache: true})
+	e := NewEngine(ev, Options{Workers: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -1,6 +1,6 @@
 // Package serve is the evaluation-as-a-service layer: a long-running
 // HTTP/JSON daemon over a trained core.Explorer. It is the piece that
-// turns the engine's batching, singleflight cache and compiled sweep
+// turns the engine's batching, the cached sweeps and the compiled sweep
 // plans into network QPS — "train once, serve many cheap queries".
 //
 // Five endpoints are exposed: /v1/predict and /v1/simulate evaluate
@@ -15,8 +15,7 @@
 //   - One batch per request: a predict or simulate request is one
 //     eval.EvaluateBatch call on the generation it resolved at entry,
 //     issued at once under the request's own deadline. Nothing waits for
-//     other requests; the engine's per-key singleflight still merges
-//     identical points evaluated concurrently.
+//     other requests, and every point runs its own evaluation.
 //   - Admission control: at most MaxInFlight requests are admitted;
 //     excess load is shed immediately with 429 and a Retry-After header
 //     rather than queued into latency collapse.
