@@ -101,6 +101,9 @@ func run(args []string, out io.Writer) error {
 	// diagnostic output goes to stderr so study output on `out` is
 	// bit-identical with or without these flags.
 	if *traceFile != "" {
+		// A fresh tracer per traced run: its span log holds only its own
+		// spans even when an earlier run shared the process.
+		obs.DefaultTracer = obs.NewTracer(obs.DefaultTracer.Capacity())
 		obs.Enable(true)
 	}
 	if *pprofAddr != "" {
@@ -297,7 +300,6 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	set("sim_warm_misses", sim.WarmMisses)
 	set("sim_outcome_walks", sim.OutcomeWalks)
 	set("sim_panics_recovered", sim.PanicsRecovered)
-	set("sim_retries", sim.Retries)
 	set("sim_guard_checks", sim.GuardChecks)
 	set("sim_guard_divergences", sim.GuardDivergences)
 	if sim.Degraded {
@@ -307,7 +309,6 @@ func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
 	set("model_batches", model.BatchCalls)
 	set("model_swept_points", model.SweptPoints)
 	set("model_panics_recovered", model.PanicsRecovered)
-	set("model_retries", model.Retries)
 	set("model_guard_checks", model.GuardChecks)
 	set("model_guard_divergences", model.GuardDivergences)
 	if model.Degraded {

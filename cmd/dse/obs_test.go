@@ -228,17 +228,11 @@ func TestTraceCoversCSVOutput(t *testing.T) {
 	}
 }
 
-// TestTraceCoversTextOutput: a traced report has a report.text span for
-// each figure and table it prints, each naming what it rendered.
-func TestTraceCoversTextOutput(t *testing.T) {
-	prevEnabled, prevTracer := obs.Enabled(), obs.DefaultTracer
-	defer func() { obs.Enable(prevEnabled); obs.DefaultTracer = prevTracer }()
-	// A fresh tracer: spans from earlier traced runs in this test
-	// process would otherwise count twice.
-	obs.DefaultTracer = obs.NewTracer(1 << 14)
-
-	dir := t.TempDir()
-	spanLog := filepath.Join(dir, "spans.jsonl")
+// reportTextSpans runs a traced report and counts its trace file's
+// report.text spans by the figure they name.
+func reportTextSpans(t *testing.T) map[string]int {
+	t.Helper()
+	spanLog := filepath.Join(t.TempDir(), "spans.jsonl")
 	var out bytes.Buffer
 	if err := run(datasetArgs("-nosim", "-trace", spanLog, "report"), &out); err != nil {
 		t.Fatal(err)
@@ -270,9 +264,35 @@ func TestTraceCoversTextOutput(t *testing.T) {
 	if len(figures) == 0 {
 		t.Fatal("traced report has no report.text span")
 	}
+	return figures
+}
+
+// checkOneSpanPerFigure fails unless each figure and table the report
+// prints has exactly one report.text span.
+func checkOneSpanPerFigure(t *testing.T, figures map[string]int) {
+	t.Helper()
 	for _, want := range []string{"figure1", "figure2_mcf", "table2", "figure5a", "figure5b", "figure9"} {
 		if figures[want] != 1 {
 			t.Errorf("%s has %d report.text spans, want 1 (all: %v)", want, figures[want], figures)
 		}
+	}
+}
+
+// TestTraceCoversTextOutput: a traced report has a report.text span for
+// each figure and table it prints, each naming what it rendered.
+func TestTraceCoversTextOutput(t *testing.T) {
+	prevEnabled := obs.Enabled()
+	defer obs.Enable(prevEnabled)
+	checkOneSpanPerFigure(t, reportTextSpans(t))
+}
+
+// TestTracedRunsDoNotShareSpans: every traced run starts with an empty
+// tracer, so the second of two traced reports in one process writes
+// only its own spans.
+func TestTracedRunsDoNotShareSpans(t *testing.T) {
+	prevEnabled := obs.Enabled()
+	defer obs.Enable(prevEnabled)
+	for i := 0; i < 2; i++ {
+		checkOneSpanPerFigure(t, reportTextSpans(t))
 	}
 }

@@ -5,7 +5,10 @@
 // seed, arming every menu entry; Soak runs a workload round after round
 // under freshly drawn plans and checks the robustness invariants that
 // the rest of the repository promises one at a time: every round
-// completes within its wall budget, and no goroutines leak. What the
+// completes within its wall budget, and no goroutines leak. Nothing in
+// the pipeline retries a failed evaluation, so a fault that fails a
+// dataset build ends its attempt, and the drill recovers by resuming
+// from the checkpoints the attempt left (RunToCompletion). What the
 // workload itself must guarantee (typically byte-identical artifacts
 // versus a fault-free run) is asserted by the round callback with
 // ByteIdentical.
@@ -45,9 +48,10 @@ type RuleSpec struct {
 	// run each round.
 	MaxAfter int64
 
-	// Count caps total firings, passed through unchanged. Kinds that
-	// can only be survived by restarting the workload (KindHang,
-	// KindFatal) should set it, or a round may never converge.
+	// Count caps total firings, passed through unchanged. A rule that
+	// ends the attempt it fires in (on a checkpointed build, every
+	// error, panic and hang) should set it, or a round may never
+	// converge.
 	Count int64
 
 	// MaxDelay caps the drawn sleep for KindDelay rules; the draw is
@@ -61,20 +65,21 @@ type Menu []RuleSpec
 
 // DefaultDatasetMenu is the standard drill for a checkpointed dataset
 // build. It composes, in one plan, every fault class the pipeline
-// claims to survive: transient evaluator errors, evaluator panics
-// (recovered and retried by the eval engine), evaluator delays, a hung
-// evaluation (recoverable only by cancelling the attempt), a checkpoint
-// write failure, and a fatal evaluator failure that kills the attempt.
-// The hang and the kill are count-bounded so a run restarted with
-// resume always converges.
+// claims to survive: an evaluator error, an evaluator panic (recovered
+// into a typed error), evaluator delays, a hung evaluation (recoverable
+// only by cancelling the attempt), a checkpoint write failure, and a
+// second evaluator error deeper into the run. Each error, panic and
+// hang fails the attempt it lands in, and each fires at most once, so
+// at most five attempts fail and a run restarted with resume always
+// converges within six.
 func DefaultDatasetMenu() Menu {
 	return Menu{
-		{Site: "eval.invoke", Kind: fault.KindError, MaxProb: 0.02},
-		{Site: "eval.invoke", Kind: fault.KindPanic, MaxProb: 0.005},
+		{Site: "eval.invoke", Kind: fault.KindError, Every: 1, MaxAfter: 30, Count: 1},
+		{Site: "eval.invoke", Kind: fault.KindPanic, Every: 1, MaxAfter: 30, Count: 1},
 		{Site: "eval.invoke", Kind: fault.KindDelay, MaxProb: 0.01, MaxDelay: 2 * time.Millisecond},
 		{Site: "eval.invoke", Kind: fault.KindHang, Every: 1, MaxAfter: 20, Count: 1},
-		{Site: "ckpt.save", Kind: fault.KindError, MaxProb: 0.01},
-		{Site: "eval.invoke", Kind: fault.KindFatal, Every: 1, MaxAfter: 30, Count: 1},
+		{Site: "ckpt.save", Kind: fault.KindError, Every: 1, MaxAfter: 3, Count: 1},
+		{Site: "eval.invoke", Kind: fault.KindError, Every: 1, MaxAfter: 30, Count: 1},
 	}
 }
 
@@ -83,7 +88,9 @@ func DefaultDatasetMenu() Menu {
 // request hangs (survivable because the handler's fault site is bounded
 // by the server's request deadline — a hung handler times out instead
 // of pinning its goroutine forever), plus the evaluator faults behind
-// the endpoints.
+// the endpoints. Those stay probabilistic: an evaluator error or panic
+// fails only the request it lands in, as an orderly 500, and the
+// server keeps serving.
 func DefaultServeMenu() Menu {
 	return Menu{
 		{Site: "serve.request", Kind: fault.KindError, MaxProb: 0.05},

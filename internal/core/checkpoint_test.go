@@ -41,7 +41,7 @@ func trainGolden(t *testing.T) *Explorer {
 }
 
 // TestKillAndResumeBitIdentical is the crash-safety acceptance test: a
-// training run killed mid-dataset by an injected fatal fault resumes
+// training run killed mid-dataset by an injected evaluation error resumes
 // from its checkpoint and produces a dataset and model fit bit-identical
 // to an uninterrupted run — while re-simulating only the samples past
 // the last checkpoint.
@@ -56,11 +56,11 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	opts.CheckpointDir = dir
 
 	// Kill the run at exactly the 16th simulation: chunk [0,10) has
-	// checkpointed, chunk [10,20) dies mid-flight. Fatal injections are
-	// not transient, so the retry layer must not absorb the kill.
+	// checkpointed, chunk [10,20) dies mid-flight: an injected error
+	// fails its batch, and nothing retries it.
 	prev := fault.Current()
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
-		{Site: "eval.invoke", Kind: fault.KindFatal, After: 15, Every: 1, Count: 1},
+		{Site: "eval.invoke", Kind: fault.KindError, After: 15, Every: 1, Count: 1},
 	}})
 	killed, err := New(opts)
 	if err != nil {

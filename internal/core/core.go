@@ -5,9 +5,10 @@
 // the exploration space for the three design-space studies.
 //
 // Every (configuration, benchmark) → (bips, watts) query — simulated or
-// model-predicted — is served by eval.Engine: a batched, retrying,
-// cancellable evaluation layer shared by training, validation, the
-// exhaustive sweep, the studies and heuristic search.
+// model-predicted — is served by eval.Engine: a batched, cancellable
+// evaluation layer shared by training, validation, the exhaustive
+// sweep, the studies and heuristic search. A failed evaluation fails
+// its batch; a checkpointed dataset build recovers with Resume.
 package core
 
 import (
@@ -209,7 +210,7 @@ func (e *Explorer) Benchmarks() []string {
 func (e *Explorer) Options() Options { return e.opts }
 
 // SimStats returns the simulation engine's counters: detailed
-// simulations run, retries, in-flight work.
+// simulations run, recovered panics, in-flight work.
 func (e *Explorer) SimStats() eval.EngineStats { return e.simEngine.Stats() }
 
 // ModelStats returns the model engine's counters.

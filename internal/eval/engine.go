@@ -16,7 +16,7 @@ import (
 var ErrClosed = errors.New("eval: engine closed")
 
 // Options configures an Engine. The zero value is usable: all cores,
-// default retries, no batch deadline.
+// no batch deadline.
 type Options struct {
 	// Workers bounds batch parallelism; 0 means GOMAXPROCS.
 	Workers int
@@ -24,18 +24,6 @@ type Options struct {
 	// lines ("sim", "model", ...); empty means "engine". Purely
 	// observational — it never affects results.
 	Name string
-	// Retries bounds how many times a transiently-failing evaluation is
-	// re-attempted (on top of the first attempt). 0 means
-	// DefaultRetries; negative disables retry. Only errors that classify
-	// themselves transient (and recovered panics) are retried —
-	// permanent failures and context cancellation propagate immediately.
-	Retries int
-	// RetryBackoff is the base sleep before the first retry, doubling
-	// per attempt and scaled by a deterministic per-request jitter in
-	// [0.5, 1.5) so co-scheduled workers do not retry in lockstep; 0
-	// means DefaultRetryBackoff. Backoff waits honor context
-	// cancellation.
-	RetryBackoff time.Duration
 	// BatchTimeout bounds the wall time of each EvaluateBatch,
 	// EvaluateIndexed and Sweep call; 0 means no deadline. On expiry the
 	// batch cancels its workers and returns context.DeadlineExceeded.
@@ -48,14 +36,6 @@ type Options struct {
 	// straddles a block boundary.
 	Tile int
 }
-
-// DefaultRetries is the transient-failure retry budget when
-// Options.Retries is zero.
-const DefaultRetries = 2
-
-// DefaultRetryBackoff is the initial retry backoff when
-// Options.RetryBackoff is zero.
-const DefaultRetryBackoff = time.Millisecond
 
 // EngineStats is a point-in-time snapshot of an engine's counters.
 type EngineStats struct {
@@ -92,8 +72,6 @@ type EngineStats struct {
 	// PanicsRecovered counts backend panics converted into typed
 	// TaskErrors by per-worker recovery.
 	PanicsRecovered int64
-	// Retries counts re-attempts of transiently-failing evaluations.
-	Retries int64
 	// GuardChecks counts fast-path results cross-checked against the
 	// reference path by the backend's guardrail; zero for unguarded
 	// backends.
@@ -127,7 +105,6 @@ func (s EngineStats) Sub(base EngineStats) EngineStats {
 	d.WarmMisses -= base.WarmMisses
 	d.OutcomeWalks -= base.OutcomeWalks
 	d.PanicsRecovered -= base.PanicsRecovered
-	d.Retries -= base.Retries
 	d.GuardChecks -= base.GuardChecks
 	d.GuardDivergences -= base.GuardDivergences
 	return d
@@ -145,7 +122,6 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	d.WarmMisses += o.WarmMisses
 	d.OutcomeWalks += o.OutcomeWalks
 	d.PanicsRecovered += o.PanicsRecovered
-	d.Retries += o.Retries
 	d.GuardChecks += o.GuardChecks
 	d.GuardDivergences += o.GuardDivergences
 	return d
@@ -153,8 +129,8 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 
 // Engine is a concurrent evaluation service over one backend. It
 // provides bounded-parallelism batch evaluation with deterministic
-// result ordering and context cancellation, bounded retry of transient
-// failures, and lifetime counters. It keeps no results: every request
+// result ordering and context cancellation, panic recovery into typed
+// errors, and lifetime counters. It keeps no results: every request
 // runs the backend, because the paper's method simulates each sampled
 // design once and lets the models answer everything else.
 //
@@ -166,8 +142,6 @@ type Engine struct {
 	ev      Evaluator
 	workers int
 	name    string
-	retries int
-	backoff time.Duration
 	timeout time.Duration
 	tile    int
 	closed  atomic.Bool
@@ -177,7 +151,6 @@ type Engine struct {
 	batches  atomic.Int64
 	inflight atomic.Int64
 	panics   atomic.Int64
-	retried  atomic.Int64
 
 	// epochMu guards the StatsEpoch baseline; see StatsEpoch.
 	epochMu   sync.Mutex
@@ -200,22 +173,10 @@ func NewEngine(ev Evaluator, opts Options) *Engine {
 	if name == "" {
 		name = "engine"
 	}
-	retries := opts.Retries
-	if retries == 0 {
-		retries = DefaultRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
 	return &Engine{
 		ev:         ev,
 		workers:    workers,
 		name:       name,
-		retries:    retries,
-		backoff:    backoff,
 		timeout:    opts.BatchTimeout,
 		tile:       opts.Tile,
 		invokeHist: obs.DefaultRegistry.Histogram("eval." + name + ".invoke"),
@@ -248,7 +209,6 @@ func (e *Engine) Stats() EngineStats {
 		SweptPoints:     e.swept.Load(),
 		BatchCalls:      e.batches.Load(),
 		PanicsRecovered: e.panics.Load(),
-		Retries:         e.retried.Load(),
 		InFlight:        e.inflight.Load(),
 		Workers:         e.workers,
 	}
@@ -284,114 +244,33 @@ func (e *Engine) StatsEpoch() EngineStats {
 // hold no background goroutines, so Close is a fence, not a teardown.
 func (e *Engine) Close() { e.closed.Store(true) }
 
-// reqHash combines the request fields into one fnv1a hash without
-// allocating; it seeds the retry jitter.
-func reqHash(req Request) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	c := req.Config
-	for _, v := range [...]int{
-		c.DepthFO4, c.Width, c.LSQ, c.SQ, c.FUPerKind,
-		c.GPR, c.FPR, c.SPR, c.ResvBR, c.ResvFX, c.ResvFP,
-		c.IL1KB, c.DL1KB, c.L2KB, c.DL1Assoc,
-	} {
-		mix(uint64(v))
-	}
-	if c.InOrder {
-		mix(1)
-	}
-	for i := 0; i < len(req.Bench); i++ {
-		mix(uint64(req.Bench[i]))
-	}
-	return h
-}
-
-// splitmix64 finalizes a hash into an independent uniform draw (the
-// same finalizer the fault package uses for its trigger draws).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// retryDelay is the sleep before re-attempting req after `attempt`
-// failed attempts: the engine's base backoff doubled per attempt,
-// scaled by a jitter factor in [0.5, 1.5) drawn deterministically from
-// (request, attempt). Co-scheduled workers that fail together on a
-// shared transient fault would otherwise retry in lockstep and collide
-// again; hashing the request decorrelates their schedules while keeping
-// every run bit-reproducible — the same request always jitters the same
-// way.
-func (e *Engine) retryDelay(req Request, attempt int) time.Duration {
-	shift := uint(attempt - 1)
-	if shift > 20 {
-		shift = 20 // past ~1M× the base the cap is academic but overflow is not
-	}
-	base := e.backoff << shift
-	draw := splitmix64(reqHash(req) ^ uint64(attempt)*0x9e3779b97f4a7c15)
-	factor := 0.5 + float64(draw>>11)/float64(1<<53)
-	return time.Duration(float64(base) * factor)
-}
-
-// invokeOnce runs the backend exactly once, maintaining the counters
-// and converting a backend panic into a transient *PanicError instead
-// of crashing the worker — determinism of the batch is preserved (the
-// task fails typed; no result slot is corrupted).
-func (e *Engine) invokeOnce(ctx context.Context, req Request) (res Result, err error) {
+// invoke runs the backend exactly once, maintaining the counters.
+// A backend panic is recovered into a *PanicError instead of crashing
+// the worker, and every failure leaves as a typed *TaskError carrying
+// the request, so the batch fails with the design point that broke it
+// and no result slot is corrupted. There is no retry: both backends are
+// deterministic, so a retried failure fails the same way again, and a
+// checkpointed run recovers by resuming.
+func (e *Engine) invoke(ctx context.Context, req Request) (res Result, err error) {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			e.panics.Add(1)
 			panicsRecoveredCtr.Add(1)
-			err = &PanicError{Value: r}
+			err = &TaskError{Req: req, Panicked: true, Err: &PanicError{Value: r}}
 		}
 	}()
 	if ferr := fault.HereCtx(ctx, "eval.invoke"); ferr != nil {
 		e.evals.Add(1)
-		return Result{}, ferr
+		return Result{}, &TaskError{Req: req, Err: ferr}
 	}
 	bips, watts, err := e.ev.Evaluate(req.Config, req.Bench)
 	e.evals.Add(1)
 	if err != nil {
-		return Result{}, err
+		return Result{}, &TaskError{Req: req, Err: err}
 	}
 	return Result{BIPS: bips, Watts: watts}, nil
-}
-
-// invoke runs the backend with bounded retry: transient failures
-// (self-classified errors, recovered panics, injected faults) are
-// re-attempted up to the engine's retry budget with doubling,
-// deterministically jittered backoff (retryDelay); permanent failures
-// and context cancellation propagate immediately. Every failure leaves
-// as a typed *TaskError carrying the request and attempt count.
-func (e *Engine) invoke(ctx context.Context, req Request) (Result, error) {
-	for attempt := 1; ; attempt++ {
-		res, err := e.invokeOnce(ctx, req)
-		if err == nil {
-			return res, nil
-		}
-		var pe *PanicError
-		panicked := errors.As(err, &pe)
-		if attempt > e.retries || !retryable(err) || ctx.Err() != nil {
-			return Result{}, &TaskError{Req: req, Attempts: attempt, Panicked: panicked, Err: err}
-		}
-		e.retried.Add(1)
-		retriesCtr.Add(1)
-		select {
-		case <-ctx.Done():
-			return Result{}, &TaskError{Req: req, Attempts: attempt, Panicked: panicked, Err: ctx.Err()}
-		case <-time.After(e.retryDelay(req, attempt)):
-		}
-	}
 }
 
 // invokeTraced is invoke plus per-evaluation observability: a span

@@ -185,19 +185,19 @@ func TestEngineStatsSub(t *testing.T) {
 	base := EngineStats{
 		Evaluations: 10, SweptPoints: 100,
 		BatchCalls: 2, WarmHits: 3, WarmMisses: 1, PanicsRecovered: 1,
-		Retries: 2, GuardChecks: 4, GuardDivergences: 1,
+		GuardChecks: 4, GuardDivergences: 1,
 		Degraded: true, InFlight: 9, Workers: 2,
 	}
 	cur := EngineStats{
 		Evaluations: 25, SweptPoints: 350,
 		BatchCalls: 5, WarmHits: 7, WarmMisses: 2, PanicsRecovered: 1,
-		Retries: 6, GuardChecks: 9, GuardDivergences: 1,
+		GuardChecks: 9, GuardDivergences: 1,
 		Degraded: false, InFlight: 3, Workers: 4,
 	}
 	want := EngineStats{
 		Evaluations: 15, SweptPoints: 250,
 		BatchCalls: 3, WarmHits: 4, WarmMisses: 1, PanicsRecovered: 0,
-		Retries: 4, GuardChecks: 5, GuardDivergences: 0,
+		GuardChecks: 5, GuardDivergences: 0,
 		Degraded: false, InFlight: 3, Workers: 4,
 	}
 	if got := cur.Sub(base); got != want {

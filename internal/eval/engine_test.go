@@ -61,9 +61,9 @@ func testRequests(n int) []Request {
 }
 
 // skipUnderFaultPlan skips tests whose assertions (exact backend call
-// counts, exact error identity) only hold in a fault-free world; the CI
-// fault matrix arms a process-wide plan that adds retries and injected
-// failures.
+// counts, exact error identity) only hold in a fault-free world; a
+// process-wide plan armed through REPRO_FAULT_PLAN may inject more than
+// the CI fault matrix's delays.
 func skipUnderFaultPlan(t *testing.T) {
 	t.Helper()
 	if fault.Active() {
@@ -177,7 +177,7 @@ func TestFailedEvaluationIsNotCached(t *testing.T) {
 		t.Fatal("first evaluation should fail")
 	}
 	if _, err := e.Evaluate(context.Background(), req); err != nil {
-		t.Fatalf("retry after failure: %v", err)
+		t.Fatalf("second evaluation after a failure: %v", err)
 	}
 	if got := ev.calls.Load(); got != 2 {
 		t.Fatalf("backend ran %d times, want 2 (failure not cached)", got)

@@ -1,10 +1,11 @@
 // Package eval provides the unified evaluation layer: every
 // (configuration, benchmark) → (bips, watts) query in the system — from
 // the detailed simulator or from fitted regression models — is routed
-// through one batched, retrying, cancellable Engine. The studies, the
-// training pipeline, heuristic search and the exhaustive sweep all
-// consume the same service, so parallelism, retry, panic recovery and
-// instrumentation live in exactly one place.
+// through one batched, cancellable Engine. The studies, the training
+// pipeline, heuristic search and the exhaustive sweep all consume the
+// same service, so parallelism, panic recovery and instrumentation live
+// in exactly one place. A failed or panicking evaluation fails its
+// batch; there is no retry, because both backends are deterministic.
 package eval
 
 import (
@@ -158,9 +159,9 @@ func (s *Simulator) OutcomeWalks() int64 { return s.runner.OutcomeWalks() }
 // first-touch synthesis of distinct benchmarks proceeds concurrently
 // while racing callers of one benchmark still share a single synthesis.
 // Failed synthesis is not memoized: the entry is dropped so a later call
-// retries — with transient failures injectable at the trace.synth site,
-// a sticky failure would defeat the engine's retry and poison the
-// benchmark forever.
+// synthesizes afresh. A long-lived dsed serves many batches from one
+// simulator, and a sticky failure would poison the benchmark for the
+// rest of the process.
 func (s *Simulator) traceFor(bench string) (*trace.Trace, error) {
 	e, ok := (*s.traces.Load())[bench]
 	if !ok {

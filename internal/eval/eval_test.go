@@ -102,8 +102,8 @@ func TestSimulatorSynthesisOncePerBenchmark(t *testing.T) {
 	}
 
 	// Errors are NOT memoized: a failed synthesis drops its entry so the
-	// next call retries — transient failures (injected or real) must not
-	// poison the benchmark forever.
+	// next call synthesizes afresh — one failure must not poison the
+	// benchmark for the rest of a long-lived process.
 	for i := 0; i < 3; i++ {
 		if _, err := s.traceFor("bad"); err == nil {
 			t.Fatal("failed synthesis reported success")

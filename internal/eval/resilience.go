@@ -1,28 +1,21 @@
 package eval
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/obs"
 )
 
-// Resilience observability instruments.
-var (
-	panicsRecoveredCtr = obs.DefaultRegistry.Counter("eval.panics_recovered")
-	retriesCtr         = obs.DefaultRegistry.Counter("eval.retries")
-)
+// panicsRecoveredCtr counts recovered backend panics process-wide.
+var panicsRecoveredCtr = obs.DefaultRegistry.Counter("eval.panics_recovered")
 
 // TaskError is the typed failure of one evaluation task: it carries the
-// request that failed, how many attempts ran (1 + retries), and whether
-// the final failure was a recovered panic. Engines wrap every backend
-// failure in a TaskError, so batch callers can always recover the
-// failing design point from the error alone; errors.Is/As reach the
-// underlying cause through Unwrap.
+// request that failed and whether the failure was a recovered panic.
+// Engines wrap every backend failure in a TaskError, so batch callers
+// can always recover the failing design point from the error alone;
+// errors.Is/As reach the underlying cause through Unwrap.
 type TaskError struct {
 	Req      Request
-	Attempts int
 	Panicked bool
 	Err      error
 }
@@ -33,48 +26,18 @@ func (e *TaskError) Error() string {
 	if e.Panicked {
 		kind = "panic evaluating"
 	}
-	return fmt.Sprintf("eval: %s %s on %v (attempt %d): %v",
-		kind, e.Req.Bench, e.Req.Config, e.Attempts, e.Err)
+	return fmt.Sprintf("eval: %s %s on %v: %v", kind, e.Req.Bench, e.Req.Config, e.Err)
 }
 
 // Unwrap exposes the underlying cause to errors.Is and errors.As.
 func (e *TaskError) Unwrap() error { return e.Err }
 
 // PanicError is the error a recovered worker panic is converted into.
-// It is transient: a panicking backend invocation is retried (bounded)
-// like any other transient failure, because the panic may be specific
-// to a momentary condition, and converting it to an error must not be
-// strictly worse than an error return would have been.
+// The batch it ran in fails like it would on an error return, instead
+// of the panic crashing the process.
 type PanicError struct {
 	Value any
 }
 
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("recovered panic: %v", e.Value) }
-
-// IsTransient marks recovered panics retryable.
-func (e *PanicError) IsTransient() bool { return true }
-
-// transienter is the classification probe: errors that know their own
-// retryability (injected faults, recovered panics, future backend
-// errors) implement it.
-type transienter interface{ IsTransient() bool }
-
-// retryable reports whether an evaluation error is worth retrying.
-// Context errors never are — the caller is gone; errors that carry a
-// transience classification decide for themselves; everything else is
-// treated as permanent (a deterministic backend will fail the same way
-// again).
-func retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var t transienter
-	if errors.As(err, &t) {
-		return t.IsTransient()
-	}
-	return false
-}

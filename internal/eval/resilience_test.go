@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,20 +12,15 @@ import (
 	"repro/internal/fault"
 )
 
-// withPlan arms a fault plan for the test and restores whatever plan the
-// process had (the CI fault matrix arms one globally) on cleanup.
+// withPlan arms a fault plan for the test (nil disarms injection) and
+// restores whatever plan the process had (the CI fault matrix arms one
+// globally) on cleanup.
 func withPlan(t *testing.T, p *fault.Plan) {
 	t.Helper()
 	prev := fault.Current()
 	fault.Enable(p)
 	t.Cleanup(func() { fault.Enable(prev) })
 }
-
-// transientTestErr is a backend error that classifies itself retryable.
-type transientTestErr struct{}
-
-func (transientTestErr) Error() string     { return "transient backend failure" }
-func (transientTestErr) IsTransient() bool { return true }
 
 // panicEvaluator panics on its first panicFirst calls, then succeeds
 // with a fixed deterministic result.
@@ -42,10 +38,10 @@ func (p *panicEvaluator) Evaluate(cfg arch.Config, bench string) (float64, float
 
 func TestPanicConvertedToTypedTaskError(t *testing.T) {
 	if fault.Active() {
-		t.Skip("exact attempt counts do not hold under an ambient fault plan")
+		t.Skip("exact panic counts do not hold under an ambient fault plan")
 	}
 	ev := &panicEvaluator{panicFirst: 1 << 30} // always panics
-	e := NewEngine(ev, Options{Workers: 2, Retries: -1})
+	e := NewEngine(ev, Options{Workers: 2})
 
 	_, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"})
 	if err == nil {
@@ -55,7 +51,7 @@ func TestPanicConvertedToTypedTaskError(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %T %v, want *TaskError", err, err)
 	}
-	if !te.Panicked || te.Attempts != 1 || te.Req.Bench != "gzip" {
+	if !te.Panicked || te.Req.Bench != "gzip" {
 		t.Fatalf("TaskError = %+v", te)
 	}
 	var pe *PanicError
@@ -67,56 +63,13 @@ func TestPanicConvertedToTypedTaskError(t *testing.T) {
 	}
 }
 
-func TestPanicRetriedThenSucceeds(t *testing.T) {
+// TestBackendErrorFailsOnce pins the single-call contract: a backend
+// error runs the backend once and leaves as a *TaskError wrapping it.
+func TestBackendErrorFailsOnce(t *testing.T) {
 	if fault.Active() {
-		t.Skip("exact attempt counts do not hold under an ambient fault plan")
+		t.Skip("exact backend call counts do not hold under an ambient fault plan")
 	}
-	ev := &panicEvaluator{panicFirst: 1}
-	e := NewEngine(ev, Options{Workers: 2, RetryBackoff: time.Microsecond})
-
-	res, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"})
-	if err != nil {
-		t.Fatalf("retry did not absorb the panic: %v", err)
-	}
-	if res.BIPS != 1.5 || res.Watts != 42 {
-		t.Fatalf("result = %+v", res)
-	}
-	st := e.Stats()
-	if st.PanicsRecovered != 1 || st.Retries != 1 {
-		t.Fatalf("PanicsRecovered=%d Retries=%d, want 1/1", st.PanicsRecovered, st.Retries)
-	}
-}
-
-func TestTransientErrorRetried(t *testing.T) {
-	if fault.Active() {
-		t.Skip("exact attempt counts do not hold under an ambient fault plan")
-	}
-	var failures atomic.Int64
-	failures.Store(1)
-	ev := &countingEvaluator{failFor: func(Request) error {
-		if failures.Add(-1) >= 0 {
-			return transientTestErr{}
-		}
-		return nil
-	}}
-	e := NewEngine(ev, Options{Workers: 2, RetryBackoff: time.Microsecond})
-
-	if _, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"}); err != nil {
-		t.Fatalf("retry did not absorb the transient error: %v", err)
-	}
-	if got := ev.calls.Load(); got != 2 {
-		t.Fatalf("backend ran %d times, want 2", got)
-	}
-	if st := e.Stats(); st.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", st.Retries)
-	}
-}
-
-func TestPermanentErrorNotRetried(t *testing.T) {
-	if fault.Active() {
-		t.Skip("exact attempt counts do not hold under an ambient fault plan")
-	}
-	boom := errors.New("permanent")
+	boom := errors.New("backend failure")
 	ev := &countingEvaluator{failFor: func(Request) error { return boom }}
 	e := NewEngine(ev, Options{Workers: 2})
 
@@ -125,45 +78,27 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	if !errors.As(err, &te) || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want TaskError wrapping %v", err, boom)
 	}
-	if te.Attempts != 1 || te.Panicked {
-		t.Fatalf("TaskError = %+v, want 1 non-panic attempt", te)
+	if te.Panicked {
+		t.Fatalf("TaskError = %+v, want a non-panic failure", te)
 	}
 	if got := ev.calls.Load(); got != 1 {
-		t.Fatalf("permanent failure ran the backend %d times, want 1", got)
+		t.Fatalf("failure ran the backend %d times, want 1", got)
 	}
 }
 
-func TestRetryBudgetExhausted(t *testing.T) {
+// TestRecoveredPanicLeavesNoState checks that a recovered panic fails
+// only its own call: the next call on the same engine runs the backend
+// afresh and gets the good value.
+func TestRecoveredPanicLeavesNoState(t *testing.T) {
 	if fault.Active() {
-		t.Skip("exact attempt counts do not hold under an ambient fault plan")
-	}
-	ev := &countingEvaluator{failFor: func(Request) error { return transientTestErr{} }}
-	e := NewEngine(ev, Options{Workers: 2, Retries: 1, RetryBackoff: time.Microsecond})
-
-	_, err := e.Evaluate(context.Background(), Request{Config: arch.Baseline(), Bench: "gzip"})
-	var te *TaskError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want *TaskError", err)
-	}
-	if te.Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2 (1 + Retries)", te.Attempts)
-	}
-	var tte transientTestErr
-	if !errors.As(err, &tte) {
-		t.Fatalf("cause lost: %v", err)
-	}
-}
-
-func TestCacheNotPoisonedByPanic(t *testing.T) {
-	if fault.Active() {
-		t.Skip("exact attempt counts do not hold under an ambient fault plan")
+		t.Skip("exact backend call counts do not hold under an ambient fault plan")
 	}
 	ev := &panicEvaluator{panicFirst: 1}
-	e := NewEngine(ev, Options{Workers: 2, Retries: -1})
+	e := NewEngine(ev, Options{Workers: 2})
 	req := Request{Config: arch.Baseline(), Bench: "gzip"}
 
 	if _, err := e.Evaluate(context.Background(), req); err == nil {
-		t.Fatal("first (panicking) evaluation should fail with retry disabled")
+		t.Fatal("first (panicking) evaluation should fail")
 	}
 	res, err := e.Evaluate(context.Background(), req)
 	if err != nil {
@@ -182,59 +117,110 @@ func TestCacheNotPoisonedByPanic(t *testing.T) {
 	}
 }
 
-func TestInjectedFaultPlanAbsorbedDeterministically(t *testing.T) {
-	run := func() ([]Result, EngineStats, error) {
-		// Fresh Enable resets rule counters so both runs see the identical
-		// fault sequence.
-		fault.Enable(&fault.Plan{Seed: 7, Rules: []fault.Rule{
-			{Site: "eval.invoke", Kind: fault.KindError, Every: 5},
-			{Site: "eval.invoke", Kind: fault.KindPanic, Every: 17},
-			{Site: "eval.invoke", Kind: fault.KindDelay, Every: 9, Delay: 100 * time.Microsecond},
-		}})
-		// Retries generous relative to the fault density: with every=5
-		// errors, back-to-back attempts have a real chance of re-hitting a
-		// firing visit, and the test is about absorption, not budgets.
-		e := NewEngine(&countingEvaluator{}, Options{Workers: 4, Retries: 8, RetryBackoff: time.Microsecond})
-		res, err := e.EvaluateBatch(context.Background(), testRequests(200))
-		return res, e.Stats(), err
+// TestInjectedFaultPlanFailsBatch arms evaluator errors, panics and
+// delays over a multi-worker batch. The first failure fails the batch:
+// nil results, a *TaskError carrying the injected cause, and every
+// worker joined. With the plan disarmed, the same batch on the same
+// engine equals a fault-free run, so nothing the faults interrupted
+// leaks into later results.
+func TestInjectedFaultPlanFailsBatch(t *testing.T) {
+	withPlan(t, nil)
+	reqs := testRequests(200)
+	want, err := NewEngine(&countingEvaluator{}, Options{Workers: 4}).EvaluateBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("fault-free batch: %v", err)
 	}
-	prev := fault.Current()
-	t.Cleanup(func() { fault.Enable(prev) })
 
-	a, stA, errA := run()
-	b, _, errB := run()
-	if errA != nil || errB != nil {
-		t.Fatalf("batches under injection failed: %v / %v", errA, errB)
+	before := runtime.NumGoroutine()
+	fault.Enable(&fault.Plan{Seed: 7, Rules: []fault.Rule{
+		{Site: "eval.invoke", Kind: fault.KindError, Every: 5},
+		{Site: "eval.invoke", Kind: fault.KindPanic, Every: 17},
+		{Site: "eval.invoke", Kind: fault.KindDelay, Every: 9, Delay: 100 * time.Microsecond},
+	}})
+	e := NewEngine(&countingEvaluator{}, Options{Workers: 4})
+	res, err := e.EvaluateBatch(context.Background(), reqs)
+	if res != nil {
+		t.Fatalf("failed batch returned %d results, want nil", len(res))
 	}
-	if len(a) != len(b) {
-		t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
+	var te *TaskError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want *TaskError", err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("result %d differs across identical fault plans: %+v vs %+v", i, a[i], b[i])
+	var inj *fault.Injected
+	var pe *PanicError
+	if !errors.As(err, &inj) && !errors.As(err, &pe) {
+		t.Fatalf("cause = %v, want an injected error or a recovered panic", te.Err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed batch, %d before", runtime.NumGoroutine(), before)
 		}
+		time.Sleep(time.Millisecond)
 	}
-	if stA.Retries == 0 || stA.PanicsRecovered == 0 {
-		t.Fatalf("injection did not exercise recovery: %+v", stA)
+
+	fault.Disable()
+	got, err := e.EvaluateBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("batch with the plan disarmed: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("result %d = %+v after the failed batch, fault-free run %+v", i, got[i], want[i])
+		}
 	}
 }
 
+// TestFatalInjectionKillsRunWithTypedError: an injected error at an
+// exact visit kills a single-worker batch at that request, with the
+// request named in the typed error and no backend call after it.
 func TestFatalInjectionKillsRunWithTypedError(t *testing.T) {
 	withPlan(t, &fault.Plan{Rules: []fault.Rule{
-		{Site: "eval.invoke", Kind: fault.KindFatal, After: 10, Every: 1, Count: 1},
+		{Site: "eval.invoke", Kind: fault.KindError, After: 10, Every: 1, Count: 1},
 	}})
-	e := NewEngine(&countingEvaluator{}, Options{Workers: 1, RetryBackoff: time.Microsecond})
-	_, err := e.EvaluateBatch(context.Background(), testRequests(50))
+	ev := &countingEvaluator{}
+	e := NewEngine(ev, Options{Workers: 1})
+	reqs := testRequests(50)
+	res, err := e.EvaluateBatch(context.Background(), reqs)
 	var inj *fault.Injected
-	if !errors.As(err, &inj) {
-		t.Fatalf("err = %v, want wrapped *fault.Injected", err)
-	}
-	if inj.Transient {
-		t.Fatal("fatal injection classified transient")
+	if !errors.As(err, &inj) || inj.Visit != 11 {
+		t.Fatalf("err = %v, want wrapped *fault.Injected at visit 11", err)
 	}
 	var te *TaskError
-	if !errors.As(err, &te) || te.Attempts != 1 {
-		t.Fatalf("fatal injection was retried: %v", err)
+	if !errors.As(err, &te) || te.Req != reqs[10] {
+		t.Fatalf("err = %v, want a *TaskError for request 10", err)
+	}
+	if res != nil || ev.calls.Load() != 10 {
+		t.Fatalf("killed batch returned %d results after %d backend calls, want nil after 10", len(res), ev.calls.Load())
+	}
+}
+
+// TestFailedTraceSynthesisNotMemoized checks that a failed trace
+// synthesis fails only its own evaluation: the next evaluation of the
+// benchmark synthesizes afresh and returns the fault-free result.
+func TestFailedTraceSynthesisNotMemoized(t *testing.T) {
+	withPlan(t, nil)
+	req := Request{Config: arch.Baseline(), Bench: "gzip"}
+	want, err := NewEngine(NewSimulator(2000), Options{Workers: 1}).Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{
+		{Site: "trace.synth", Kind: fault.KindError, Every: 1, Count: 1},
+	}})
+	e := NewEngine(NewSimulator(2000), Options{Workers: 1})
+	_, err = e.Evaluate(context.Background(), req)
+	var te *TaskError
+	var inj *fault.Injected
+	if !errors.As(err, &te) || !errors.As(err, &inj) {
+		t.Fatalf("first evaluation: err = %v, want a *TaskError wrapping *fault.Injected", err)
+	}
+	got, err := e.Evaluate(context.Background(), req)
+	if err != nil {
+		t.Fatalf("second evaluation: %v", err)
+	}
+	if got != want {
+		t.Fatalf("second evaluation = %+v, fault-free %+v", got, want)
 	}
 }
 
@@ -296,35 +282,5 @@ func TestCancelledBatchReturnsNoPartialResults(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatalf("cancelled batch returned %d partial results, want nil", len(res))
-	}
-}
-
-// TestRetryDelayJitterDeterministicAndDecorrelated pins the backoff
-// jitter's contract: bounded by [0.5, 1.5) of the doubled base,
-// bit-reproducible for the same (request, attempt), and different
-// across distinct requests so co-scheduled workers that share a
-// transient fault do not retry in lockstep.
-func TestRetryDelayJitterDeterministicAndDecorrelated(t *testing.T) {
-	e := NewEngine(&panicEvaluator{}, Options{Workers: 1, RetryBackoff: time.Millisecond})
-	reqA := Request{Config: arch.Baseline(), Bench: "gzip"}
-	cfgB := arch.Baseline()
-	cfgB.Width = cfgB.Width * 2
-	reqB := Request{Config: cfgB, Bench: "gzip"}
-
-	for attempt := 1; attempt <= 4; attempt++ {
-		base := time.Millisecond << uint(attempt-1)
-		d := e.retryDelay(reqA, attempt)
-		if d < base/2 || d >= base+base/2 {
-			t.Fatalf("attempt %d delay %v outside [%v, %v)", attempt, d, base/2, base+base/2)
-		}
-		if again := e.retryDelay(reqA, attempt); again != d {
-			t.Fatalf("attempt %d delay not deterministic: %v then %v", attempt, d, again)
-		}
-	}
-	if e.retryDelay(reqA, 1) == e.retryDelay(reqB, 1) {
-		t.Fatal("distinct requests drew identical jitter (lockstep retries)")
-	}
-	if e.retryDelay(reqA, 1)*2 == e.retryDelay(reqA, 2) {
-		t.Fatal("attempts are perfectly correlated; jitter must redraw per attempt")
 	}
 }

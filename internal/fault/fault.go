@@ -1,8 +1,10 @@
 // Package fault is a seeded, deterministic fault-injection framework for
 // resilience testing. Code under test declares named injection sites
 // (fault.Here, fault.HereCtx, fault.Flip); a Plan arms those sites with
-// rules that fire panics, transient or fatal errors, delays, hangs, or
-// floating-point bit flips on deterministically chosen visits. Injection is off by default and
+// rules that fire panics, errors, delays, hangs, or floating-point bit
+// flips on deterministically chosen visits. Nothing retries an injected
+// error or panic: it fails the operation it hit, and a checkpointed run
+// recovers by resuming. Injection is off by default and
 // costs one atomic pointer load per site when disabled, so sites are
 // safe to leave in production hot paths.
 //
@@ -15,7 +17,8 @@
 // Plans can be armed programmatically (Enable) or from the environment:
 // if REPRO_FAULT_PLAN is set when the process starts, it is parsed with
 // Parse and enabled, which is how the CI fault matrix runs the ordinary
-// test suites under injection.
+// test suites under injected delays and the checkpoint drills kill a
+// run at an exact visit.
 package fault
 
 import (
@@ -35,13 +38,10 @@ import (
 type Kind uint8
 
 const (
-	// KindError injects a transient *Injected error (Transient() true):
-	// resilient callers are expected to absorb it by retrying.
+	// KindError injects an *Injected error. It fails the operation at
+	// the site; a count-bounded rule is how tests kill a run at an exact
+	// visit.
 	KindError Kind = iota
-	// KindFatal injects a non-transient *Injected error: it models
-	// permanent failures (corrupt input, dead backend) that retry must
-	// not mask, and is how tests kill a run at an exact visit.
-	KindFatal
 	// KindPanic panics with a *PanicValue.
 	KindPanic
 	// KindDelay sleeps for the rule's Delay.
@@ -61,8 +61,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindError:
 		return "error"
-	case KindFatal:
-		return "fatal"
 	case KindPanic:
 		return "panic"
 	case KindDelay:
@@ -152,26 +150,16 @@ func Current() *Plan {
 	return nil
 }
 
-// Injected is the error value KindError and KindFatal rules produce.
+// Injected is the error value KindError rules produce.
 type Injected struct {
-	Site      string
-	Visit     int64
-	Transient bool
+	Site  string
+	Visit int64
 }
 
 // Error implements error.
 func (e *Injected) Error() string {
-	mode := "fatal"
-	if e.Transient {
-		mode = "transient"
-	}
-	return fmt.Sprintf("fault: injected %s error at %s (visit %d)", mode, e.Site, e.Visit)
+	return fmt.Sprintf("fault: injected error at %s (visit %d)", e.Site, e.Visit)
 }
-
-// IsTransient reports the retryability classification callers probe via
-// errors.As; transient injected errors model failures a bounded retry
-// should absorb.
-func (e *Injected) IsTransient() bool { return e.Transient }
 
 // PanicValue is the value KindPanic rules panic with, so recovery sites
 // can distinguish injected panics in tests.
@@ -226,9 +214,9 @@ func (a *armed) fires(seed uint64, v int64) bool {
 }
 
 // Here evaluates the site's error, panic, delay and hang rules for this
-// visit. It returns an injected error (transient or fatal), panics with
-// a *PanicValue, sleeps, blocks, or — almost always — returns nil. When
-// no plan is armed the cost is a single atomic load. Flip rules are not
+// visit. It returns an injected error, panics with a *PanicValue,
+// sleeps, blocks, or — almost always — returns nil. When no plan is
+// armed the cost is a single atomic load. Flip rules are not
 // evaluated by Here; they live on the value path (Flip). Sites that hold
 // a context should call HereCtx instead, so delay and hang rules respect
 // cancellation.
@@ -266,10 +254,8 @@ func HereCtx(ctx context.Context, site string) error {
 		case KindHang:
 			<-ctx.Done()
 			return ctx.Err()
-		case KindFatal:
-			return &Injected{Site: site, Visit: v, Transient: false}
 		default:
-			return &Injected{Site: site, Visit: v, Transient: true}
+			return &Injected{Site: site, Visit: v}
 		}
 	}
 	return nil
@@ -319,7 +305,7 @@ func Flip(site string, v float64) float64 {
 //
 // Clauses are separated by ';'. An optional leading seed=N clause sets
 // the plan seed. Every other clause is site:kind[:opts] where kind is
-// error, fatal, panic, delay, hang or flip and opts is a comma-separated
+// error, panic, delay, hang or flip and opts is a comma-separated
 // list of p=<prob>, every=<n>, after=<n>, count=<n>, delay=<duration>.
 func Parse(spec string) (*Plan, error) {
 	p := &Plan{}
@@ -344,8 +330,6 @@ func Parse(spec string) (*Plan, error) {
 		switch parts[1] {
 		case "error":
 			r.Kind = KindError
-		case "fatal":
-			r.Kind = KindFatal
 		case "panic":
 			r.Kind = KindPanic
 		case "delay":

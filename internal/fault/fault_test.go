@@ -110,18 +110,14 @@ func TestCountCapsFirings(t *testing.T) {
 func TestKinds(t *testing.T) {
 	with(t, &Plan{Rules: []Rule{
 		{Site: "err", Kind: KindError, Every: 1},
-		{Site: "fatal", Kind: KindFatal, Every: 1},
 		{Site: "panic", Kind: KindPanic, Every: 1},
 		{Site: "delay", Kind: KindDelay, Every: 1, Delay: 5 * time.Millisecond},
 		{Site: "flip", Kind: KindFlip, Every: 1},
 	}})
 
 	var inj *Injected
-	if err := Here("err"); !errors.As(err, &inj) || !inj.IsTransient() {
+	if err := Here("err"); !errors.As(err, &inj) || inj.Site != "err" || inj.Visit != 1 {
 		t.Fatalf("error site returned %v", err)
-	}
-	if err := Here("fatal"); !errors.As(err, &inj) || inj.IsTransient() {
-		t.Fatalf("fatal site returned %v", err)
 	}
 
 	func() {
@@ -158,7 +154,7 @@ func TestKinds(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	p, err := Parse("seed=42; eval.invoke:error:p=0.02 ;sim.run:delay:every=10,delay=200us;x:fatal:after=3,every=1,count=1")
+	p, err := Parse("seed=42; eval.invoke:error:p=0.02 ;sim.run:delay:every=10,delay=200us;x:error:after=3,every=1,count=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +170,7 @@ func TestParse(t *testing.T) {
 	if r := p.Rules[1]; r.Kind != KindDelay || r.Every != 10 || r.Delay != 200*time.Microsecond {
 		t.Fatalf("rule 1 = %+v", r)
 	}
-	if r := p.Rules[2]; r.Kind != KindFatal || r.After != 3 || r.Count != 1 {
+	if r := p.Rules[2]; r.Kind != KindError || r.After != 3 || r.Count != 1 {
 		t.Fatalf("rule 2 = %+v", r)
 	}
 
@@ -182,6 +178,7 @@ func TestParse(t *testing.T) {
 		"seed=x",
 		"siteonly",
 		"s:explode:p=1",
+		"s:fatal:every=1",
 		"s:error:p=1,bogus=2",
 		"s:error:noeq",
 		"s:error", // no trigger
