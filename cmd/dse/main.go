@@ -105,6 +105,7 @@ func run(args []string, out io.Writer) error {
 		// spans even when an earlier run shared the process.
 		obs.DefaultTracer = obs.NewTracer(obs.DefaultTracer.Capacity())
 		obs.Enable(true)
+		defer obs.Enable(false)
 	}
 	if *pprofAddr != "" {
 		bound, shutdown, err := obs.ServePprof(*pprofAddr)
@@ -160,7 +161,7 @@ func run(args []string, out io.Writer) error {
 		pt := man.StartPhase(name)
 		err := fn()
 		sim, model := e.StatsEpoch()
-		pt.End(engineStatsMap(sim, model))
+		pt.End(eval.ManifestStats(sim, model))
 		return err
 	}
 
@@ -283,41 +284,6 @@ func run(args []string, out io.Writer) error {
 			len(spans), *traceFile, obs.DefaultTracer.Total())
 	}
 	return nil
-}
-
-// engineStatsMap flattens both engines' counter deltas into the generic
-// stats map a manifest phase carries, dropping zero entries.
-func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
-	m := make(map[string]int64)
-	set := func(k string, v int64) {
-		if v != 0 {
-			m[k] = v
-		}
-	}
-	set("sim_evaluations", sim.Evaluations)
-	set("sim_batches", sim.BatchCalls)
-	set("sim_warm_hits", sim.WarmHits)
-	set("sim_warm_misses", sim.WarmMisses)
-	set("sim_outcome_walks", sim.OutcomeWalks)
-	set("sim_panics_recovered", sim.PanicsRecovered)
-	set("sim_guard_checks", sim.GuardChecks)
-	set("sim_guard_divergences", sim.GuardDivergences)
-	if sim.Degraded {
-		set("sim_degraded", 1)
-	}
-	set("model_evaluations", model.Evaluations)
-	set("model_batches", model.BatchCalls)
-	set("model_swept_points", model.SweptPoints)
-	set("model_panics_recovered", model.PanicsRecovered)
-	set("model_guard_checks", model.GuardChecks)
-	set("model_guard_divergences", model.GuardDivergences)
-	if model.Degraded {
-		set("model_degraded", 1)
-	}
-	if len(m) == 0 {
-		return nil
-	}
-	return m
 }
 
 // writeCSV opens dir/name and hands the file to emit, under a

@@ -109,8 +109,6 @@ func TestObservabilityDoesNotChangeOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prevEnabled := obs.Enabled()
-	defer obs.Enable(prevEnabled)
 	spanLog := filepath.Join(dir, "spans.jsonl")
 	manifest := filepath.Join(dir, "manifest.json")
 	var observed bytes.Buffer
@@ -152,9 +150,6 @@ func TestObservabilityDoesNotChangeOutput(t *testing.T) {
 // TestTraceFlagWritesSpanLog checks the span log is valid JSONL with
 // nested spans from the whole pipeline.
 func TestTraceFlagWritesSpanLog(t *testing.T) {
-	prevEnabled := obs.Enabled()
-	defer obs.Enable(prevEnabled)
-
 	dir := t.TempDir()
 	spanLog := filepath.Join(dir, "spans.jsonl")
 	var out bytes.Buffer
@@ -185,9 +180,6 @@ func TestTraceFlagWritesSpanLog(t *testing.T) {
 // TestTraceCoversCSVOutput: with -trace and -csvdir, every CSV file the
 // run writes has exactly one report.csv span naming it.
 func TestTraceCoversCSVOutput(t *testing.T) {
-	prevEnabled := obs.Enabled()
-	defer obs.Enable(prevEnabled)
-
 	dir := t.TempDir()
 	csvDir := filepath.Join(dir, "csv")
 	spanLog := filepath.Join(dir, "spans.jsonl")
@@ -281,8 +273,6 @@ func checkOneSpanPerFigure(t *testing.T, figures map[string]int) {
 // TestTraceCoversTextOutput: a traced report has a report.text span for
 // each figure and table it prints, each naming what it rendered.
 func TestTraceCoversTextOutput(t *testing.T) {
-	prevEnabled := obs.Enabled()
-	defer obs.Enable(prevEnabled)
 	checkOneSpanPerFigure(t, reportTextSpans(t))
 }
 
@@ -290,9 +280,30 @@ func TestTraceCoversTextOutput(t *testing.T) {
 // tracer, so the second of two traced reports in one process writes
 // only its own spans.
 func TestTracedRunsDoNotShareSpans(t *testing.T) {
-	prevEnabled := obs.Enabled()
-	defer obs.Enable(prevEnabled)
 	for i := 0; i < 2; i++ {
 		checkOneSpanPerFigure(t, reportTextSpans(t))
+	}
+}
+
+// TestTracedRunTurnsTracingOff: a traced run leaves tracing off when it
+// returns, so an untraced run after it records no spans.
+func TestTracedRunTurnsTracingOff(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := run(fastArgs("-trace", filepath.Join(dir, "spans.jsonl"), "train"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Enabled() {
+		t.Fatal("tracing still on after a traced run")
+	}
+	before := obs.DefaultTracer.Total()
+	if err := run(fastArgs("train"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Enabled() {
+		t.Fatal("tracing on after an untraced run")
+	}
+	if got := obs.DefaultTracer.Total(); got != before {
+		t.Fatalf("untraced run recorded %d spans", got-before)
 	}
 }

@@ -18,12 +18,10 @@
 // swaps the models from -loadmodels without dropping in-flight requests.
 //
 // Operational flags: -maxinflight (admission control, 429 beyond it),
-// -deadline (per-request 504), -drain (shutdown grace), -prewarm (build
-// the default sweep/pareto views in the background after every
-// load/reload), plus the standard observability trio
-// -trace/-manifest/-pprof. The run manifest written at exit carries
-// per-endpoint request counters and the engine work of every model
-// generation served during the session.
+// -deadline (per-request 504), -drain (shutdown grace), plus the
+// standard observability trio -trace/-manifest/-pprof. The run manifest
+// written at exit carries per-endpoint request counters and the engine
+// work of every model generation served during the session.
 package main
 
 import (
@@ -76,7 +74,6 @@ func run(args []string, out io.Writer, ctrl *control) error {
 	maxInflight := fs.Int("maxinflight", serve.DefaultMaxInFlight, "admission control: concurrent work requests beyond this are rejected with 429 (<0 disables)")
 	deadline := fs.Duration("deadline", 30*time.Second, "per-request evaluation deadline; expiry returns 504 (0 = none)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-drain grace period on SIGTERM/SIGINT")
-	prewarm := fs.Bool("prewarm", false, "build each generation's default sweep/pareto views in the background after load/reload, so the first request hits the cache")
 	traceFile := fs.String("trace", "", "enable span tracing; write the span log (JSONL) to this file at exit")
 	manifestFile := fs.String("manifest", "", "write a run manifest (JSON) describing the serving session to this file at exit")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address")
@@ -100,6 +97,7 @@ func run(args []string, out io.Writer, ctrl *control) error {
 
 	if *traceFile != "" {
 		obs.Enable(true)
+		defer obs.Enable(false)
 	}
 	if *pprofAddr != "" {
 		bound, shutdown, err := obs.ServePprof(*pprofAddr)
@@ -196,7 +194,6 @@ func run(args []string, out io.Writer, ctrl *control) error {
 	srv, err := serve.New(loader, serve.Options{
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *deadline,
-		PrewarmViews:   *prewarm,
 	})
 	if err != nil {
 		return err
@@ -204,7 +201,7 @@ func run(args []string, out io.Writer, ctrl *control) error {
 	e, _ := srv.Generation()
 	if man != nil {
 		sim, model := srv.StatsEpoch()
-		pt.End(engineStatsMap(sim, model))
+		pt.End(eval.ManifestStats(sim, model))
 		man.SpaceSize = e.StudySpace.Size()
 		man.SampleSpaceSize = e.SampleSpace.Size()
 		man.Benchmarks = e.Benchmarks()
@@ -265,7 +262,7 @@ func run(args []string, out io.Writer, ctrl *control) error {
 
 	if man != nil {
 		sim, model := srv.StatsEpoch()
-		m := engineStatsMap(sim, model)
+		m := eval.ManifestStats(sim, model)
 		if m == nil {
 			m = make(map[string]int64)
 		}
@@ -299,27 +296,4 @@ func run(args []string, out io.Writer, ctrl *control) error {
 		fmt.Fprintf(os.Stderr, "dsed: wrote %d trace spans to %s\n", len(spans), *traceFile)
 	}
 	return err
-}
-
-// engineStatsMap mirrors dse's manifest flattening for the daemon's
-// phases, dropping zero entries.
-func engineStatsMap(sim, model eval.EngineStats) map[string]int64 {
-	m := make(map[string]int64)
-	set := func(k string, v int64) {
-		if v != 0 {
-			m[k] = v
-		}
-	}
-	set("sim_evaluations", sim.Evaluations)
-	set("sim_batches", sim.BatchCalls)
-	set("sim_warm_hits", sim.WarmHits)
-	set("sim_warm_misses", sim.WarmMisses)
-	set("sim_outcome_walks", sim.OutcomeWalks)
-	set("model_evaluations", model.Evaluations)
-	set("model_batches", model.BatchCalls)
-	set("model_swept_points", model.SweptPoints)
-	if len(m) == 0 {
-		return nil
-	}
-	return m
 }

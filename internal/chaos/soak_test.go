@@ -78,7 +78,7 @@ func TestSoakDatasetBitIdentical(t *testing.T) {
 			return err
 		}
 		var got []core.Prediction
-		attempts, err := chaos.RunToCompletion(ctx, 10*time.Second, 8, func(actx context.Context) error {
+		attempts, err := chaos.RunToCompletion(ctx, 3*time.Second, 8, func(actx context.Context) error {
 			// A fresh explorer per attempt is a process restart: it
 			// resumes from the checkpoints on disk.
 			w, err := core.New(soakOptions(dir))

@@ -495,8 +495,7 @@ func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst 
 	if _, _, err := e.Models(bench); err != nil {
 		return err
 	}
-	space := e.StudySpace
-	n := space.Size()
+	n := e.StudySpace.Size()
 	if len(dst) != n {
 		return fmt.Errorf("core: sweep buffer has %d slots, space has %d", len(dst), n)
 	}
@@ -513,19 +512,18 @@ func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst 
 		// The guardrail tripped mid-sweep: some plan result diverged
 		// from the interpreted reference, and the corruption could have
 		// landed anywhere in the space. Fall through and re-run the whole
-		// sweep on the interpreted path (which the degraded backend now
-		// routes everything to), guaranteeing correct output.
+		// sweep on the interpreted models, guaranteeing correct output.
 	}
-	results, err := e.modelEngine.EvaluateIndexed(ctx, n, func(i int) eval.Request {
-		return eval.Request{Config: space.Config(space.PointAt(i)), Bench: bench}
+	return e.modelEngine.Sweep(ctx, n, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			bips, watts, err := e.interpretedPredict(bench, i)
+			if err != nil {
+				return err
+			}
+			dst[i] = Prediction{Index: i, BIPS: bips, Watts: watts}
+		}
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	for i, r := range results {
-		dst[i] = Prediction{Index: i, BIPS: r.BIPS, Watts: r.Watts}
-	}
-	return nil
 }
 
 // sweepBlocked is the sweep kernel: tiles of the flat index range, each

@@ -24,9 +24,9 @@ type Options struct {
 	// lines ("sim", "model", ...); empty means "engine". Purely
 	// observational — it never affects results.
 	Name string
-	// BatchTimeout bounds the wall time of each EvaluateBatch,
-	// EvaluateIndexed and Sweep call; 0 means no deadline. On expiry the
-	// batch cancels its workers and returns context.DeadlineExceeded.
+	// BatchTimeout bounds the wall time of each EvaluateBatch and Sweep
+	// call; 0 means no deadline. On expiry the batch cancels its workers
+	// and returns context.DeadlineExceeded.
 	BatchTimeout time.Duration
 	// Tile is the number of points handed to a worker per Sweep claim.
 	// 0 sizes tiles automatically (enough tiles to load-balance, large
@@ -52,9 +52,9 @@ type EngineStats struct {
 	// SweptPoints counts design points evaluated through Sweep, the
 	// one-shot batch mode (they are not counted in Evaluations).
 	SweptPoints int64
-	// BatchCalls counts EvaluateBatch/EvaluateIndexed invocations (not
-	// the requests inside them). The serving layer issues one batch per
-	// predict or simulate request.
+	// BatchCalls counts EvaluateBatch invocations (not the requests
+	// inside them). The serving layer issues one batch per predict or
+	// simulate request.
 	BatchCalls int64
 	// WarmHits counts simulator runs that replayed a memoized cache/BHT
 	// outcome mask; zero for backends without an outcome memo.
@@ -127,6 +127,40 @@ func (s EngineStats) Add(o EngineStats) EngineStats {
 	return d
 }
 
+// ManifestStats flattens a simulator engine's and a model engine's
+// counter deltas into the phase-stats layout of the dse and dsed run
+// manifests: sim_* and model_* keys, zero counters dropped, nil when
+// every counter is zero.
+func ManifestStats(sim, model EngineStats) map[string]int64 {
+	m := make(map[string]int64)
+	sim.flatten("sim_", m)
+	model.flatten("model_", m)
+	if len(m) == 0 {
+		return nil
+	}
+	return m
+}
+
+func (s EngineStats) flatten(prefix string, m map[string]int64) {
+	set := func(k string, v int64) {
+		if v != 0 {
+			m[prefix+k] = v
+		}
+	}
+	set("evaluations", s.Evaluations)
+	set("batches", s.BatchCalls)
+	set("swept_points", s.SweptPoints)
+	set("warm_hits", s.WarmHits)
+	set("warm_misses", s.WarmMisses)
+	set("outcome_walks", s.OutcomeWalks)
+	set("panics_recovered", s.PanicsRecovered)
+	set("guard_checks", s.GuardChecks)
+	set("guard_divergences", s.GuardDivergences)
+	if s.Degraded {
+		set("degraded", 1)
+	}
+}
+
 // Engine is a concurrent evaluation service over one backend. It
 // provides bounded-parallelism batch evaluation with deterministic
 // result ordering and context cancellation, panic recovery into typed
@@ -161,6 +195,9 @@ type Engine struct {
 	// while obs.Enabled(), so the default path costs one atomic load.
 	invokeHist *obs.Histogram
 	tileHist   *obs.Histogram
+	// Span and progress names, built once so batch calls do not
+	// allocate them.
+	batchName, sweepName, tileName string
 }
 
 // NewEngine creates an engine over the backend.
@@ -181,6 +218,9 @@ func NewEngine(ev Evaluator, opts Options) *Engine {
 		tile:       opts.Tile,
 		invokeHist: obs.DefaultRegistry.Histogram("eval." + name + ".invoke"),
 		tileHist:   obs.DefaultRegistry.Histogram("eval." + name + ".tile"),
+		batchName:  "eval." + name + ".batch",
+		sweepName:  "eval." + name + ".sweep",
+		tileName:   "eval." + name + ".tile",
 	}
 }
 
@@ -304,14 +344,83 @@ func (e *Engine) Evaluate(ctx context.Context, req Request) (Result, error) {
 // must be safe for concurrent calls on disjoint tiles.
 type SweepFunc func(lo, hi int) error
 
-// sweepShard is one worker's private progress counter, padded to its
-// own cache line: workers bump their shard per tile without bouncing a
-// shared line between cores, and readers (the progress ticker, the
-// final stats merge) sum across shards. The padding covers the atomic
-// plus the line the allocator may pack the next shard into.
-type sweepShard struct {
-	done atomic.Int64
-	_    [56]byte
+// admit fences a batch call on a closed engine or a context that is
+// already done, before any counter moves.
+func (e *Engine) admit(ctx context.Context) error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	return ctx.Err()
+}
+
+// fanOut is the engine's one worker loop, behind both EvaluateBatch and
+// Sweep. It splits the index range [0, n) into contiguous chunks of at
+// most chunk indices, claimed from a single atomic cursor by up to
+// Workers goroutines, so fast workers take more of the range and no two
+// workers ever share a chunk. BatchTimeout bounds the call, and with
+// tracing on a span named name parents the work. fn receives the
+// call's cancellable context (carrying that span) and the span itself,
+// nil when tracing is off. The first error fn returns cancels the
+// remaining chunks and is returned; workers observe cancellation
+// between chunks, and all of them are joined before fanOut returns.
+// done counts the indices of completed chunks, also when the call
+// failed or was cancelled partway.
+func (e *Engine) fanOut(ctx context.Context, name string, n, chunk int, fn func(ctx context.Context, span *obs.Span, lo, hi int) error) (done int64, err error) {
+	if e.timeout > 0 {
+		var cancelTimeout context.CancelFunc
+		ctx, cancelTimeout = context.WithTimeout(ctx, e.timeout)
+		defer cancelTimeout()
+	}
+	// One enablement check per call: chunks within a call are either all
+	// traced or all bare, and the default path costs a single atomic load.
+	var span *obs.Span
+	if obs.Enabled() {
+		ctx, span = obs.Start(ctx, name,
+			obs.Int("n", int64(n)), obs.Int("workers", int64(e.workers)))
+		defer span.End()
+	}
+	bctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	var firstErr error
+	var errOnce sync.Once
+	fail := func(err error) {
+		errOnce.Do(func() {
+			firstErr = err
+			cancel()
+		})
+	}
+	var cursor, completed atomic.Int64
+	stopProgress := obs.StartProgress(name, int64(n), completed.Load)
+	defer stopProgress()
+
+	workers := min((n+chunk-1)/chunk, e.workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for bctx.Err() == nil {
+				lo := int(cursor.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
+				}
+				hi := min(lo+chunk, n)
+				if err := fn(bctx, span, lo, hi); err != nil {
+					fail(err)
+					return
+				}
+				// One atomic add per chunk, amortized over the chunk.
+				completed.Add(int64(hi - lo))
+			}
+		}()
+	}
+	wg.Wait()
+
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
+	return completed.Load(), firstErr
 }
 
 // Sweep partitions the index range [0, n) into contiguous tiles and
@@ -321,240 +430,75 @@ type sweepShard struct {
 // enumerates its tile in flat order and writes wherever it pleases.
 //
 // Tiles are fixed-size contiguous index blocks (Options.Tile, or an
-// automatic size) claimed from a single atomic cursor, so fast workers
-// take more of the range and no two workers ever share a tile. Per-tile
-// progress lands in per-worker cache-line-padded shards — shared
-// engine counters are touched exactly once, after the workers join —
-// so the only cross-core traffic in a sweep's steady state is the
-// handout cursor itself. The first error cancels the sweep and is
-// returned; workers observe cancellation between tiles (a tile in
-// progress runs to completion). All workers are joined before Sweep
-// returns.
+// automatic size) handed out by fanOut. The first error cancels the
+// sweep and is returned; a tile in progress runs to completion.
+// SweptPoints counts completed tiles, also when the sweep failed or was
+// cancelled partway.
 func (e *Engine) Sweep(ctx context.Context, n int, fn SweepFunc) error {
 	if n <= 0 {
 		return nil
 	}
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	if err := e.admit(ctx); err != nil {
 		return err
 	}
-	if e.timeout > 0 {
-		var cancelTimeout context.CancelFunc
-		ctx, cancelTimeout = context.WithTimeout(ctx, e.timeout)
-		defer cancelTimeout()
-	}
-	// One enablement check per sweep: tiles within a sweep are either all
-	// traced or all bare, and the default path costs a single atomic load.
-	traced := obs.Enabled()
-	var span *obs.Span
-	if traced {
-		ctx, span = obs.Start(ctx, "eval."+e.name+".sweep",
-			obs.Int("n", int64(n)), obs.Int("workers", int64(e.workers)))
-		defer span.End()
-	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
 	tile := e.tile
 	if tile <= 0 {
 		// Tiles large enough to amortize per-tile setup (the kernel's
 		// scratch buffers), small enough to load-balance across workers.
-		tile = n / (e.workers * 8)
-		if tile < 64 {
-			tile = 64
+		tile = max(n/(e.workers*8), 64)
+	}
+	done, err := e.fanOut(ctx, e.sweepName, n, tile, func(_ context.Context, span *obs.Span, lo, hi int) error {
+		if span == nil {
+			return fn(lo, hi)
 		}
-	}
-	var cursor atomic.Int64
-
-	workers := (n + tile - 1) / tile
-	if workers > e.workers {
-		workers = e.workers
-	}
-	shards := make([]sweepShard, workers)
-	sumDone := func() int64 {
-		var total int64
-		for i := range shards {
-			total += shards[i].done.Load()
-		}
-		return total
-	}
-	stopProgress := obs.StartProgress("eval."+e.name+".sweep", int64(n), sumDone)
-	defer stopProgress()
-
-	// Hoisted out of the tile loop: the name concat and the parent span
-	// are per-sweep, and tile spans hang off the sweep span directly
-	// (Span.Child) rather than re-deriving the parent from the context —
-	// context machinery per tile was a measurable slice of the sweep's
-	// observability overhead.
-	tileName := "eval." + e.name + ".tile"
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(shard *sweepShard) {
-			defer wg.Done()
-			for {
-				if bctx.Err() != nil {
-					return
-				}
-				lo := int(cursor.Add(int64(tile))) - tile
-				if lo >= n {
-					return
-				}
-				hi := lo + tile
-				if hi > n {
-					hi = n
-				}
-				var tileSpan *obs.Span
-				if traced {
-					tileSpan = span.Child(tileName,
-						obs.Int("lo", int64(lo)), obs.Int("hi", int64(hi)))
-				}
-				err := fn(lo, hi)
-				if traced {
-					tileSpan.EndObserve(e.tileHist)
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				shard.done.Add(int64(hi - lo))
-			}
-		}(&shards[w])
-	}
-	wg.Wait()
-	// Merge the private shards into the engine's lifetime counter once:
-	// SweptPoints accounts completed tiles even when the sweep failed or
-	// was cancelled partway.
-	e.swept.Add(sumDone())
-
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+		// Tile spans hang off the sweep span directly (Span.Child) rather
+		// than re-deriving the parent from the context: context machinery
+		// per tile was a measurable slice of the sweep's observability
+		// overhead.
+		tileSpan := span.Child(e.tileName, obs.Int("lo", int64(lo)), obs.Int("hi", int64(hi)))
+		err := fn(lo, hi)
+		tileSpan.EndObserve(e.tileHist)
+		return err
+	})
+	e.swept.Add(done)
+	return err
 }
 
 // EvaluateBatch evaluates all requests with bounded parallelism and
 // returns results in request order regardless of worker count or
-// completion order. The first evaluation error cancels outstanding work
-// and is returned promptly; on cancellation every worker goroutine exits
-// before EvaluateBatch returns (evaluations already inside the backend
-// run to completion — the simulator is not interruptible mid-trace).
+// completion order. Workers claim contiguous index chunks: cheap
+// evaluations (model predictions) amortize the synchronization over the
+// chunk, while expensive ones (simulations) get chunk sizes small enough
+// to load-balance. The first evaluation error cancels outstanding work
+// and is returned promptly with nil results; on cancellation every
+// worker goroutine exits before EvaluateBatch returns (evaluations
+// already inside the backend run to completion — the simulator is not
+// interruptible mid-trace).
 func (e *Engine) EvaluateBatch(ctx context.Context, reqs []Request) ([]Result, error) {
-	return e.EvaluateIndexed(ctx, len(reqs), func(i int) Request { return reqs[i] })
-}
-
-// EvaluateIndexed is EvaluateBatch without a materialized request slice:
-// request i is produced on demand by req(i). Large sweeps (hundreds of
-// thousands of generated configurations) use this to avoid building a
-// multi-megabyte request slice. req must be safe for concurrent calls
-// with distinct indices.
-func (e *Engine) EvaluateIndexed(ctx context.Context, n int, req func(i int) Request) ([]Result, error) {
+	n := len(reqs)
 	if n == 0 {
 		return nil, nil
 	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
+	if err := e.admit(ctx); err != nil {
 		return nil, err
 	}
 	e.batches.Add(1)
-	if e.timeout > 0 {
-		var cancelTimeout context.CancelFunc
-		ctx, cancelTimeout = context.WithTimeout(ctx, e.timeout)
-		defer cancelTimeout()
-	}
-	if obs.Enabled() {
-		var span *obs.Span
-		ctx, span = obs.Start(ctx, "eval."+e.name+".batch",
-			obs.Int("n", int64(n)), obs.Int("workers", int64(e.workers)))
-		defer span.End()
-	}
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	out := make([]Result, n)
-	var firstErr error
-	var errOnce sync.Once
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	// Workers claim contiguous index chunks from a shared cursor: cheap
-	// evaluations (model predictions) amortize the synchronization over
-	// the chunk, while expensive ones (simulations) get chunk sizes small
-	// enough to load-balance.
-	chunk := n / (e.workers * 32)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 512 {
-		chunk = 512
-	}
-	var cursor atomic.Int64
-	var done atomic.Int64
-	stopProgress := obs.StartProgress("eval."+e.name+".batch", int64(n), done.Load)
-	defer stopProgress()
-
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if bctx.Err() != nil {
-					return
-				}
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					if bctx.Err() != nil {
-						return
-					}
-					res, err := e.Evaluate(bctx, req(i))
-					if err != nil {
-						fail(err)
-						return
-					}
-					out[i] = res
-				}
-				// Progress is tracked per chunk, not per item: one atomic
-				// add amortized over the whole chunk.
-				done.Add(int64(hi - lo))
+	chunk := min(max(n/(e.workers*32), 1), 512)
+	_, err := e.fanOut(ctx, e.batchName, n, chunk, func(ctx context.Context, _ *obs.Span, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+			res, err := e.invokeTraced(ctx, reqs[i])
+			if err != nil {
+				return err
+			}
+			out[i] = res
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -225,25 +225,6 @@ func TestEngineGoroutineLifecycle(t *testing.T) {
 	}
 }
 
-func TestEvaluateIndexedGeneratesRequestsOnDemand(t *testing.T) {
-	e := NewEngine(&countingEvaluator{}, Options{Workers: 4})
-	n := 1000
-	res, err := e.EvaluateIndexed(context.Background(), n, func(i int) Request {
-		return Request{Config: testConfig(i), Bench: "gen"}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != n {
-		t.Fatalf("%d results, want %d", len(res), n)
-	}
-	for i, r := range res {
-		if want := float64(testConfig(i).DepthFO4) + 3; r.BIPS != want {
-			t.Fatalf("result %d bips = %v, want %v", i, r.BIPS, want)
-		}
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	skipUnderFaultPlan(t)
 	ev := &countingEvaluator{}

@@ -4,8 +4,9 @@
 // through one batched, cancellable Engine. The studies, the training
 // pipeline, heuristic search and the exhaustive sweep all consume the
 // same service, so parallelism, panic recovery and instrumentation live
-// in exactly one place. A failed or panicking evaluation fails its
-// batch; there is no retry, because both backends are deterministic.
+// in exactly one place: EvaluateBatch and Sweep fan out through one
+// worker loop. A failed or panicking evaluation fails its batch; there
+// is no retry, because both backends are deterministic.
 package eval
 
 import (

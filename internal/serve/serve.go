@@ -19,6 +19,10 @@
 //   - Admission control: at most MaxInFlight requests are admitted;
 //     excess load is shed immediately with 429 and a Retry-After header
 //     rather than queued into latency collapse.
+//   - Build once: each generation derives its sweep and pareto views
+//     from one exhaustive sweep per benchmark and caches the encoded
+//     responses in keyed build-once maps; the request that builds a
+//     view and every request that waits on that build count as misses.
 //   - Deadlines: every admitted request runs under RequestTimeout (the
 //     serving analogue of core.Options.BatchTimeout, which the daemon
 //     also arms on the engines); expiry maps to 504.
@@ -78,12 +82,6 @@ type Options struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request body size; 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// PrewarmViews materializes the default sweep and pareto views for
-	// every benchmark in the background whenever a generation is
-	// (re)loaded, so the first client request is already a cache hit.
-	// Off by default: prewarming runs a full exhaustive sweep per
-	// benchmark at load time.
-	PrewarmViews bool
 }
 
 // Defaults for Options fields left zero.
@@ -101,57 +99,15 @@ type generation struct {
 	id     int64
 	loaded time.Time
 
-	// sweepMu/sweepFlight singleflight ExhaustivePredict per benchmark:
-	// the Explorer caches completed sweeps but does not de-duplicate
-	// concurrent first computations, and a cold /v1/sweep stampede would
-	// run the 262,500-point kernel once per caller.
-	sweepMu     sync.Mutex
-	sweepFlight map[string]*sweepFlight
-
-	// views is the materialized-view layer (views.go): per-benchmark
-	// derived rankings/frontier columns and per-key response byte
-	// caches. Owned by the generation, so a swap invalidates every view
-	// atomically — a request that resolved the old generation keeps its
-	// old views; new requests start from the new, empty cache.
-	views *viewState
-}
-
-type sweepFlight struct {
-	done  chan struct{}
-	preds []core.Prediction
-	err   error
-}
-
-// sweep returns the generation's exhaustive predictions for bench,
-// computing them at most once however many requests race on a cold
-// benchmark. Waiters honor their own context (a 504 waiter abandons the
-// wait; the sweep itself runs to completion and stays cached).
-func (g *generation) sweep(ctx context.Context, bench string) ([]core.Prediction, error) {
-	g.sweepMu.Lock()
-	f, ok := g.sweepFlight[bench]
-	if !ok {
-		f = &sweepFlight{done: make(chan struct{})}
-		g.sweepFlight[bench] = f
-		g.sweepMu.Unlock()
-		f.preds, f.err = g.e.ExhaustivePredict(bench)
-		if f.err != nil {
-			// Drop the failed flight so a later request retries.
-			g.sweepMu.Lock()
-			if g.sweepFlight[bench] == f {
-				delete(g.sweepFlight, bench)
-			}
-			g.sweepMu.Unlock()
-		}
-		close(f.done)
-		return f.preds, f.err
-	}
-	g.sweepMu.Unlock()
-	select {
-	case <-f.done:
-		return f.preds, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	// benches and entries are the materialized-view layer (views.go):
+	// per-benchmark derived rankings/frontier columns and per-key
+	// response byte caches. Owned by the generation, so a swap
+	// invalidates every view atomically — a request that resolved the
+	// old generation keeps its old views; new requests start from the
+	// new, empty cache.
+	benches onceMap[string, *benchView]
+	entries onceMap[viewKey, *viewEntry]
+	vstats  *viewStats
 }
 
 // Stats is a point-in-time snapshot of the server's own counters
@@ -179,8 +135,7 @@ type Stats struct {
 	// ViewHits counts sweep/pareto requests served entirely from a
 	// materialized view (zero recomputation, zero re-encode, including
 	// 304 conditional answers); ViewMisses counts requests that built or
-	// waited on a view; ViewBuilds counts view materializations
-	// (requests and prewarming both build).
+	// waited on a view; ViewBuilds counts view materializations.
 	ViewHits   int64
 	ViewMisses int64
 	ViewBuilds int64
@@ -291,19 +246,15 @@ func (s *Server) swapGeneration() error {
 		return errors.New("serve: loader returned an untrained explorer")
 	}
 	g := &generation{
-		e:           e,
-		id:          s.genSeq.Add(1),
-		loaded:      time.Now(),
-		sweepFlight: make(map[string]*sweepFlight),
-		views:       newViewState(s.vstats),
+		e:      e,
+		id:     s.genSeq.Add(1),
+		loaded: time.Now(),
+		vstats: s.vstats,
 	}
 	if old := s.gen.Swap(g); old != nil {
 		sim, model := old.e.StatsEpoch()
 		s.retiredSim = sim.Add(s.retiredSim)
 		s.retiredModel = model.Add(s.retiredModel)
-	}
-	if s.opts.PrewarmViews {
-		go s.prewarm(g)
 	}
 	return nil
 }
@@ -719,8 +670,7 @@ type SweepResponse struct {
 	Best       []SweepDesign `json:"best"`
 }
 
-// Defaults and bounds for the view-shaping request parameters. The
-// defaults double as the keys prewarming materializes.
+// Defaults and bounds for the view-shaping request parameters.
 const (
 	defaultSweepTop      = 10
 	defaultParetoTargets = 40

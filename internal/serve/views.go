@@ -36,7 +36,7 @@ import (
 //  1. benchView — per (generation, benchmark): the ranked top-K designs
 //     (heap-based partial selection, K capped at MaxSweepTop) and the
 //     physical (delay, power) point set in structure-of-arrays form,
-//     built once behind a singleflight on top of the raw sweep cache.
+//     built once from the explorer's exhaustive sweep.
 //  2. viewEntry — per (generation, endpoint, benchmark, parameter): the
 //     final encoded JSON response bytes (plus a lazily-built gzip
 //     variant), so a hot request is served with zero recomputation and
@@ -44,6 +44,10 @@ import (
 //  3. Conditional requests — every cached response carries a strong
 //     ETag derived from (generation, view key); a request presenting it
 //     via If-None-Match is answered 304 with no body at all.
+//
+// Both built tiers sit in a onceMap: the first request for a key builds
+// it, concurrent requests wait for that build, and a failed build is
+// dropped so the next request retries.
 //
 // Hit/miss/build counters thread through obs
 // (serve.view.{hits,misses,builds}) into server Stats, /v1/healthz and
@@ -58,6 +62,57 @@ const MaxSweepTop = 1000
 // gzipMinBytes is the smallest response body worth compressing; tiny
 // bodies fit one packet either way and gzip headers would grow them.
 const gzipMinBytes = 512
+
+// onceMap is a keyed build-once map. The zero value is ready to use.
+type onceMap[K comparable, V any] struct {
+	mu    sync.Mutex
+	cells map[K]*onceCell[V]
+}
+
+type onceCell[V any] struct {
+	done chan struct{} // closed when the build finishes
+	val  V
+	err  error
+}
+
+// get returns the value for key, running build if no caller has started
+// it yet. Callers that arrive during the build wait for it, each
+// honouring its own ctx; the build itself runs to completion. A failed
+// build is dropped before its waiters wake, so the next caller retries.
+// ready reports whether the value was already built when the caller
+// arrived: neither the builder nor a waiter sees ready.
+func (m *onceMap[K, V]) get(ctx context.Context, key K, build func() (V, error)) (val V, ready bool, err error) {
+	m.mu.Lock()
+	c, ok := m.cells[key]
+	if !ok {
+		if m.cells == nil {
+			m.cells = make(map[K]*onceCell[V])
+		}
+		c = &onceCell[V]{done: make(chan struct{})}
+		m.cells[key] = c
+		m.mu.Unlock()
+		c.val, c.err = build()
+		if c.err != nil {
+			m.mu.Lock()
+			delete(m.cells, key)
+			m.mu.Unlock()
+		}
+		close(c.done)
+		return c.val, false, c.err
+	}
+	m.mu.Unlock()
+	select {
+	case <-c.done:
+		return c.val, true, c.err
+	default:
+	}
+	select {
+	case <-c.done:
+		return c.val, false, c.err
+	case <-ctx.Done():
+		return val, false, ctx.Err()
+	}
+}
 
 // viewStats aggregates the view-cache counters. Owned by the Server
 // (counters survive generation swaps); generations hold a pointer.
@@ -105,8 +160,6 @@ func (k viewKey) etag(gen int64) string {
 // once, at build time — so responses are bit-identical whether they
 // were served from the cache or built on the miss that populated it.
 type viewEntry struct {
-	done chan struct{} // closed when the build finishes
-	err  error         // build failure; failed entries are dropped for retry
 	etag string
 	body []byte
 
@@ -138,13 +191,9 @@ func (v *viewEntry) gzipBody() []byte {
 
 // benchView is the per-(generation, benchmark) derived characterization:
 // everything the response builders need that is independent of request
-// parameters. Built once behind its own singleflight (on top of the raw
-// sweep singleflight), then shared by every sweep/pareto view of the
-// benchmark.
+// parameters. Built once per generation, then shared by every
+// sweep/pareto view of the benchmark.
 type benchView struct {
-	done chan struct{}
-	err  error
-
 	// points is the full swept space size; physical counts the designs
 	// with positive bips and watts (the only ones rankable/plottable).
 	points   int
@@ -163,67 +212,23 @@ type benchView struct {
 	powers []float64
 }
 
-// viewState is the per-generation cache state: the benchmark-level
-// derived views and the response-byte entries. Both maps are
-// singleflighted under mu; built entries are immutable.
-type viewState struct {
-	mu      sync.Mutex
-	benches map[string]*benchView
-	entries map[viewKey]*viewEntry
-	stats   *viewStats
-}
-
-func newViewState(stats *viewStats) *viewState {
-	return &viewState{
-		benches: make(map[string]*benchView),
-		entries: make(map[viewKey]*viewEntry),
-		stats:   stats,
-	}
-}
-
 // benchView returns the derived characterization for bench, building it
 // at most once per generation however many requests race on it cold.
-// Waiters honor their own context; the build itself runs to completion
-// (its expensive half, the raw sweep, is cached by the generation and
-// bounded by the engine's batch deadline).
 func (g *generation) benchView(ctx context.Context, bench string) (*benchView, error) {
-	vs := g.views
-	vs.mu.Lock()
-	bv, ok := vs.benches[bench]
-	if !ok {
-		bv = &benchView{done: make(chan struct{})}
-		vs.benches[bench] = bv
-		vs.mu.Unlock()
-		bv.err = bv.build(ctx, g, bench)
-		if bv.err != nil {
-			// Drop the failed build so a later request retries.
-			vs.mu.Lock()
-			if vs.benches[bench] == bv {
-				delete(vs.benches, bench)
-			}
-			vs.mu.Unlock()
-		}
-		close(bv.done)
-		return bv, bv.err
-	}
-	vs.mu.Unlock()
-	select {
-	case <-bv.done:
-		return bv, bv.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	bv, _, err := g.benches.get(ctx, bench, func() (*benchView, error) { return buildBenchView(g, bench) })
+	return bv, err
 }
 
-// build derives the benchmark view from the generation's raw sweep:
-// one pass selects the top-MaxSweepTop designs by bips³/w through a
-// bounded min-heap and collects the physical (delay, power) columns.
-func (bv *benchView) build(ctx context.Context, g *generation, bench string) error {
-	preds, err := g.sweep(ctx, bench)
+// buildBenchView derives the benchmark view from the explorer's
+// exhaustive sweep: one pass selects the top-MaxSweepTop designs by
+// bips³/w through a bounded min-heap and collects the physical
+// (delay, power) columns.
+func buildBenchView(g *generation, bench string) (*benchView, error) {
+	preds, err := g.e.ExhaustivePredict(bench)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	bv.points = len(preds)
+	bv := &benchView{points: len(preds)}
 	ranked := topKByEfficiency(preds, MaxSweepTop)
 	space := g.e.StudySpace
 	bv.top = make([]SweepDesign, len(ranked))
@@ -257,7 +262,7 @@ func (bv *benchView) build(ctx context.Context, g *generation, bench string) err
 		bv.delays = append(bv.delays, metrics.Delay(p.BIPS))
 		bv.powers = append(bv.powers, p.Watts)
 	}
-	return nil
+	return bv, nil
 }
 
 // effHeap is a min-heap over predictions ordered by bips³/w (ties broken
@@ -339,46 +344,25 @@ func topKByEfficiency(preds []core.Prediction, k int) []core.Prediction {
 // encoded once, with the exact writeJSON encoding, into the entry's
 // byte cache. The returned hit flag reports whether the entry was
 // already built when the caller arrived — the "zero recomputation,
-// zero re-encode" path.
+// zero re-encode" path. The request that builds an entry and every
+// request that waits on that build are misses.
 func (g *generation) view(ctx context.Context, key viewKey, build func(ctx context.Context) (any, error)) (entry *viewEntry, hit bool, err error) {
-	vs := g.views
-	vs.mu.Lock()
-	v, ok := vs.entries[key]
-	if !ok {
-		v = &viewEntry{done: make(chan struct{}), etag: key.etag(g.id)}
-		vs.entries[key] = v
-		vs.mu.Unlock()
-
+	return g.entries.get(ctx, key, func() (*viewEntry, error) {
 		sp := obs.Begin("serve.view.build",
 			obs.String("kind", key.kind), obs.String("bench", key.bench))
+		defer sp.EndObserve(g.vstats.buildHist)
 		resp, err := build(ctx)
-		if err == nil {
-			v.body, err = encodeJSON(resp)
+		if err != nil {
+			return nil, err
 		}
-		v.err = err
-		sp.EndObserve(vs.stats.buildHist)
-		if v.err != nil {
-			vs.mu.Lock()
-			if vs.entries[key] == v {
-				delete(vs.entries, key)
-			}
-			vs.mu.Unlock()
-		} else {
-			vs.stats.builds.Add(1)
-			vs.stats.buildCtr.Add(1)
+		body, err := encodeJSON(resp)
+		if err != nil {
+			return nil, err
 		}
-		close(v.done)
-		return v, false, v.err
-	}
-	vs.mu.Unlock()
-	select {
-	case <-v.done:
-		// Entries that were already built when we arrived are hits; a
-		// waiter that parked on an in-flight build shared the miss.
-		return v, true, v.err
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
-	}
+		g.vstats.builds.Add(1)
+		g.vstats.buildCtr.Add(1)
+		return &viewEntry{etag: key.etag(g.id), body: body}, nil
+	})
 }
 
 // serveView writes a materialized entry: 304 when the client's
@@ -440,7 +424,7 @@ func acceptsGzip(r *http.Request) bool {
 
 // buildSweepResponse assembles the sweep response value for one
 // materialized view: a prefix slice of the benchmark's precomputed
-// ranking. Shared by the request path and prewarming.
+// ranking.
 func (g *generation) buildSweepResponse(ctx context.Context, bench string, top int) (any, error) {
 	bv, err := g.benchView(ctx, bench)
 	if err != nil {
@@ -476,21 +460,4 @@ func (g *generation) buildParetoResponse(ctx context.Context, bench string, targ
 		})
 	}
 	return resp, nil
-}
-
-// prewarm materializes the default sweep and pareto views for every
-// benchmark of a generation, so the first client request after a (re)load
-// is already a cache hit. Runs in the background; failures are dropped
-// (the request path will rebuild and surface them). Prewarm builds count
-// in the build counters but are neither hits nor misses — they are not
-// requests.
-func (s *Server) prewarm(g *generation) {
-	ctx := context.Background()
-	for _, bench := range g.e.Benchmarks() {
-		bench := bench
-		g.view(ctx, viewKey{kind: "sweep", bench: bench, param: defaultSweepTop},
-			func(ctx context.Context) (any, error) { return g.buildSweepResponse(ctx, bench, defaultSweepTop) })
-		g.view(ctx, viewKey{kind: "pareto", bench: bench, param: defaultParetoTargets},
-			func(ctx context.Context) (any, error) { return g.buildParetoResponse(ctx, bench, defaultParetoTargets) })
-	}
 }

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,32 +293,62 @@ func TestGzipVariant(t *testing.T) {
 	}
 }
 
-// TestPrewarmViews starts the server with PrewarmViews: the background
-// prewarmer must build the default sweep and pareto views for both
-// benchmarks, and the first real request must be a pure hit.
-func TestPrewarmViews(t *testing.T) {
-	s, ts := newTestServer(t, Options{PrewarmViews: true})
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Stats().ViewBuilds < 4 { // 2 benchmarks x {sweep, pareto}
-		if time.Now().After(deadline) {
-			t.Fatalf("prewarm built %d views, want 4", s.Stats().ViewBuilds)
+// parkSignal is a context that reports the first time a caller asks for
+// its Done channel: a view request asks only once it has found an
+// in-flight build and is about to wait on it.
+type parkSignal struct {
+	context.Context
+	once   sync.Once
+	parked *sync.WaitGroup
+}
+
+func (c *parkSignal) Done() <-chan struct{} {
+	c.once.Do(c.parked.Done)
+	return c.Context.Done()
+}
+
+// TestViewWaitersCountAsMisses holds a cold view build open while
+// several requests for the same key wait on it: the key must build
+// once, and the builder and every waiter count as misses, none as a
+// hit.
+func TestViewWaitersCountAsMisses(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	g := s.generation()
+	key := viewKey{kind: "sweep", bench: "gzip", param: 3}
+	started, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int64
+	build := func(context.Context) (any, error) {
+		if builds.Add(1) == 1 {
+			close(started)
+			<-release
 		}
-		time.Sleep(5 * time.Millisecond)
+		return SweepResponse{Bench: "gzip"}, nil
 	}
-	// Default-parameter requests (top omitted, targets omitted) land on
-	// the prewarmed keys.
-	if resp, _ := doSweep(t, ts.URL+"/v1/sweep", SweepRequest{Bench: "mcf"}, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d", resp.StatusCode)
+	serveOne := func(ctx context.Context) error {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sweep", nil)
+		return s.serveMaterialized(ctx, httptest.NewRecorder(), r, g, key, build)
 	}
-	if resp, _ := doSweep(t, ts.URL+"/v1/pareto", ParetoRequest{Bench: "mcf"}, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("pareto status %d", resp.StatusCode)
+
+	const waiters = 8
+	errs := make(chan error, waiters+1)
+	go func() { errs <- serveOne(context.Background()) }()
+	<-started
+	var parked sync.WaitGroup
+	parked.Add(waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { errs <- serveOne(&parkSignal{Context: context.Background(), parked: &parked}) }()
+	}
+	parked.Wait()
+	close(release)
+	for i := 0; i < waiters+1; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := s.Stats()
-	if st.ViewMisses != 0 {
-		t.Fatalf("view misses = %d after prewarm, want 0", st.ViewMisses)
-	}
-	if st.ViewHits != 2 {
-		t.Fatalf("view hits = %d, want 2", st.ViewHits)
+	if builds.Load() != 1 || st.ViewBuilds != 1 || st.ViewMisses != waiters+1 || st.ViewHits != 0 {
+		t.Fatalf("builds = %d (stats %d), misses = %d, hits = %d; want 1 build, %d misses, 0 hits",
+			builds.Load(), st.ViewBuilds, st.ViewMisses, st.ViewHits, waiters+1)
 	}
 }
 
