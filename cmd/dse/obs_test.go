@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,6 +41,9 @@ func TestManifestEmission(t *testing.T) {
 	}
 	if len(m.Benchmarks) != 2 || m.Benchmarks[0] != "gzip" || m.Benchmarks[1] != "mcf" {
 		t.Fatalf("benchmarks = %v", m.Benchmarks)
+	}
+	if runtime.GOOS == "linux" && m.PeakRSSMB <= 0 {
+		t.Fatalf("peak_rss_mb = %v, want the run's positive peak RSS", m.PeakRSSMB)
 	}
 	if m.Workers <= 0 {
 		t.Fatalf("workers = %d, want resolved positive count", m.Workers)

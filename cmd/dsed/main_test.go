@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -206,8 +207,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var man struct {
-		Tool   string `json:"tool"`
-		Phases []struct {
+		Tool      string  `json:"tool"`
+		PeakRSSMB float64 `json:"peak_rss_mb"`
+		Phases    []struct {
 			Name  string           `json:"name"`
 			Stats map[string]int64 `json:"stats"`
 		} `json:"phases"`
@@ -215,8 +217,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
-	if man.Tool != "dsed" {
-		t.Fatalf("manifest tool = %q", man.Tool)
+	if man.Tool != "dsed" || runtime.GOOS == "linux" && man.PeakRSSMB <= 0 {
+		t.Fatalf("manifest tool = %q, peak_rss_mb = %v", man.Tool, man.PeakRSSMB)
 	}
 	var serveCounters map[string]int64
 	for _, ph := range man.Phases {

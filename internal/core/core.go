@@ -433,9 +433,10 @@ func (e *Explorer) PredictBatch(ctx context.Context, reqs []eval.Request) ([]eva
 	return e.modelEngine.EvaluateBatch(ctx, reqs)
 }
 
-// Prediction holds exhaustive model output for one design point.
+// Prediction holds exhaustive model output for one design point. A
+// sweep stores one per design in flat-index order, so a record's design
+// is its position in the slice.
 type Prediction struct {
-	Index int // flat index into the study space
 	BIPS  float64
 	Watts float64
 }
@@ -520,7 +521,7 @@ func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst 
 			if err != nil {
 				return err
 			}
-			dst[i] = Prediction{Index: i, BIPS: bips, Watts: watts}
+			dst[i] = Prediction{BIPS: bips, Watts: watts}
 		}
 		return nil
 	})
@@ -553,7 +554,7 @@ func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.Pa
 				}
 			}
 			for i := 0; i < k; i++ {
-				dst[base+i] = Prediction{Index: base + i, BIPS: s.bips[i], Watts: s.watts[i]}
+				dst[base+i] = Prediction{BIPS: s.bips[i], Watts: s.watts[i]}
 			}
 			if checks := guard.TickCount(int64(k)); checks > 0 {
 				step := k / int(checks)
@@ -584,17 +585,17 @@ func (e *Explorer) interpretedPredict(bench string, index int) (bips, watts floa
 
 // BestEfficiency scans predictions for the bips^3/w-maximizing design,
 // skipping non-positive (unphysical) predictions. It returns the flat
-// index and efficiency of the best design, or (-1, -Inf) when no
+// position and efficiency of the best design, or (-1, -Inf) when no
 // prediction is valid. Both the pareto and heterogeneity studies rank
 // designs this way.
 func BestEfficiency(preds []Prediction) (index int, eff float64) {
 	index, eff = -1, math.Inf(-1)
-	for _, p := range preds {
+	for i, p := range preds {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
 		if v := metrics.BIPS3W(p.BIPS, p.Watts); v > eff {
-			eff, index = v, p.Index
+			eff, index = v, i
 		}
 	}
 	return index, eff

@@ -294,11 +294,19 @@ func TestExhaustivePredictCoversSpace(t *testing.T) {
 	if len(preds) != e.StudySpace.Size() {
 		t.Fatalf("predictions = %d, want %d", len(preds), e.StudySpace.Size())
 	}
-	positive := 0
-	for i, p := range preds {
-		if p.Index != i {
-			t.Fatalf("prediction %d has index %d", i, p.Index)
+	// A record's design is its position: spot-check positions across
+	// the whole space against the interpreted models.
+	for i := 0; i < len(preds); i += len(preds)/97 + 1 {
+		b, w, err := e.interpretedPredict("gzip", i)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if preds[i].BIPS != b || preds[i].Watts != w {
+			t.Fatalf("position %d holds %+v, design %d predicts (%v, %v)", i, preds[i], i, b, w)
+		}
+	}
+	positive := 0
+	for _, p := range preds {
 		if p.BIPS > 0 && p.Watts > 0 {
 			positive++
 		}

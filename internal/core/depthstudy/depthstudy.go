@@ -141,7 +141,7 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 			OriginalModelWatts: origWatts[di],
 			OriginalModelEff:   origEff[di],
 		}
-		if err := analyzeBlock(&row, space, preds[lo:hi], res.OriginalBestEff, opts.TopPercentile, &scratch); err != nil {
+		if err := analyzeBlock(&row, space, lo, preds[lo:hi], res.OriginalBestEff, opts.TopPercentile, &scratch); err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
@@ -190,15 +190,16 @@ type blockScratch struct {
 
 // analyzeBlock fills the enhanced-analysis fields of row (EffBox, the
 // bound design, FracBeatsBaseline and DL1Histogram) from block, one
-// depth's designs from the exhaustive sweep. Designs with a non-positive
-// prediction are left out; a non-finite efficiency is an error. origBest
-// is the original analysis' best efficiency, the unit of EffBox.
+// depth's designs from the exhaustive sweep; block[i] is the design at
+// flat index first+i. Designs with a non-positive prediction are left
+// out; a non-finite efficiency is an error. origBest is the original
+// analysis' best efficiency, the unit of EffBox.
 //
 // The block's efficiencies are sorted once. Figure 5(a)'s boxplot is
 // taken from the sorted values, and Figure 5(b)'s top designs are those
 // above the value at the topPercentile cut, then those tied with it in
 // flat-index order until exactly n-cut designs are counted.
-func analyzeBlock(row *DepthRow, space *arch.Space, block []core.Prediction, origBest, topPercentile float64, s *blockScratch) error {
+func analyzeBlock(row *DepthRow, space *arch.Space, first int, block []core.Prediction, origBest, topPercentile float64, s *blockScratch) error {
 	effs := s.effs[:0]
 	bound, boundEff, beats := -1, math.Inf(-1), 0
 	for i, p := range block {
@@ -207,7 +208,7 @@ func analyzeBlock(row *DepthRow, space *arch.Space, block []core.Prediction, ori
 		}
 		eff := metrics.BIPS3W(p.BIPS, p.Watts)
 		if math.IsNaN(eff) || math.IsInf(eff, 0) {
-			return fmt.Errorf("depthstudy: non-finite efficiency %v at %d FO4 (design %d)", eff, row.DepthFO4, p.Index)
+			return fmt.Errorf("depthstudy: non-finite efficiency %v at %d FO4 (design %d)", eff, row.DepthFO4, first+i)
 		}
 		effs = append(effs, eff)
 		if eff > boundEff {
@@ -235,7 +236,7 @@ func analyzeBlock(row *DepthRow, space *arch.Space, block []core.Prediction, ori
 		effs[i] /= origBest
 	}
 	row.EffBox = stats.NewBoxplotSorted(effs)
-	row.BoundConfig = space.Config(space.PointAt(block[bound].Index))
+	row.BoundConfig = space.Config(space.PointAt(first + bound))
 	row.BoundModelEff = boundEff
 	row.BoundModelBIPS = block[bound].BIPS
 	row.BoundModelWatts = block[bound].Watts
@@ -243,7 +244,7 @@ func analyzeBlock(row *DepthRow, space *arch.Space, block []core.Prediction, ori
 
 	// Figure 5(b): D-L1 size distribution among the top designs.
 	hist := make(map[int]float64)
-	for _, p := range block {
+	for i, p := range block {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
@@ -254,7 +255,7 @@ func analyzeBlock(row *DepthRow, space *arch.Space, block []core.Prediction, ori
 		if eff == thr {
 			ties--
 		}
-		hist[space.Config(space.PointAt(p.Index)).DL1KB]++
+		hist[space.Config(space.PointAt(first+i)).DL1KB]++
 	}
 	for k := range hist {
 		hist[k] /= float64(n - cut)

@@ -467,13 +467,13 @@ func TestRunMatchesOracle(t *testing.T) {
 	}
 }
 
-// syntheticBlock returns n predictions at flat indices 0..n-1 of the
-// study space (the deepest depth's block) with efficiency bips^3 at one
-// watt.
+// syntheticBlock returns n predictions with efficiency bips^3 at one
+// watt; passed to analyzeBlock with first = 0 they are the designs at
+// flat indices 0..n-1 of the study space (the deepest depth's block).
 func syntheticBlock(bips []float64) []core.Prediction {
 	block := make([]core.Prediction, len(bips))
 	for i, b := range bips {
-		block[i] = core.Prediction{Index: i, BIPS: b, Watts: 1}
+		block[i] = core.Prediction{BIPS: b, Watts: 1}
 	}
 	return block
 }
@@ -528,7 +528,7 @@ func TestAnalyzeBlockTiesAtCutInFlatOrder(t *testing.T) {
 
 	row := DepthRow{DepthFO4: 12}
 	var s blockScratch
-	if err := analyzeBlock(&row, space, syntheticBlock(bips), 1, 0.95, &s); err != nil {
+	if err := analyzeBlock(&row, space, 0, syntheticBlock(bips), 1, 0.95, &s); err != nil {
 		t.Fatal(err)
 	}
 	if len(row.DL1Histogram) != len(want) {
@@ -550,7 +550,7 @@ func TestAnalyzeBlockRejectsNonFinite(t *testing.T) {
 		bips := []float64{1, 2, bad, 3}
 		row := DepthRow{DepthFO4: 12}
 		var s blockScratch
-		if err := analyzeBlock(&row, space, syntheticBlock(bips), 1, 0.95, &s); err == nil {
+		if err := analyzeBlock(&row, space, 0, syntheticBlock(bips), 1, 0.95, &s); err == nil {
 			t.Fatalf("BIPS %v accepted", bad)
 		}
 	}
@@ -558,7 +558,7 @@ func TestAnalyzeBlockRejectsNonFinite(t *testing.T) {
 	row := DepthRow{DepthFO4: 12}
 	block := syntheticBlock([]float64{1, math.MaxFloat64})
 	var s blockScratch
-	if err := analyzeBlock(&row, space, block, 1, 0.95, &s); err == nil {
+	if err := analyzeBlock(&row, space, 0, block, 1, 0.95, &s); err == nil {
 		t.Fatal("overflowing efficiency accepted")
 	}
 }
@@ -569,14 +569,47 @@ func TestAnalyzeBlockSkipsInvalidDesigns(t *testing.T) {
 	block[4].Watts = -1
 	row := DepthRow{DepthFO4: 12}
 	var s blockScratch
-	if err := analyzeBlock(&row, space, block, 1, 0.5, &s); err != nil {
+	if err := analyzeBlock(&row, space, 0, block, 1, 0.5, &s); err != nil {
 		t.Fatal(err)
 	}
 	if row.EffBox.N != 2 || row.BoundModelEff != 8 || row.BoundConfig != space.Config(space.PointAt(2)) {
 		t.Fatalf("N = %d, bound eff %v at %+v", row.EffBox.N, row.BoundModelEff, row.BoundConfig)
 	}
-	if err := analyzeBlock(&row, space, syntheticBlock([]float64{0, -2}), 1, 0.5, &s); err == nil {
+	if err := analyzeBlock(&row, space, 0, syntheticBlock([]float64{0, -2}), 1, 0.5, &s); err == nil {
 		t.Fatal("block with no valid design accepted")
+	}
+}
+
+// TestAnalyzeBlockNamesDesignsFromFirstIndex runs a block that starts
+// inside a later depth's block, off a DL1×L2 plane boundary: the bound
+// design and the D-L1 histogram must name the designs at first+i, not
+// at the block positions i.
+func TestAnalyzeBlockNamesDesignsFromFirstIndex(t *testing.T) {
+	space := arch.ExplorationSpace()
+	lo, _ := space.DepthBlock(3)
+	first := lo + 10
+	bips := make([]float64, 50)
+	for i := range bips {
+		bips[i] = 1
+	}
+	bips[3], bips[7] = 3, 2 // the top two designs at a 96th-percentile cut
+	row := DepthRow{DepthFO4: 12}
+	var s blockScratch
+	if err := analyzeBlock(&row, space, first, syntheticBlock(bips), 1, 0.96, &s); err != nil {
+		t.Fatal(err)
+	}
+	if want := space.Config(space.PointAt(first + 3)); row.BoundConfig != want || row.BoundModelEff != 27 {
+		t.Fatalf("bound design %+v (eff %v), want %+v (eff 27)", row.BoundConfig, row.BoundModelEff, want)
+	}
+	want := map[int]float64{}
+	for _, i := range []int{first + 3, first + 7} {
+		want[space.Config(space.PointAt(i)).DL1KB] += 0.5
+	}
+	if len(want) != 2 || space.Config(space.PointAt(3)).DL1KB == space.Config(space.PointAt(first+3)).DL1KB {
+		t.Fatalf("offset %d does not move the top designs' D-L1 sizes: %v", first, want)
+	}
+	if fmt.Sprint(row.DL1Histogram) != fmt.Sprint(want) {
+		t.Fatalf("DL1Histogram = %v, want %v", row.DL1Histogram, want)
 	}
 }
 

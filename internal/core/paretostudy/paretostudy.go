@@ -61,7 +61,7 @@ type Result struct {
 	Benchmark string
 
 	// Characterization is the full exhaustive prediction (Figure 2's
-	// scatter); indices follow the study space's flat ordering.
+	// scatter): element i is the design at flat index i.
 	Characterization []core.Prediction
 
 	// Frontier is the discretized pareto frontier (Figure 3).
@@ -88,16 +88,14 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 	}
 	space := e.StudySpace
 
-	// Build the delay-power cloud.
-	points := make([]pareto.Point, len(preds))
+	// The delay-power cloud as columns; a design's id is its position.
+	ids := make([]int, len(preds))
+	delays := make([]float64, len(preds))
+	powers := make([]float64, len(preds))
 	for i, p := range preds {
-		points[i] = pareto.Point{
-			ID:    p.Index,
-			Delay: metrics.Delay(p.BIPS),
-			Power: p.Watts,
-		}
+		ids[i], delays[i], powers[i] = i, metrics.Delay(p.BIPS), p.Watts
 	}
-	frontier, err := pareto.DiscretizedFrontier(points, opts.DelayTargets)
+	frontier, err := pareto.DiscretizedFrontierColumns(ids, delays, powers, opts.DelayTargets)
 	if err != nil {
 		return nil, err
 	}

@@ -109,12 +109,12 @@ func TestBestIsEfficiencyArgmax(t *testing.T) {
 		t.Fatal("no efficiency recorded")
 	}
 	// Spot-check: no characterization point may beat the chosen optimum.
-	for _, p := range res.Characterization {
+	for i, p := range res.Characterization {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
 		if eff := metrics.BIPS3W(p.BIPS, p.Watts); eff > best.ModelEff*(1+1e-12) {
-			t.Fatalf("design %d eff %v beats recorded best %v", p.Index, eff, best.ModelEff)
+			t.Fatalf("design %d eff %v beats recorded best %v", i, eff, best.ModelEff)
 		}
 	}
 	if best.SimDelay <= 0 || best.SimPower <= 0 {

@@ -27,10 +27,10 @@ type Phase struct {
 
 // Manifest is the run record a command emits next to its results: what
 // ran (tool, command, arguments, git revision), over what (seed, space
-// sizes, benchmarks, workers), and where the time went (per-phase wall
-// clock and engine-stat deltas, counters, latency histograms). One
-// manifest per invocation makes every study re-derivable and every
-// performance claim checkable without re-running the tool.
+// sizes, benchmarks, workers), and where the time and memory went
+// (phase wall clock and engine-stat deltas, counters, latency histograms,
+// peak RSS). One manifest per invocation makes every study re-derivable
+// and every performance claim checkable without re-running the tool.
 type Manifest struct {
 	Version   int      `json:"version"`
 	Tool      string   `json:"tool"`
@@ -52,6 +52,7 @@ type Manifest struct {
 	Counters   map[string]int64    `json:"counters,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
 	TraceSpans int64               `json:"trace_spans,omitempty"`
+	PeakRSSMB  float64             `json:"peak_rss_mb,omitempty"` // at Finish; Linux only
 
 	start time.Time
 }
@@ -97,13 +98,14 @@ func (p *PhaseTimer) End(stats map[string]int64) {
 	})
 }
 
-// Finish stamps the total wall time and absorbs the registry's counters
-// and histograms plus the tracer's span total. Call once, after the last
-// phase.
+// Finish stamps the total wall time and the peak resident set size, and
+// absorbs the registry's counters and histograms plus the tracer's span
+// total. Call once, after the last phase.
 func (m *Manifest) Finish(reg *Registry, tr *Tracer) {
 	if !m.start.IsZero() {
 		m.WallSeconds = time.Since(m.start).Seconds()
 	}
+	m.PeakRSSMB = peakRSSMB()
 	if reg != nil {
 		if c := reg.CounterValues(); len(c) > 0 {
 			m.Counters = c

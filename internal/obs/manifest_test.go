@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,7 @@ func goldenManifest() *Manifest {
 				Buckets: []BucketCount{{UpperNS: 8388608000, Count: 2000}}},
 		},
 		TraceSpans: 4123,
+		PeakRSSMB:  140.5,
 	}
 }
 
@@ -91,7 +93,8 @@ const goldenJSON = `{
    ]
   }
  ],
- "trace_spans": 4123
+ "trace_spans": 4123,
+ "peak_rss_mb": 140.5
 }
 `
 
@@ -167,6 +170,9 @@ func TestManifestFinishAbsorbsRegistryAndTracer(t *testing.T) {
 	}
 	if m.Phases[0].Seconds < 0 {
 		t.Fatal("negative phase time")
+	}
+	if runtime.GOOS == "linux" && m.PeakRSSMB <= 0 {
+		t.Fatalf("PeakRSSMB = %v, want the process's positive peak RSS", m.PeakRSSMB)
 	}
 	if m.Counters["c"] != 3 {
 		t.Fatalf("counters = %v", m.Counters)

@@ -61,31 +61,18 @@ func IsDominated(p, q Point) bool {
 	return q.Delay < p.Delay || q.Power < p.Power
 }
 
-// DiscretizedFrontier reproduces the paper's construction (Section 4.2):
-// "the frontier is constructed by discretizing the range of delays and
-// identifying the design that minimizes power for each delay in a number
-// of delay targets". The delay axis is split into nTargets equal bins
-// spanning [min delay, max delay]; within each bin the power-minimizing
-// design is selected. Empty bins contribute nothing. The result is sorted
-// by delay. nTargets must be positive.
-func DiscretizedFrontier(points []Point, nTargets int) ([]Point, error) {
-	ids := make([]int, len(points))
-	delays := make([]float64, len(points))
-	powers := make([]float64, len(points))
-	for i, p := range points {
-		ids[i] = p.ID
-		delays[i] = p.Delay
-		powers[i] = p.Power
-	}
-	return DiscretizedFrontierColumns(ids, delays, powers, nTargets)
-}
-
-// DiscretizedFrontierColumns is DiscretizedFrontier over parallel columns
-// (structure-of-arrays) instead of a []Point slice, so callers holding
-// columnar prediction data — e.g. a materialized per-generation view —
-// can build frontiers without assembling a point slice per request. The
-// three columns must have equal length; element i describes one design.
-// Semantics are identical to DiscretizedFrontier.
+// DiscretizedFrontierColumns reproduces the paper's construction
+// (Section 4.2): "the frontier is constructed by discretizing the range
+// of delays and identifying the design that minimizes power for each
+// delay in a number of delay targets". The delay axis is split into
+// nTargets equal bins spanning [min delay, max delay]; within each bin
+// the power-minimizing design is selected. Empty bins contribute
+// nothing. The result is sorted by delay. nTargets must be positive.
+//
+// The designs come as parallel columns (structure-of-arrays), so
+// callers holding columnar prediction data build frontiers without
+// assembling a point slice. The three columns must have equal length;
+// element i describes one design.
 func DiscretizedFrontierColumns(ids []int, delays, powers []float64, nTargets int) ([]Point, error) {
 	if nTargets <= 0 {
 		return nil, fmt.Errorf("pareto: nTargets=%d must be positive", nTargets)

@@ -107,6 +107,17 @@ func TestIsDominated(t *testing.T) {
 	}
 }
 
+// discretized runs DiscretizedFrontierColumns on a point slice.
+func discretized(points []Point, nTargets int) ([]Point, error) {
+	ids := make([]int, len(points))
+	delays := make([]float64, len(points))
+	powers := make([]float64, len(points))
+	for i, p := range points {
+		ids[i], delays[i], powers[i] = p.ID, p.Delay, p.Power
+	}
+	return DiscretizedFrontierColumns(ids, delays, powers, nTargets)
+}
+
 func TestDiscretizedFrontier(t *testing.T) {
 	points := []Point{
 		{ID: 0, Delay: 0.0, Power: 10},
@@ -115,7 +126,7 @@ func TestDiscretizedFrontier(t *testing.T) {
 		{ID: 3, Delay: 1.4, Power: 3},
 		{ID: 4, Delay: 2.0, Power: 1},
 	}
-	f, err := DiscretizedFrontier(points, 2)
+	f, err := discretized(points, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +142,7 @@ func TestDiscretizedFrontierDegenerate(t *testing.T) {
 		{ID: 0, Delay: 1, Power: 5},
 		{ID: 1, Delay: 1, Power: 3},
 	}
-	f, err := DiscretizedFrontier(points, 10)
+	f, err := discretized(points, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +152,10 @@ func TestDiscretizedFrontierDegenerate(t *testing.T) {
 }
 
 func TestDiscretizedFrontierErrors(t *testing.T) {
-	if _, err := DiscretizedFrontier([]Point{{}}, 0); err == nil {
+	if _, err := discretized([]Point{{}}, 0); err == nil {
 		t.Fatal("nTargets=0 accepted")
 	}
-	f, err := DiscretizedFrontier(nil, 5)
+	f, err := discretized(nil, 5)
 	if err != nil || f != nil {
 		t.Fatalf("empty input: f=%v err=%v", f, err)
 	}
@@ -232,7 +243,7 @@ func TestQuickDiscretizedSubset(t *testing.T) {
 		for i := range points {
 			points[i] = Point{ID: i, Delay: r.Float64() * 10, Power: r.Float64() * 100}
 		}
-		front, err := DiscretizedFrontier(points, 8)
+		front, err := discretized(points, 8)
 		if err != nil {
 			return false
 		}
@@ -265,35 +276,70 @@ func BenchmarkFrontier100k(b *testing.B) {
 	}
 }
 
-// TestDiscretizedFrontierColumnsEquivalence checks the columnar
-// construction against the []Point entry on random inputs — the two are
-// documented as identical in semantics — plus its own error cases.
+// bruteFrontier is the oracle for DiscretizedFrontierColumns: for each
+// delay bin in turn it scans every design for the bin's power minimum
+// (ties to the lower delay, then the lower ID), then keeps the bin
+// winners that no faster winner matches or beats on power.
+func bruteFrontier(ids []int, delays, powers []float64, nTargets int) []Point {
+	lo, hi := delays[0], delays[0]
+	for _, d := range delays {
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	bin := func(d float64) int {
+		if hi == lo {
+			return 0
+		}
+		return min(int((d-lo)/((hi-lo)/float64(nTargets))), nTargets-1)
+	}
+	var winners []Point
+	for b := 0; b < nTargets; b++ {
+		w := -1
+		for i := range ids {
+			if bin(delays[i]) != b {
+				continue
+			}
+			if w < 0 || powers[i] < powers[w] || powers[i] == powers[w] &&
+				(delays[i] < delays[w] || delays[i] == delays[w] && ids[i] < ids[w]) {
+				w = i
+			}
+		}
+		if w >= 0 {
+			winners = append(winners, Point{ID: ids[w], Delay: delays[w], Power: powers[w]})
+		}
+	}
+	var out []Point
+	for _, p := range winners {
+		if len(out) == 0 || p.Power < out[len(out)-1].Power {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestDiscretizedFrontierColumnsEquivalence checks the one-pass columnar
+// construction against the brute-force per-bin minimum on random inputs
+// with many ties, including all-equal delays.
 func TestDiscretizedFrontierColumnsEquivalence(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		n := 1 + r.Intn(80)
-		points := make([]Point, n)
+		levels := 1 + r.Intn(16) // one level: every delay equal
 		ids := make([]int, n)
 		delays := make([]float64, n)
 		powers := make([]float64, n)
-		for i := range points {
-			points[i] = Point{
-				ID:    i,
-				Delay: float64(r.Intn(16)) / 3, // ties likely
-				Power: float64(r.Intn(16)) / 3,
-			}
-			ids[i] = points[i].ID
-			delays[i] = points[i].Delay
-			powers[i] = points[i].Power
+		for i := range ids {
+			ids[i] = r.Intn(1000)
+			delays[i] = float64(r.Intn(levels)) / 3 // ties likely
+			powers[i] = float64(r.Intn(16)) / 3
 		}
 		nTargets := 1 + r.Intn(12)
-		a, errA := DiscretizedFrontier(points, nTargets)
-		b, errB := DiscretizedFrontierColumns(ids, delays, powers, nTargets)
-		if (errA == nil) != (errB == nil) || len(a) != len(b) {
+		got, err := DiscretizedFrontierColumns(ids, delays, powers, nTargets)
+		want := bruteFrontier(ids, delays, powers, nTargets)
+		if err != nil || len(got) != len(want) {
 			return false
 		}
-		for i := range a {
-			if a[i] != b[i] {
+		for i := range got {
+			if got[i] != want[i] {
 				return false
 			}
 		}

@@ -68,13 +68,8 @@ var figure2Bufs = sync.Pool{New: func() any { return make([]byte, 0, figure2Chun
 func Figure2CSV(w io.Writer, space *arch.Space, res *paretostudy.Result) error {
 	c := newCSVWriter(w)
 	c.strs("index", "delay_s", "power_w", "depth_fo4", "width", "l2_kb")
+	checkSize(space, res)
 	preds := res.Characterization
-	size := space.Size()
-	for _, p := range preds {
-		if p.BIPS > 0 && p.Watts > 0 {
-			checkIndex(p.Index, size)
-		}
-	}
 	cols := figure2Columns{
 		depth: newAxisColumn(space, arch.AxisDepth, func(c arch.Config) int { return c.DepthFO4 }),
 		width: newAxisColumn(space, arch.AxisWidth, func(c arch.Config) int { return c.Width }),
@@ -110,7 +105,7 @@ func Figure2CSV(w io.Writer, space *arch.Space, res *paretostudy.Result) error {
 				}
 				lo := k * figure2ChunkRows
 				hi := min(lo+figure2ChunkRows, len(preds))
-				ready[k%inflight] <- cols.appendRows(buf[:0], preds[lo:hi])
+				ready[k%inflight] <- cols.appendRows(buf[:0], lo, preds[lo:hi])
 			}
 		}()
 	}
@@ -133,18 +128,20 @@ func Figure2CSV(w io.Writer, space *arch.Space, res *paretostudy.Result) error {
 // figure2Columns decodes a Figure 2 row's design columns from its index.
 type figure2Columns struct{ depth, width, l2 axisColumn }
 
-// appendRows appends the CSV rows of the valid predictions to dst.
-func (f *figure2Columns) appendRows(dst []byte, preds []core.Prediction) []byte {
-	for _, p := range preds {
+// appendRows appends the CSV rows of the valid predictions to dst;
+// preds[i] is the design at flat index first+i.
+func (f *figure2Columns) appendRows(dst []byte, first int, preds []core.Prediction) []byte {
+	for i, p := range preds {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		dst = appendIntCell(dst, p.Index)
+		idx := first + i
+		dst = appendIntCell(dst, idx)
 		dst = appendFloatCell(dst, metrics.Delay(p.BIPS))
 		dst = appendFloatCell(dst, p.Watts)
-		dst = appendIntCell(dst, f.depth.value(p.Index))
-		dst = appendIntCell(dst, f.width.value(p.Index))
-		dst = appendIntCell(dst, f.l2.value(p.Index))
+		dst = appendIntCell(dst, f.depth.value(idx))
+		dst = appendIntCell(dst, f.width.value(idx))
+		dst = appendIntCell(dst, f.l2.value(idx))
 		dst[len(dst)-1] = '\n'
 	}
 	return dst

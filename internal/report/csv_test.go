@@ -73,13 +73,13 @@ func refFigure1CSV(w io.Writer, rep *core.ValidationReport) error {
 
 func refFigure2CSV(w io.Writer, space *arch.Space, res *paretostudy.Result) error {
 	var rows [][]string
-	for _, p := range res.Characterization {
+	for i, p := range res.Characterization {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		cfg := space.Config(space.PointAt(p.Index))
+		cfg := space.Config(space.PointAt(i))
 		rows = append(rows, []string{
-			strconv.Itoa(p.Index), refF(metrics.Delay(p.BIPS)), refF(p.Watts),
+			strconv.Itoa(i), refF(metrics.Delay(p.BIPS)), refF(p.Watts),
 			strconv.Itoa(cfg.DepthFO4), strconv.Itoa(cfg.Width), strconv.Itoa(cfg.L2KB),
 		})
 	}
@@ -153,7 +153,7 @@ func fullCharacterization() (*arch.Space, *paretostudy.Result) {
 	r := rand.New(rand.NewSource(2007))
 	preds := make([]core.Prediction, space.Size())
 	for i := range preds {
-		preds[i] = core.Prediction{Index: i, BIPS: 0.05 + 3*r.Float64(), Watts: 5 + 150*r.Float64()}
+		preds[i] = core.Prediction{BIPS: 0.05 + 3*r.Float64(), Watts: 5 + 150*r.Float64()}
 		if i%97 == 0 {
 			preds[i].BIPS = -preds[i].BIPS
 		}
@@ -270,13 +270,18 @@ func TestFigure2CSVIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestFigure2OutOfSpaceIndexPanics(t *testing.T) {
+// TestFigure2LengthMismatchPanics checks that both Figure 2 emitters
+// reject a characterization that does not hold exactly one prediction
+// per design: a row's design is its position, so a short slice would
+// drop designs and a long one would wrap past the space.
+func TestFigure2LengthMismatchPanics(t *testing.T) {
 	space := arch.ExplorationSpace()
-	for _, idx := range []int{-1, space.Size()} {
-		res := &paretostudy.Result{Benchmark: "gzip", Characterization: []core.Prediction{
-			{Index: 0, BIPS: 1, Watts: 10},
-			{Index: idx, BIPS: 1, Watts: 10},
-		}}
+	for _, n := range []int{0, 2, space.Size() - 1, space.Size() + 1} {
+		preds := make([]core.Prediction, n)
+		for i := range preds {
+			preds[i] = core.Prediction{BIPS: 1, Watts: 10}
+		}
+		res := &paretostudy.Result{Benchmark: "gzip", Characterization: preds}
 		for name, emit := range map[string]func(){
 			"Figure2":    func() { Figure2(space, res) },
 			"Figure2CSV": func() { _ = Figure2CSV(io.Discard, space, res) },
@@ -284,7 +289,7 @@ func TestFigure2OutOfSpaceIndexPanics(t *testing.T) {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("%s accepted index %d of a %d-design space", name, idx, space.Size())
+						t.Errorf("%s accepted %d predictions for a %d-design space", name, n, space.Size())
 					}
 				}()
 				emit()

@@ -61,11 +61,12 @@ func newAxisColumn(space *arch.Space, axis int, field func(arch.Config) int) axi
 func (c axisColumn) level(i int) int { return i / c.stride % c.levels }
 func (c axisColumn) value(i int) int { return c.vals[c.level(i)] }
 
-// checkIndex panics, as arch.Space.PointAt does, on an index outside a
-// space of the given size, which decoding by stride would wrap silently.
-func checkIndex(i, size int) {
-	if i < 0 || i >= size {
-		panic(fmt.Sprintf("report: design index %d outside space of size %d", i, size))
+// checkSize panics unless the characterization holds one prediction per
+// design of space: a row's design is its position, and decoding a
+// position beyond the space by stride would wrap silently.
+func checkSize(space *arch.Space, res *paretostudy.Result) {
+	if n, size := len(res.Characterization), space.Size(); n != size {
+		panic(fmt.Sprintf("report: characterization has %d designs, space has %d", n, size))
 	}
 }
 
@@ -84,13 +85,12 @@ func Figure2(space *arch.Space, res *paretostudy.Result) string {
 	for d := range groups {
 		groups[d] = make([]agg, width.levels)
 	}
-	size := space.Size()
-	for _, p := range res.Characterization {
+	checkSize(space, res)
+	for i, p := range res.Characterization {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		checkIndex(p.Index, size)
-		a := &groups[depth.level(p.Index)][width.level(p.Index)]
+		a := &groups[depth.level(i)][width.level(i)]
 		d := metrics.Delay(p.BIPS)
 		if a.n == 0 {
 			*a = agg{minD: d, maxD: d, minP: p.Watts, maxP: p.Watts, n: 1}

@@ -22,13 +22,14 @@ func sampleParetoResult() *paretostudy.Result {
 	space := arch.ExplorationSpace()
 	cfgA := space.Config(arch.Point{0, 0, 0, 0, 0, 0, 0})
 	cfgB := space.Config(arch.Point{6, 2, 9, 9, 4, 4, 4})
+	// One prediction per design; all but two are zero, so invalid.
+	preds := make([]core.Prediction, space.Size())
+	preds[0] = core.Prediction{BIPS: 1.0, Watts: 20}
+	preds[space.FlatIndex(arch.Point{6, 2, 9, 9, 4, 4, 4})] = core.Prediction{BIPS: 0.5, Watts: 60}
+	preds[1] = core.Prediction{BIPS: -1, Watts: 0} // invalid: must be skipped
 	return &paretostudy.Result{
-		Benchmark: "gzip",
-		Characterization: []core.Prediction{
-			{Index: 0, BIPS: 1.0, Watts: 20},
-			{Index: space.FlatIndex(arch.Point{6, 2, 9, 9, 4, 4, 4}), BIPS: 0.5, Watts: 60},
-			{Index: 1, BIPS: -1, Watts: 0}, // invalid: must be skipped
-		},
+		Benchmark:        "gzip",
+		Characterization: preds,
 		Frontier: []paretostudy.FrontierPoint{
 			{Index: 0, Config: cfgA, ModelDelay: 0.10, ModelPower: 20, SimDelay: 0.11, SimPower: 19},
 			{Index: 1, Config: cfgB, ModelDelay: 0.20, ModelPower: 10},
@@ -119,11 +120,11 @@ func refFigure2(space *arch.Space, res *paretostudy.Result) string {
 		n                      int
 	}
 	groups := make(map[key]*agg)
-	for _, p := range res.Characterization {
+	for i, p := range res.Characterization {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		cfg := space.Config(space.PointAt(p.Index))
+		cfg := space.Config(space.PointAt(i))
 		k := key{cfg.DepthFO4, cfg.Width}
 		d := metrics.Delay(p.BIPS)
 		a, ok := groups[k]
@@ -168,9 +169,11 @@ func refFigure2(space *arch.Space, res *paretostudy.Result) string {
 
 func TestFigure2MatchesReference(t *testing.T) {
 	space, full := boundaryCharacterization()
-	sparse := &paretostudy.Result{Benchmark: "mcf"}
+	// sparse keeps every 7919th valid prediction of full, counted from
+	// the last design, and marks the rest invalid.
+	sparse := &paretostudy.Result{Benchmark: "mcf", Characterization: make([]core.Prediction, len(full.Characterization))}
 	for i := len(full.Characterization) - 1; i >= 0; i -= 7919 {
-		sparse.Characterization = append(sparse.Characterization, full.Characterization[i])
+		sparse.Characterization[i] = full.Characterization[i]
 	}
 	for _, res := range []*paretostudy.Result{full, sparse, sampleParetoResult()} {
 		if got, want := Figure2(space, res), refFigure2(space, res); got != want {

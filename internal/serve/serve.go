@@ -1,11 +1,11 @@
 // Package serve is the evaluation-as-a-service layer: a long-running
 // HTTP/JSON daemon over a trained core.Explorer. It is the piece that
-// turns the engine's batching, the cached sweeps and the compiled sweep
-// plans into network QPS — "train once, serve many cheap queries".
+// turns the engine's batching, the materialized views and the compiled
+// sweep plans into network QPS — "train once, serve many cheap queries".
 //
 // Five endpoints are exposed: /v1/predict and /v1/simulate evaluate
 // design points (model-predicted and detail-simulated respectively),
-// /v1/sweep runs the cached exhaustive 262,500-point characterization,
+// /v1/sweep ranks the exhaustive 262,500-point characterization,
 // /v1/pareto extracts the delay-power frontier from it, and /v1/healthz
 // reports liveness and the serving generation. docs/API.md documents the
 // request/response schemas; a test executes its curl examples verbatim.

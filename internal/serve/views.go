@@ -36,7 +36,7 @@ import (
 //  1. benchView — per (generation, benchmark): the ranked top-K designs
 //     (heap-based partial selection, K capped at MaxSweepTop) and the
 //     physical (delay, power) point set in structure-of-arrays form,
-//     built once from the explorer's exhaustive sweep.
+//     built once from an exhaustive sweep the generation does not keep.
 //  2. viewEntry — per (generation, endpoint, benchmark, parameter): the
 //     final encoded JSON response bytes (plus a lazily-built gzip
 //     variant), so a hot request is served with zero recomputation and
@@ -194,17 +194,16 @@ func (v *viewEntry) gzipBody() []byte {
 // parameters. Built once per generation, then shared by every
 // sweep/pareto view of the benchmark.
 type benchView struct {
-	// points is the full swept space size; physical counts the designs
-	// with positive bips and watts (the only ones rankable/plottable).
-	points   int
-	physical int
+	// points is the full swept space size.
+	points int
 
 	// top is the ranking by bips³/w, descending, ready for response
 	// assembly: any requested top <= MaxSweepTop is a prefix slice.
 	top []SweepDesign
 
-	// The physical point set in structure-of-arrays form for the
-	// discretized-frontier construction: ids[i] is the design index,
+	// The physical point set (designs with positive bips and watts, the
+	// only ones rankable or plottable) in structure-of-arrays form for
+	// the discretized-frontier construction: ids[i] is the design index,
 	// delays[i]/powers[i] its two minimized objectives. Compact and
 	// immutable; every pareto view of this benchmark bins these columns.
 	ids    []int
@@ -219,26 +218,27 @@ func (g *generation) benchView(ctx context.Context, bench string) (*benchView, e
 	return bv, err
 }
 
-// buildBenchView derives the benchmark view from the explorer's
-// exhaustive sweep: one pass selects the top-MaxSweepTop designs by
-// bips³/w through a bounded min-heap and collects the physical
-// (delay, power) columns.
+// buildBenchView derives the benchmark view from an exhaustive sweep
+// into a buffer of its own, which is dropped once the view is built: a
+// generation keeps only its views, never the raw sweeps. One pass
+// selects the top-MaxSweepTop designs by bips³/w through a bounded
+// min-heap, another collects the physical (delay, power) columns.
 func buildBenchView(g *generation, bench string) (*benchView, error) {
-	preds, err := g.e.ExhaustivePredict(bench)
-	if err != nil {
+	space := g.e.StudySpace
+	preds := make([]core.Prediction, space.Size())
+	if err := g.e.ExhaustivePredictInto(context.Background(), bench, preds); err != nil {
 		return nil, err
 	}
 	bv := &benchView{points: len(preds)}
 	ranked := topKByEfficiency(preds, MaxSweepTop)
-	space := g.e.StudySpace
 	bv.top = make([]SweepDesign, len(ranked))
-	for i, p := range ranked {
+	for i, r := range ranked {
 		bv.top[i] = SweepDesign{
-			Index:  p.Index,
-			Config: space.Config(space.PointAt(p.Index)),
-			BIPS:   p.BIPS,
-			Watts:  p.Watts,
-			BIPS3W: metrics.BIPS3W(p.BIPS, p.Watts),
+			Index:  r.index,
+			Config: space.Config(space.PointAt(r.index)),
+			BIPS:   r.bips,
+			Watts:  r.watts,
+			BIPS3W: r.eff,
 		}
 	}
 	// Physical column pass. Sized exactly: count first so the three
@@ -249,7 +249,6 @@ func buildBenchView(g *generation, bench string) (*benchView, error) {
 			n++
 		}
 	}
-	bv.physical = n
 	bv.ids = make([]int, 0, n)
 	bv.delays = make([]float64, 0, n)
 	bv.powers = make([]float64, 0, n)
@@ -258,83 +257,78 @@ func buildBenchView(g *generation, bench string) (*benchView, error) {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		bv.ids = append(bv.ids, p.Index)
+		bv.ids = append(bv.ids, i)
 		bv.delays = append(bv.delays, metrics.Delay(p.BIPS))
 		bv.powers = append(bv.powers, p.Watts)
 	}
 	return bv, nil
 }
 
-// effHeap is a min-heap over predictions ordered by bips³/w (ties broken
-// by index, larger index first, so the heap root is always the weakest
-// entry and the final ranking is deterministic).
-type effHeap struct {
-	preds []core.Prediction
-	effs  []float64
+// ranked is one design of a top-K selection: its flat index, predicted
+// bips and watts, and bips³/w.
+type ranked struct {
+	index            int
+	bips, watts, eff float64
 }
 
-func (h *effHeap) Len() int { return len(h.preds) }
-func (h *effHeap) Less(i, j int) bool {
-	if h.effs[i] != h.effs[j] {
-		return h.effs[i] < h.effs[j]
+// effHeap is a min-heap over designs ordered by bips³/w (ties broken by
+// index, larger index first, so the heap root is always the weakest
+// entry and the final ranking is deterministic).
+type effHeap []ranked
+
+func (h effHeap) Len() int { return len(h) }
+func (h effHeap) Less(i, j int) bool {
+	if h[i].eff != h[j].eff {
+		return h[i].eff < h[j].eff
 	}
-	return h.preds[i].Index > h.preds[j].Index
+	return h[i].index > h[j].index
 }
-func (h *effHeap) Swap(i, j int) {
-	h.preds[i], h.preds[j] = h.preds[j], h.preds[i]
-	h.effs[i], h.effs[j] = h.effs[j], h.effs[i]
-}
-func (h *effHeap) Push(x any) { panic("effHeap: push unused") }
+func (h effHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *effHeap) Push(x any)   { panic("effHeap: push unused") }
 func (h *effHeap) Pop() (x any) {
-	n := h.Len() - 1
-	h.preds = h.preds[:n]
-	h.effs = h.effs[:n]
+	*h = (*h)[:len(*h)-1]
 	return nil
 }
 
-// topKByEfficiency returns the k highest-bips³/w physical predictions in
-// descending order. Bounded selection: a size-k min-heap over one pass
-// of the input (O(n log k) worst case, O(n) when the input is not
-// adversarially ordered), instead of ranking the full slice. Ties are
-// broken toward the lower design index, matching a stable full sort.
-func topKByEfficiency(preds []core.Prediction, k int) []core.Prediction {
+// topKByEfficiency returns the k highest-bips³/w physical designs of a
+// sweep (preds[i] is the design at flat index i) in descending order.
+// Bounded selection: a size-k min-heap over one pass of the input
+// (O(n log k) worst case, O(n) when the input is not adversarially
+// ordered), instead of ranking the full slice. Ties are broken toward
+// the lower design index, matching a stable full sort.
+func topKByEfficiency(preds []core.Prediction, k int) []ranked {
 	if k <= 0 {
 		return nil
 	}
-	h := &effHeap{
-		preds: make([]core.Prediction, 0, k),
-		effs:  make([]float64, 0, k),
-	}
-	for i := range preds {
-		p := preds[i]
+	h := make(effHeap, 0, k)
+	for i, p := range preds {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
-		e := p.BIPS * p.BIPS * p.BIPS / p.Watts
-		if len(h.preds) < k {
-			h.preds = append(h.preds, p)
-			h.effs = append(h.effs, e)
-			if len(h.preds) == k {
-				heap.Init(h)
+		d := ranked{index: i, bips: p.BIPS, watts: p.Watts, eff: metrics.BIPS3W(p.BIPS, p.Watts)}
+		if len(h) < k {
+			h = append(h, d)
+			if len(h) == k {
+				heap.Init(&h)
 			}
 			continue
 		}
-		// Full heap: replace the root iff p outranks it (higher
-		// efficiency, or equal efficiency with a lower index).
-		if e < h.effs[0] || (e == h.effs[0] && p.Index > h.preds[0].Index) {
+		// Full heap: replace the root iff d outranks it. Designs arrive
+		// in index order, so an equal efficiency never outranks the root.
+		if d.eff <= h[0].eff {
 			continue
 		}
-		h.preds[0], h.effs[0] = p, e
-		heap.Fix(h, 0)
+		h[0] = d
+		heap.Fix(&h, 0)
 	}
-	if len(h.preds) < k && len(h.preds) > 1 {
-		heap.Init(h)
+	if len(h) < k && len(h) > 1 {
+		heap.Init(&h)
 	}
 	// Drain the heap smallest-first into the tail of the result.
-	out := make([]core.Prediction, len(h.preds))
+	out := make([]ranked, len(h))
 	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h.preds[0]
-		heap.Pop(h)
+		out[i] = h[0]
+		heap.Pop(&h)
 	}
 	return out
 }

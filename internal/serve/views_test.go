@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // sweepBody is the canonical request body the view tests replay; Top is
@@ -373,32 +374,26 @@ func TestSweepTopClamp(t *testing.T) {
 
 // TestTopKByEfficiencyMatchesSort cross-checks the heap-based bounded
 // selection against a full stable sort on synthetic predictions with
-// ties and non-physical entries.
+// ties and non-physical entries; a prediction's design is its position.
 func TestTopKByEfficiencyMatchesSort(t *testing.T) {
 	preds := []core.Prediction{
-		{Index: 0, BIPS: 2, Watts: 4},
-		{Index: 1, BIPS: 0, Watts: 10},  // non-physical: bips <= 0
-		{Index: 2, BIPS: 3, Watts: 27},  // eff 1.0
-		{Index: 3, BIPS: 1, Watts: 1},   // eff 1.0 tie with 2
-		{Index: 4, BIPS: 4, Watts: 2},   // eff 32
-		{Index: 5, BIPS: 2, Watts: -1},  // non-physical: watts <= 0
-		{Index: 6, BIPS: 2, Watts: 4},   // eff 2.0, tie with 0
-		{Index: 7, BIPS: 5, Watts: 125}, // eff 1.0 tie with 2, 3
-		{Index: 8, BIPS: 10, Watts: 1},  // eff 1000
+		{BIPS: 2, Watts: 4},
+		{BIPS: 0, Watts: 10},  // non-physical: bips <= 0
+		{BIPS: 3, Watts: 27},  // eff 1.0
+		{BIPS: 1, Watts: 1},   // eff 1.0 tie with 2
+		{BIPS: 4, Watts: 2},   // eff 32
+		{BIPS: 2, Watts: -1},  // non-physical: watts <= 0
+		{BIPS: 2, Watts: 4},   // eff 2.0, tie with 0
+		{BIPS: 5, Watts: 125}, // eff 1.0 tie with 2, 3
+		{BIPS: 10, Watts: 1},  // eff 1000
 	}
-	eff := func(p core.Prediction) float64 { return p.BIPS * p.BIPS * p.BIPS / p.Watts }
-	var want []core.Prediction
-	for _, p := range preds {
+	var want []ranked
+	for i, p := range preds {
 		if p.BIPS > 0 && p.Watts > 0 {
-			want = append(want, p)
+			want = append(want, ranked{index: i, bips: p.BIPS, watts: p.Watts, eff: p.BIPS * p.BIPS * p.BIPS / p.Watts})
 		}
 	}
-	sort.SliceStable(want, func(i, j int) bool {
-		if eff(want[i]) != eff(want[j]) {
-			return eff(want[i]) > eff(want[j])
-		}
-		return want[i].Index < want[j].Index
-	})
+	sort.SliceStable(want, func(i, j int) bool { return want[i].eff > want[j].eff })
 	for _, k := range []int{0, 1, 2, 3, len(want), len(want) + 5} {
 		got := topKByEfficiency(preds, k)
 		wantK := want
@@ -414,6 +409,90 @@ func TestTopKByEfficiencyMatchesSort(t *testing.T) {
 		for i := range got {
 			if got[i] != wantK[i] {
 				t.Fatalf("k=%d: rank %d = %+v, want %+v", k, i, got[i], wantK[i])
+			}
+		}
+	}
+}
+
+// TestTopKByEfficiencyTieRanksLowerPosition pins the tie-break: designs
+// of equal efficiency rank by position, lower first, whether the tie is
+// settled while the heap fills or against a full heap's root.
+func TestTopKByEfficiencyTieRanksLowerPosition(t *testing.T) {
+	preds := []core.Prediction{
+		{BIPS: 1, Watts: 1},   // eff 1
+		{BIPS: 2, Watts: 8},   // eff 1
+		{BIPS: 0, Watts: 1},   // non-physical
+		{BIPS: 3, Watts: 27},  // eff 1
+		{BIPS: 4, Watts: 64},  // eff 1
+		{BIPS: 5, Watts: 125}, // eff 1
+	}
+	for k, want := range map[int][]int{1: {0}, 2: {0, 1}, 3: {0, 1, 3}, 5: {0, 1, 3, 4, 5}} {
+		got := topKByEfficiency(preds, k)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: got %d designs, want %d", k, len(got), len(want))
+		}
+		for i, r := range got {
+			if r.index != want[i] {
+				t.Fatalf("k=%d: rank %d is position %d, want %d", k, i, r.index, want[i])
+			}
+		}
+	}
+}
+
+// TestBenchViewFromUncachedSweep checks that a view built from the
+// sweep buildBenchView runs into its own buffer is, bit for bit, the one
+// derived from the explorer's ExhaustivePredict: the same top designs by
+// a full stable sort, and the same physical id, delay and power columns.
+func TestBenchViewFromUncachedSweep(t *testing.T) {
+	e, err := testLoader(t)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &generation{e: e}
+	space := e.StudySpace
+	for _, bench := range []string{"gzip", "mcf"} {
+		bv, err := buildBenchView(g, bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds, err := e.ExhaustivePredict(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []int
+		var delays, powers []float64
+		var top []SweepDesign
+		for i, p := range preds {
+			if p.BIPS <= 0 || p.Watts <= 0 {
+				continue
+			}
+			ids = append(ids, i)
+			delays = append(delays, metrics.Delay(p.BIPS))
+			powers = append(powers, p.Watts)
+			top = append(top, SweepDesign{Index: i, Config: space.Config(space.PointAt(i)),
+				BIPS: p.BIPS, Watts: p.Watts, BIPS3W: metrics.BIPS3W(p.BIPS, p.Watts)})
+		}
+		sort.SliceStable(top, func(i, j int) bool { return top[i].BIPS3W > top[j].BIPS3W })
+		top = top[:min(len(top), MaxSweepTop)]
+
+		if bv.points != len(preds) {
+			t.Fatalf("%s: points %d, want %d", bench, bv.points, len(preds))
+		}
+		if len(bv.top) != len(top) {
+			t.Fatalf("%s: %d top designs, want %d", bench, len(bv.top), len(top))
+		}
+		for i := range top {
+			if bv.top[i] != top[i] {
+				t.Fatalf("%s: rank %d = %+v, want %+v", bench, i, bv.top[i], top[i])
+			}
+		}
+		if len(bv.ids) != len(ids) || len(bv.delays) != len(ids) || len(bv.powers) != len(ids) {
+			t.Fatalf("%s: column lengths %d/%d/%d, want %d", bench, len(bv.ids), len(bv.delays), len(bv.powers), len(ids))
+		}
+		for i := range ids {
+			if bv.ids[i] != ids[i] || bv.delays[i] != delays[i] || bv.powers[i] != powers[i] {
+				t.Fatalf("%s: column row %d = (%d, %v, %v), want (%d, %v, %v)", bench, i,
+					bv.ids[i], bv.delays[i], bv.powers[i], ids[i], delays[i], powers[i])
 			}
 		}
 	}

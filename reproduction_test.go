@@ -229,12 +229,12 @@ func TestClaimExhaustiveSweepCheap(t *testing.T) {
 	}
 	// And the best design by bips^3/w must be a real, valid configuration.
 	best, bestEff := -1, 0.0
-	for _, p := range preds {
+	for i, p := range preds {
 		if p.BIPS <= 0 || p.Watts <= 0 {
 			continue
 		}
 		if eff := metrics.BIPS3W(p.BIPS, p.Watts); eff > bestEff {
-			bestEff, best = eff, p.Index
+			bestEff, best = eff, i
 		}
 	}
 	if best < 0 {
