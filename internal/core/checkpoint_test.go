@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -339,5 +340,67 @@ func TestSweepGuardTripsOnCorruptionAndRecovers(t *testing.T) {
 	}
 	if len(got) != e.StudySpace.Size() {
 		t.Fatalf("sweep covered %d of %d points", len(got), e.StudySpace.Size())
+	}
+}
+
+// TestSweepChunksResetsAndReplaysOnGuardTrip corrupts every compiled
+// chunk: SweepChunks must call reset exactly once, then visit every
+// flat index exactly once more with the interpreted models' values, and
+// ExhaustivePredictInto, its copy visitor, must return those values at
+// every point.
+func TestSweepChunksResetsAndReplaysOnGuardTrip(t *testing.T) {
+	src := testExplorer(t)
+	flips := &fault.Plan{Rules: []fault.Rule{
+		{Site: "core.sweep.compiled", Kind: fault.KindFlip, Every: 1},
+	}}
+	withFlips := func(f func() error) {
+		t.Helper()
+		prev := fault.Current()
+		fault.Enable(flips)
+		err := f()
+		fault.Enable(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e := explorerLike(t, src, nil)
+	n := e.StudySpace.Size()
+	visits := make([]int32, n)
+	got := make([]Prediction, n)
+	resets := 0
+	withFlips(func() error {
+		return e.SweepChunks(context.Background(), "gzip", func() {
+			resets++
+			clear(visits)
+		}, func(lo int, bips, watts []float64) error {
+			for i := range bips {
+				atomic.AddInt32(&visits[lo+i], 1)
+				got[lo+i] = Prediction{BIPS: bips[i], Watts: watts[i]}
+			}
+			return nil
+		})
+	})
+	if resets != 1 {
+		t.Fatalf("reset called %d times, want 1", resets)
+	}
+	into := explorerLike(t, src, nil)
+	intoOut := make([]Prediction, n)
+	withFlips(func() error { return into.ExhaustivePredictInto(context.Background(), "gzip", intoOut) })
+	if st := into.ModelStats(); !st.Degraded {
+		t.Fatal("ExhaustivePredictInto did not trip the guard")
+	}
+	for i := range n {
+		if visits[i] != 1 {
+			t.Fatalf("index %d visited %d times after reset, want 1", i, visits[i])
+		}
+		b, w, err := e.interpretedPredict("gzip", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Prediction{BIPS: b, Watts: w}
+		if got[i] != want || intoOut[i] != want {
+			t.Fatalf("index %d: visited %+v, ExhaustivePredictInto %+v, interpreted %+v", i, got[i], intoOut[i], want)
+		}
 	}
 }

@@ -479,10 +479,36 @@ type sweepScratch struct {
 	bips, watts [sweepChunk]float64
 }
 
+// ChunkVisitor receives one chunk of an exhaustive sweep: bips[i] and
+// watts[i] are the predictions for flat index lo+i. The slices are the
+// worker's scratch buffers, valid only for the duration of the call.
+// Calls arrive concurrently from the sweep's workers, each on disjoint
+// chunks and in no fixed order.
+type ChunkVisitor func(lo int, bips, watts []float64) error
+
 // ExhaustivePredictInto runs the exhaustive sweep for one benchmark into
 // dst (which must have StudySpace.Size() elements), bypassing the sweep
-// cache. Results are deterministic and independent of the worker count
-// and kernel: dst[i] always holds the prediction for flat index i.
+// cache: a copy visitor over SweepChunks. Results are deterministic and
+// independent of the worker count and kernel: dst[i] always holds the
+// prediction for flat index i.
+func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst []Prediction) error {
+	if n := e.StudySpace.Size(); len(dst) != n {
+		return fmt.Errorf("core: sweep buffer has %d slots, space has %d", len(dst), n)
+	}
+	return e.SweepChunks(ctx, bench, nil, func(lo int, bips, watts []float64) error {
+		out := dst[lo : lo+len(bips)]
+		for i := range out {
+			out[i] = Prediction{BIPS: bips[i], Watts: watts[i]}
+		}
+		return nil
+	})
+}
+
+// SweepChunks walks the exhaustive sweep for one benchmark and hands
+// each chunk of output to visit on the worker that computed it, so a
+// consumer can reduce the 262,500 predictions where they are produced
+// instead of reading them back from a buffer. Every flat index is
+// visited exactly once on a clean walk.
 //
 // The engine hands each worker contiguous flat-index tiles sized to
 // divide the space's depth blocks, and each tile is evaluated
@@ -491,54 +517,47 @@ type sweepScratch struct {
 // are hoisted out of the per-point loop, and both models are evaluated
 // over whole DL1×L2 planes from coefficient-premultiplied plane tables.
 // The output is bit-identical to the interpreted models, which the
-// guardrail checks and which re-run the sweep if the guardrail trips.
-func (e *Explorer) ExhaustivePredictInto(ctx context.Context, bench string, dst []Prediction) error {
+// guardrail checks chunk by chunk. If the guardrail trips, the
+// corruption could have reached any chunk already visited: the walk
+// calls reset (when non-nil), so the visitor can drop what it has
+// seen, and re-runs the whole sweep on the interpreted models through
+// the same visit.
+func (e *Explorer) SweepChunks(ctx context.Context, bench string, reset func(), visit ChunkVisitor) error {
 	if _, _, err := e.Models(bench); err != nil {
 		return err
-	}
-	n := e.StudySpace.Size()
-	if len(dst) != n {
-		return fmt.Errorf("core: sweep buffer has %d slots, space has %d", len(dst), n)
 	}
 	ctx, sp := obs.Start(ctx, "core.sweep", obs.String("bench", bench))
 	defer sp.End()
 	guard := e.modelsBackend.Guard()
 	if !guard.Degraded() {
-		if err := e.sweepBlocked(ctx, bench, e.pairPlan(bench), guard, dst); err != nil {
+		if err := e.walkChunks(ctx, e.compiledChunk(bench, e.pairPlan(bench), guard, visit)); err != nil {
 			return err
 		}
 		if !guard.Degraded() {
 			return nil
 		}
-		// The guardrail tripped mid-sweep: some plan result diverged
-		// from the interpreted reference, and the corruption could have
-		// landed anywhere in the space. Fall through and re-run the whole
-		// sweep on the interpreted models, guaranteeing correct output.
+		if reset != nil {
+			reset()
+		}
 	}
-	return e.modelEngine.Sweep(ctx, n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			bips, watts, err := e.interpretedPredict(bench, i)
+	return e.walkChunks(ctx, func(lo int, bips, watts []float64) error {
+		for i := range bips {
+			b, w, err := e.interpretedPredict(bench, lo+i)
 			if err != nil {
 				return err
 			}
-			dst[i] = Prediction{BIPS: bips, Watts: watts}
+			bips[i], watts[i] = b, w
 		}
-		return nil
+		return visit(lo, bips, watts)
 	})
 }
 
-// sweepBlocked is the sweep kernel: tiles of the flat index range, each
-// walked chunk-by-chunk — evaluate both models' SweepPlans over
-// sweepChunk consecutive flat indices, store into dst. The guardrail
-// counts every point (TickCount per chunk) and cross-checks one
-// evenly-spaced representative per crossed boundary against the
-// interpreted models, so guard coverage matches the configured
-// one-in-interval rate however tiles and chunks divide the space.
-func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.PairPlan, guard *eval.Guardrail, dst []Prediction) error {
-	return e.modelEngine.Sweep(ctx, len(dst), func(lo, hi int) error {
-		// Hoisted per tile so the per-point loop stays free of atomic
-		// traffic when no fault plan is armed (the common case).
-		faultActive := fault.Active()
+// walkChunks is the sweep's one chunk walk: the engine's tiles of the
+// flat index range, each split into chunks of at most sweepChunk
+// points, and fill called once per chunk with the worker's pooled
+// scratch buffers to fill and consume.
+func (e *Explorer) walkChunks(ctx context.Context, fill ChunkVisitor) error {
+	return e.modelEngine.Sweep(ctx, e.StudySpace.Size(), func(lo, hi int) error {
 		s, _ := e.sweepPool.Get().(*sweepScratch)
 		if s == nil {
 			s = new(sweepScratch)
@@ -546,30 +565,44 @@ func (e *Explorer) sweepBlocked(ctx context.Context, bench string, plan *eval.Pa
 		defer e.sweepPool.Put(s)
 		for base := lo; base < hi; base += sweepChunk {
 			k := min(hi-base, sweepChunk)
-			plan.SweepRange(base, s.bips[:k], s.watts[:k])
-			if faultActive {
-				for i := 0; i < k; i++ {
-					s.bips[i] = fault.Flip("core.sweep.compiled", s.bips[i])
-					s.watts[i] = fault.Flip("core.sweep.compiled", s.watts[i])
-				}
-			}
-			for i := 0; i < k; i++ {
-				dst[base+i] = Prediction{BIPS: s.bips[i], Watts: s.watts[i]}
-			}
-			if checks := guard.TickCount(int64(k)); checks > 0 {
-				step := k / int(checks)
-				for c := int64(0); c < checks; c++ {
-					idx := base + int(c)*step
-					refB, refW, err := e.interpretedPredict(bench, idx)
-					if err != nil {
-						return err
-					}
-					guard.Record(dst[idx].BIPS != refB || dst[idx].Watts != refW)
-				}
+			if err := fill(base, s.bips[:k], s.watts[:k]); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
+}
+
+// compiledChunk returns the sweep kernel's chunk step: evaluate both
+// models' SweepPlans over the chunk's consecutive flat indices, then
+// hand the chunk to visit. The guardrail counts every point (TickCount
+// per chunk) and cross-checks one evenly-spaced representative per
+// crossed boundary against the interpreted models, so guard coverage
+// matches the configured one-in-interval rate however tiles and chunks
+// divide the space.
+func (e *Explorer) compiledChunk(bench string, plan *eval.PairPlan, guard *eval.Guardrail, visit ChunkVisitor) ChunkVisitor {
+	return func(base int, bips, watts []float64) error {
+		plan.SweepRange(base, bips, watts)
+		if fault.Active() {
+			for i := range bips {
+				bips[i] = fault.Flip("core.sweep.compiled", bips[i])
+				watts[i] = fault.Flip("core.sweep.compiled", watts[i])
+			}
+		}
+		k := len(bips)
+		if checks := guard.TickCount(int64(k)); checks > 0 {
+			step := k / int(checks)
+			for c := 0; c < int(checks); c++ {
+				off := c * step
+				refB, refW, err := e.interpretedPredict(bench, base+off)
+				if err != nil {
+					return err
+				}
+				guard.Record(bips[off] != refB || watts[off] != refW)
+			}
+		}
+		return visit(base, bips, watts)
+	}
 }
 
 // interpretedPredict evaluates the interpreted regression models for

@@ -88,13 +88,7 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 	}
 	space := e.StudySpace
 
-	// The delay-power cloud as columns; a design's id is its position.
-	ids := make([]int, len(preds))
-	delays := make([]float64, len(preds))
-	powers := make([]float64, len(preds))
-	for i, p := range preds {
-		ids[i], delays[i], powers[i] = i, metrics.Delay(p.BIPS), p.Watts
-	}
+	ids, delays, powers := frontierColumns(preds)
 	frontier, err := pareto.DiscretizedFrontierColumns(ids, delays, powers, opts.DelayTargets)
 	if err != nil {
 		return nil, err
@@ -137,6 +131,25 @@ func Run(e *core.Explorer, bench string, opts Options) (*Result, error) {
 	}
 	res.Best = *best
 	return res, nil
+}
+
+// frontierColumns returns the delay-power cloud as columns: the
+// physical designs (positive bips and watts, as Figure 2, the depth
+// study and dsed's pareto view require) in index order, a design's id
+// being its position in preds.
+func frontierColumns(preds []core.Prediction) (ids []int, delays, powers []float64) {
+	ids = make([]int, 0, len(preds))
+	delays = make([]float64, 0, len(preds))
+	powers = make([]float64, 0, len(preds))
+	for i, p := range preds {
+		if p.BIPS <= 0 || p.Watts <= 0 {
+			continue
+		}
+		ids = append(ids, i)
+		delays = append(delays, metrics.Delay(p.BIPS))
+		powers = append(powers, p.Watts)
+	}
+	return ids, delays, powers
 }
 
 // findOptimum locates the predicted bips^3/w-maximizing design and

@@ -172,3 +172,78 @@ func TestRunUnknownBenchmark(t *testing.T) {
 		t.Fatal("study ran for unmodeled benchmark")
 	}
 }
+
+// TestFrontierColumnsSkipNonPhysical feeds the column builder a
+// characterization holding designs with bips <= 0 (on which
+// metrics.Delay panics) and watts <= 0: only the physical designs may
+// reach the frontier columns, in index order, named by position.
+func TestFrontierColumnsSkipNonPhysical(t *testing.T) {
+	preds := []core.Prediction{
+		{BIPS: 1, Watts: 10},
+		{BIPS: 0, Watts: 5},
+		{BIPS: -0.5, Watts: 5},
+		{BIPS: 2, Watts: 0},
+		{BIPS: 2, Watts: -3},
+		{BIPS: 0.5, Watts: 2},
+	}
+	ids, delays, powers := frontierColumns(preds)
+	wantIDs := []int{0, 5}
+	if len(ids) != len(wantIDs) || len(delays) != len(wantIDs) || len(powers) != len(wantIDs) {
+		t.Fatalf("columns have %d/%d/%d rows, want %d", len(ids), len(delays), len(powers), len(wantIDs))
+	}
+	for r, i := range wantIDs {
+		if ids[r] != i || delays[r] != metrics.Delay(preds[i].BIPS) || powers[r] != preds[i].Watts {
+			t.Fatalf("row %d = (%d, %v, %v), want design %d", r, ids[r], delays[r], powers[r], i)
+		}
+	}
+}
+
+// TestRunSkipsNonPhysicalDesigns runs the study on models fit without
+// response transformations, whose characterization predicts
+// non-positive power for some designs: the frontier must hold only
+// physical designs and match the frontier of the physical designs alone.
+func TestRunSkipsNonPhysicalDesigns(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.TrainSamples = 40
+	opts.TraceLen = 2000
+	opts.Benchmarks = []string{"gzip"}
+	opts.Spec = core.UntransformedSpec
+	e, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Train(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(e, "gzip", Options{DelayTargets: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	var delays, powers []float64
+	for i, p := range res.Characterization {
+		if p.BIPS > 0 && p.Watts > 0 {
+			ids = append(ids, i)
+			delays = append(delays, metrics.Delay(p.BIPS))
+			powers = append(powers, p.Watts)
+		}
+	}
+	if len(ids) == len(res.Characterization) {
+		t.Fatal("characterization holds no non-physical design; the test shows nothing")
+	}
+	want, err := pareto.DiscretizedFrontierColumns(ids, delays, powers, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Frontier) != len(want) {
+		t.Fatalf("frontier has %d points, want %d", len(res.Frontier), len(want))
+	}
+	for i, fp := range res.Frontier {
+		if fp.ModelDelay <= 0 || fp.ModelPower <= 0 {
+			t.Fatalf("frontier point %d is non-physical: delay %v, power %v", i, fp.ModelDelay, fp.ModelPower)
+		}
+		if fp.Index != want[i].ID || fp.ModelDelay != want[i].Delay || fp.ModelPower != want[i].Power {
+			t.Fatalf("frontier point %d = (%d, %v, %v), want %+v", i, fp.Index, fp.ModelDelay, fp.ModelPower, want[i])
+		}
+	}
+}

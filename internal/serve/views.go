@@ -3,15 +3,15 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
-	"container/heap"
 	"context"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
+	"repro/internal/arch"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pareto"
@@ -34,9 +34,12 @@ import (
 // requests resolve their generation exactly once):
 //
 //  1. benchView — per (generation, benchmark): the ranked top-K designs
-//     (heap-based partial selection, K capped at MaxSweepTop) and the
-//     physical (delay, power) point set in structure-of-arrays form,
-//     built once from an exhaustive sweep the generation does not keep.
+//     (K capped at MaxSweepTop) and the physical (delay, power) point
+//     set in structure-of-arrays form, reduced chunk by chunk inside the
+//     exhaustive sweep on the workers that compute it: per-worker top-K
+//     candidates pruned by quickselect and merged under one total order,
+//     and column segments closed up once the sweep ends. No sweep buffer
+//     is allocated and the generation keeps no raw sweep.
 //  2. viewEntry — per (generation, endpoint, benchmark, parameter): the
 //     final encoded JSON response bytes (plus a lazily-built gzip
 //     variant), so a hot request is served with zero recomputation and
@@ -218,50 +221,17 @@ func (g *generation) benchView(ctx context.Context, bench string) (*benchView, e
 	return bv, err
 }
 
-// buildBenchView derives the benchmark view from an exhaustive sweep
-// into a buffer of its own, which is dropped once the view is built: a
-// generation keeps only its views, never the raw sweeps. One pass
-// selects the top-MaxSweepTop designs by bips³/w through a bounded
-// min-heap, another collects the physical (delay, power) columns.
+// buildBenchView derives the benchmark view inside the exhaustive sweep:
+// a viewBuilder reduces each chunk of predictions on the worker that
+// computed it, so no sweep buffer exists and the generation keeps only
+// its views, never the raw sweeps.
 func buildBenchView(g *generation, bench string) (*benchView, error) {
 	space := g.e.StudySpace
-	preds := make([]core.Prediction, space.Size())
-	if err := g.e.ExhaustivePredictInto(context.Background(), bench, preds); err != nil {
+	b := newViewBuilder(space.Size(), MaxSweepTop)
+	if err := g.e.SweepChunks(context.Background(), bench, b.reset, b.visit); err != nil {
 		return nil, err
 	}
-	bv := &benchView{points: len(preds)}
-	ranked := topKByEfficiency(preds, MaxSweepTop)
-	bv.top = make([]SweepDesign, len(ranked))
-	for i, r := range ranked {
-		bv.top[i] = SweepDesign{
-			Index:  r.index,
-			Config: space.Config(space.PointAt(r.index)),
-			BIPS:   r.bips,
-			Watts:  r.watts,
-			BIPS3W: r.eff,
-		}
-	}
-	// Physical column pass. Sized exactly: count first so the three
-	// columns are allocated once at their final length.
-	n := 0
-	for i := range preds {
-		if preds[i].BIPS > 0 && preds[i].Watts > 0 {
-			n++
-		}
-	}
-	bv.ids = make([]int, 0, n)
-	bv.delays = make([]float64, 0, n)
-	bv.powers = make([]float64, 0, n)
-	for i := range preds {
-		p := &preds[i]
-		if p.BIPS <= 0 || p.Watts <= 0 {
-			continue
-		}
-		bv.ids = append(bv.ids, i)
-		bv.delays = append(bv.delays, metrics.Delay(p.BIPS))
-		bv.powers = append(bv.powers, p.Watts)
-	}
-	return bv, nil
+	return b.view(space), nil
 }
 
 // ranked is one design of a top-K selection: its flat index, predicted
@@ -271,66 +241,188 @@ type ranked struct {
 	bips, watts, eff float64
 }
 
-// effHeap is a min-heap over designs ordered by bips³/w (ties broken by
-// index, larger index first, so the heap root is always the weakest
-// entry and the final ranking is deterministic).
-type effHeap []ranked
-
-func (h effHeap) Len() int { return len(h) }
-func (h effHeap) Less(i, j int) bool {
-	if h[i].eff != h[j].eff {
-		return h[i].eff < h[j].eff
+// outranks is the ranking's total order: higher bips³/w first, equal
+// efficiencies broken toward the lower design index, which is the
+// order a stable sort on efficiency over index order gives.
+func (a ranked) outranks(b ranked) bool {
+	if a.eff != b.eff {
+		return a.eff > b.eff
 	}
-	return h[i].index > h[j].index
+	return a.index < b.index
 }
-func (h effHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *effHeap) Push(x any)   { panic("effHeap: push unused") }
-func (h *effHeap) Pop() (x any) {
-	*h = (*h)[:len(*h)-1]
+
+// selectTop reorders c so that c[:k] holds its k highest-ranked entries
+// and c[k-1] is the weakest of them (Hoare's quickselect, pivoting on
+// the entry at the target position). Requires 0 < k <= len(c).
+func selectTop(c []ranked, k int) {
+	t := k - 1
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		pivot := c[t]
+		i, j := lo, hi
+		for i <= j {
+			for c[i].outranks(pivot) {
+				i++
+			}
+			for pivot.outranks(c[j]) {
+				j--
+			}
+			if i <= j {
+				c[i], c[j] = c[j], c[i]
+				i++
+				j--
+			}
+		}
+		if j < t {
+			lo = i
+		}
+		if t < i {
+			hi = j
+		}
+	}
+}
+
+// segment records where one chunk's physical designs landed in the
+// view columns: n rows starting at the chunk's first flat index lo.
+type segment struct{ lo, n int }
+
+// rankWorker is the state one sweep worker reduces its chunks into: the
+// top-K candidates it has seen and the column segments it has written.
+// Until its first prune it keeps every physical design; after that it
+// keeps only designs that outrank floor, its K-th best so far.
+type rankWorker struct {
+	cands  []ranked
+	floor  ranked
+	pruned bool
+	segs   []segment
+}
+
+// viewBuilder is buildBenchView's chunk visitor. Each chunk writes its
+// physical designs compacted at the chunk's own offset into the three
+// full-length columns, and ranks them into a rankWorker taken from an
+// idle list, so concurrent chunks never share state and at most one
+// rankWorker exists per sweep worker. view closes up the column
+// segments and merges the workers' candidates under the total order,
+// so the result does not depend on worker count, tile size or schedule.
+type viewBuilder struct {
+	k      int
+	ids    []int
+	delays []float64
+	powers []float64
+
+	mu      sync.Mutex
+	idle    []*rankWorker
+	workers []*rankWorker
+}
+
+func newViewBuilder(n, k int) *viewBuilder {
+	return &viewBuilder{
+		k:      k,
+		ids:    make([]int, n),
+		delays: make([]float64, n),
+		powers: make([]float64, n),
+	}
+}
+
+func (b *viewBuilder) acquire() *rankWorker {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.idle); n > 0 {
+		w := b.idle[n-1]
+		b.idle = b.idle[:n-1]
+		return w
+	}
+	w := &rankWorker{cands: make([]ranked, 0, 2*b.k)}
+	b.workers = append(b.workers, w)
+	return w
+}
+
+func (b *viewBuilder) release(w *rankWorker) {
+	b.mu.Lock()
+	b.idle = append(b.idle, w)
+	b.mu.Unlock()
+}
+
+// visit reduces one chunk of the sweep (a core.ChunkVisitor) into an
+// idle rank worker.
+func (b *viewBuilder) visit(lo int, bips, watts []float64) error {
+	w := b.acquire()
+	b.reduce(w, lo, bips, watts)
+	b.release(w)
 	return nil
 }
 
-// topKByEfficiency returns the k highest-bips³/w physical designs of a
-// sweep (preds[i] is the design at flat index i) in descending order.
-// Bounded selection: a size-k min-heap over one pass of the input
-// (O(n log k) worst case, O(n) when the input is not adversarially
-// ordered), instead of ranking the full slice. Ties are broken toward
-// the lower design index, matching a stable full sort.
-func topKByEfficiency(preds []core.Prediction, k int) []ranked {
-	if k <= 0 {
-		return nil
-	}
-	h := make(effHeap, 0, k)
-	for i, p := range preds {
-		if p.BIPS <= 0 || p.Watts <= 0 {
+// reduce writes the chunk at lo's physical designs into the columns at
+// the chunk's offset and offers them to w's top-K candidates.
+func (b *viewBuilder) reduce(w *rankWorker, lo int, bips, watts []float64) {
+	ids := b.ids[lo : lo+len(bips)]
+	delays := b.delays[lo : lo+len(bips)]
+	powers := b.powers[lo : lo+len(bips)]
+	n := 0
+	for i, bi := range bips {
+		wa := watts[i]
+		if bi <= 0 || wa <= 0 {
 			continue
 		}
-		d := ranked{index: i, bips: p.BIPS, watts: p.Watts, eff: metrics.BIPS3W(p.BIPS, p.Watts)}
-		if len(h) < k {
-			h = append(h, d)
-			if len(h) == k {
-				heap.Init(&h)
-			}
+		ids[n], delays[n], powers[n] = lo+i, metrics.Delay(bi), wa
+		n++
+		d := ranked{index: lo + i, bips: bi, watts: wa, eff: metrics.BIPS3W(bi, wa)}
+		if w.pruned && !d.outranks(w.floor) {
 			continue
 		}
-		// Full heap: replace the root iff d outranks it. Designs arrive
-		// in index order, so an equal efficiency never outranks the root.
-		if d.eff <= h[0].eff {
-			continue
+		w.cands = append(w.cands, d)
+		if len(w.cands) == 2*b.k {
+			selectTop(w.cands, b.k)
+			w.cands = w.cands[:b.k]
+			w.floor, w.pruned = w.cands[b.k-1], true
 		}
-		h[0] = d
-		heap.Fix(&h, 0)
 	}
-	if len(h) < k && len(h) > 1 {
-		heap.Init(&h)
+	w.segs = append(w.segs, segment{lo: lo, n: n})
+}
+
+// reset drops everything visited so far; the sweep calls it before
+// re-running on the interpreted models, when no chunk is in flight.
+func (b *viewBuilder) reset() {
+	for _, w := range b.workers {
+		w.cands, w.pruned, w.segs = w.cands[:0], false, w.segs[:0]
 	}
-	// Drain the heap smallest-first into the tail of the result.
-	out := make([]ranked, len(h))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = h[0]
-		heap.Pop(&h)
+}
+
+// view assembles the benchmark view once the sweep has finished.
+func (b *viewBuilder) view(space *arch.Space) *benchView {
+	var cands []ranked
+	var segs []segment
+	for _, w := range b.workers {
+		cands = append(cands, w.cands...)
+		segs = append(segs, w.segs...)
 	}
-	return out
+	sort.Slice(cands, func(i, j int) bool { return cands[i].outranks(cands[j]) })
+	cands = cands[:min(len(cands), b.k)]
+
+	bv := &benchView{points: len(b.ids), top: make([]SweepDesign, len(cands))}
+	for i, r := range cands {
+		bv.top[i] = SweepDesign{
+			Index:  r.index,
+			Config: space.Config(space.PointAt(r.index)),
+			BIPS:   r.bips,
+			Watts:  r.watts,
+			BIPS3W: r.eff,
+		}
+	}
+	// Close up the column segments in index order; a segment already in
+	// place (every segment, when every design is physical) stays put.
+	sort.Slice(segs, func(i, j int) bool { return segs[i].lo < segs[j].lo })
+	n := 0
+	for _, s := range segs {
+		if s.lo != n {
+			copy(b.ids[n:], b.ids[s.lo:s.lo+s.n])
+			copy(b.delays[n:], b.delays[s.lo:s.lo+s.n])
+			copy(b.powers[n:], b.powers[s.lo:s.lo+s.n])
+		}
+		n += s.n
+	}
+	bv.ids, bv.delays, bv.powers = b.ids[:n], b.delays[:n], b.powers[:n]
+	return bv
 }
 
 // view returns the materialized entry for key, building (and caching)

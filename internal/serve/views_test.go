@@ -5,16 +5,21 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 )
 
@@ -372,43 +377,129 @@ func TestSweepTopClamp(t *testing.T) {
 	}
 }
 
-// TestTopKByEfficiencyMatchesSort cross-checks the heap-based bounded
-// selection against a full stable sort on synthetic predictions with
-// ties and non-physical entries; a prediction's design is its position.
-func TestTopKByEfficiencyMatchesSort(t *testing.T) {
-	preds := []core.Prediction{
-		{BIPS: 2, Watts: 4},
-		{BIPS: 0, Watts: 10},  // non-physical: bips <= 0
-		{BIPS: 3, Watts: 27},  // eff 1.0
-		{BIPS: 1, Watts: 1},   // eff 1.0 tie with 2
-		{BIPS: 4, Watts: 2},   // eff 32
-		{BIPS: 2, Watts: -1},  // non-physical: watts <= 0
-		{BIPS: 2, Watts: 4},   // eff 2.0, tie with 0
-		{BIPS: 5, Watts: 125}, // eff 1.0 tie with 2, 3
-		{BIPS: 10, Watts: 1},  // eff 1000
+// visitSchedule drives a viewBuilder over a synthetic sweep the way
+// SweepChunks would: preds[i] is the design at flat index i, cut into
+// chunks of at most chunk designs, visited in the given chunk order by
+// nw rank workers taking chunks round-robin.
+func visitSchedule(t *testing.T, preds []core.Prediction, k, chunk, nw int, order func([]int)) *benchView {
+	t.Helper()
+	b := newViewBuilder(len(preds), k)
+	var los []int
+	for lo := 0; lo < len(preds); lo += chunk {
+		los = append(los, lo)
 	}
-	var want []ranked
+	order(los)
+	workers := make([]*rankWorker, nw)
+	for i := range workers {
+		workers[i] = b.acquire()
+	}
+	for c, lo := range los {
+		hi := min(lo+chunk, len(preds))
+		bips, watts := make([]float64, hi-lo), make([]float64, hi-lo)
+		for i := lo; i < hi; i++ {
+			bips[i-lo], watts[i-lo] = preds[i].BIPS, preds[i].Watts
+		}
+		b.reduce(workers[c%nw], lo, bips, watts)
+	}
+	return b.view(arch.ExplorationSpace())
+}
+
+// oracleView is the reference derivation of a benchView: the physical
+// designs in index order as columns, and the ranking by a stable sort on
+// bips³/w over index order.
+func oracleView(preds []core.Prediction, k int) (top []SweepDesign, ids []int, delays, powers []float64) {
+	space := arch.ExplorationSpace()
 	for i, p := range preds {
-		if p.BIPS > 0 && p.Watts > 0 {
-			want = append(want, ranked{index: i, bips: p.BIPS, watts: p.Watts, eff: p.BIPS * p.BIPS * p.BIPS / p.Watts})
+		if p.BIPS <= 0 || p.Watts <= 0 {
+			continue
+		}
+		ids = append(ids, i)
+		delays = append(delays, metrics.Delay(p.BIPS))
+		powers = append(powers, p.Watts)
+		top = append(top, SweepDesign{Index: i, Config: space.Config(space.PointAt(i)),
+			BIPS: p.BIPS, Watts: p.Watts, BIPS3W: metrics.BIPS3W(p.BIPS, p.Watts)})
+	}
+	sort.SliceStable(top, func(i, j int) bool { return top[i].BIPS3W > top[j].BIPS3W })
+	return top[:min(len(top), k)], ids, delays, powers
+}
+
+// checkView compares a built view with the oracle, row by row.
+func checkView(t *testing.T, name string, bv *benchView, preds []core.Prediction, k int) {
+	t.Helper()
+	top, ids, delays, powers := oracleView(preds, k)
+	if bv.points != len(preds) {
+		t.Fatalf("%s: points %d, want %d", name, bv.points, len(preds))
+	}
+	if len(bv.top) != len(top) {
+		t.Fatalf("%s: %d ranked designs, want %d", name, len(bv.top), len(top))
+	}
+	for i := range top {
+		if bv.top[i] != top[i] {
+			t.Fatalf("%s: rank %d = %+v, want %+v", name, i, bv.top[i], top[i])
 		}
 	}
-	sort.SliceStable(want, func(i, j int) bool { return want[i].eff > want[j].eff })
-	for _, k := range []int{0, 1, 2, 3, len(want), len(want) + 5} {
-		got := topKByEfficiency(preds, k)
-		wantK := want
-		if k < len(wantK) {
-			wantK = wantK[:k]
+	if len(bv.ids) != len(ids) || len(bv.delays) != len(ids) || len(bv.powers) != len(ids) {
+		t.Fatalf("%s: column lengths %d/%d/%d, want %d", name, len(bv.ids), len(bv.delays), len(bv.powers), len(ids))
+	}
+	for i := range ids {
+		if bv.ids[i] != ids[i] || bv.delays[i] != delays[i] || bv.powers[i] != powers[i] {
+			t.Fatalf("%s: column row %d = (%d, %v, %v), want (%d, %v, %v)", name, i,
+				bv.ids[i], bv.delays[i], bv.powers[i], ids[i], delays[i], powers[i])
 		}
-		if k <= 0 {
-			wantK = nil
+	}
+}
+
+// chunkOrders are the visit orders the selection tests replay: index
+// order, reversed, and two seeded shuffles.
+var chunkOrders = map[string]func([]int){
+	"ascending": func([]int) {},
+	"descending": func(los []int) {
+		for i, j := 0, len(los)-1; i < j; i, j = i+1, j-1 {
+			los[i], los[j] = los[j], los[i]
 		}
-		if len(got) != len(wantK) {
-			t.Fatalf("k=%d: got %d results, want %d", k, len(got), len(wantK))
+	},
+	"shuffle1": func(los []int) {
+		rand.New(rand.NewPCG(1, 2)).Shuffle(len(los), func(i, j int) { los[i], los[j] = los[j], los[i] })
+	},
+	"shuffle2": func(los []int) {
+		rand.New(rand.NewPCG(3, 4)).Shuffle(len(los), func(i, j int) { los[i], los[j] = los[j], los[i] })
+	},
+}
+
+// TestTopKByEfficiencyMatchesSort cross-checks the view builder's
+// per-worker quickselect and merge against a full stable sort, and its
+// compacted columns against a filter, on random predictions with
+// injected equal efficiencies, non-physical designs and a run whose
+// efficiency rises with index (every design of it enters the candidate
+// buffer, so the buffer is pruned again and again). The ranking and
+// columns must not depend on the chunk size, the number of rank
+// workers or the order chunks are visited in.
+func TestTopKByEfficiencyMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2007, 30))
+	preds := make([]core.Prediction, 3000)
+	for i := range preds {
+		preds[i] = core.Prediction{BIPS: 0.1 + 2*rng.Float64(), Watts: 5 + 100*rng.Float64()}
+		switch r := rng.IntN(20); {
+		case r == 0:
+			preds[i].BIPS = -rng.Float64() // non-physical: bips < 0
+		case r == 1:
+			preds[i].Watts = 0 // non-physical: watts = 0
+		case r == 2:
+			preds[i].Watts = -1 // non-physical: watts < 0
+		case r < 6 && i > 0:
+			preds[i] = preds[rng.IntN(i)] // equal efficiency to an earlier design
 		}
-		for i := range got {
-			if got[i] != wantK[i] {
-				t.Fatalf("k=%d: rank %d = %+v, want %+v", k, i, got[i], wantK[i])
+	}
+	for i := 1000; i < 1600; i++ {
+		preds[i] = core.Prediction{BIPS: 2.5 + float64(i)/1000, Watts: 10} // rises with index
+	}
+	for _, k := range []int{1, 2, 3, 7, 100, 2600, 5000} {
+		for _, chunk := range []int{1, 7, 500} {
+			for _, nw := range []int{1, 3} {
+				for name, order := range chunkOrders {
+					bv := visitSchedule(t, preds, k, chunk, nw, order)
+					checkView(t, fmt.Sprintf("k=%d chunk=%d workers=%d %s", k, chunk, nw, name), bv, preds, k)
+				}
 			}
 		}
 	}
@@ -416,7 +507,8 @@ func TestTopKByEfficiencyMatchesSort(t *testing.T) {
 
 // TestTopKByEfficiencyTieRanksLowerPosition pins the tie-break: designs
 // of equal efficiency rank by position, lower first, whether the tie is
-// settled while the heap fills or against a full heap's root.
+// settled in a quickselect, against a worker's floor, or in the merge
+// of several workers' candidates.
 func TestTopKByEfficiencyTieRanksLowerPosition(t *testing.T) {
 	preds := []core.Prediction{
 		{BIPS: 1, Watts: 1},   // eff 1
@@ -427,15 +519,109 @@ func TestTopKByEfficiencyTieRanksLowerPosition(t *testing.T) {
 		{BIPS: 5, Watts: 125}, // eff 1
 	}
 	for k, want := range map[int][]int{1: {0}, 2: {0, 1}, 3: {0, 1, 3}, 5: {0, 1, 3, 4, 5}} {
-		got := topKByEfficiency(preds, k)
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d designs, want %d", k, len(got), len(want))
-		}
-		for i, r := range got {
-			if r.index != want[i] {
-				t.Fatalf("k=%d: rank %d is position %d, want %d", k, i, r.index, want[i])
+		for name, order := range chunkOrders {
+			for _, nw := range []int{1, 2} {
+				bv := visitSchedule(t, preds, k, 1, nw, order)
+				if len(bv.top) != len(want) {
+					t.Fatalf("k=%d %s workers=%d: got %d designs, want %d", k, name, nw, len(bv.top), len(want))
+				}
+				for i, d := range bv.top {
+					if d.Index != want[i] {
+						t.Fatalf("k=%d %s workers=%d: rank %d is position %d, want %d", k, name, nw, i, d.Index, want[i])
+					}
+				}
 			}
 		}
+	}
+	// All-equal efficiencies over many prunes: the lowest positions win.
+	ties := make([]core.Prediction, 200)
+	for i := range ties {
+		ties[i] = core.Prediction{BIPS: 2, Watts: 8}
+	}
+	for name, order := range chunkOrders {
+		bv := visitSchedule(t, ties, 10, 3, 2, order)
+		for i, d := range bv.top {
+			if d.Index != i {
+				t.Fatalf("all ties %s: rank %d is position %d", name, i, d.Index)
+			}
+		}
+	}
+}
+
+// loadExplorer deserializes the shared test models into a fresh
+// explorer whose options mutate adjusts.
+func loadExplorer(t *testing.T, mutate func(*core.Options)) *core.Explorer {
+	t.Helper()
+	opts := testOptions()
+	if mutate != nil {
+		mutate(&opts)
+	}
+	e, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadModels(bytes.NewReader(savedModels(t))); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestBenchViewIndependentOfWorkersAndTile builds each benchmark's view
+// with 1, 2 and 4 sweep workers and with 7-point tiles (chunks that
+// straddle the kernel's 25-point planes): the ranking and the columns
+// must be identical however the sweep is split and scheduled.
+func TestBenchViewIndependentOfWorkersAndTile(t *testing.T) {
+	for _, bench := range []string{"gzip", "mcf"} {
+		ref, err := buildBenchView(&generation{e: loadExplorer(t, func(o *core.Options) { o.Workers = 1 })}, bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, mutate := range map[string]func(*core.Options){
+			"workers=2": func(o *core.Options) { o.Workers = 2 },
+			"workers=4": func(o *core.Options) { o.Workers = 4 },
+			"tile=7":    func(o *core.Options) { o.SweepTile = 7 },
+		} {
+			bv, err := buildBenchView(&generation{e: loadExplorer(t, mutate)}, bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bv, ref) {
+				t.Fatalf("%s %s: view differs from the one-worker build", bench, name)
+			}
+		}
+	}
+}
+
+// TestBenchViewGuardTripRebuilds corrupts every compiled sweep result
+// through the core.sweep.compiled flip site while a view is built: the
+// guardrail must trip, the sweep must reset the builder before
+// replaying on the interpreted models, and the view must equal a clean
+// build's exactly.
+func TestBenchViewGuardTripRebuilds(t *testing.T) {
+	want, err := buildBenchView(&generation{e: loadExplorer(t, nil)}, "gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := loadExplorer(t, nil)
+	b := newViewBuilder(e.StudySpace.Size(), MaxSweepTop)
+	resets := 0
+	prev := fault.Current()
+	fault.Enable(&fault.Plan{Rules: []fault.Rule{
+		{Site: "core.sweep.compiled", Kind: fault.KindFlip, Every: 1},
+	}})
+	err = e.SweepChunks(context.Background(), "gzip", func() { resets++; b.reset() }, b.visit)
+	fault.Enable(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.ModelStats(); st.GuardDivergences == 0 || !st.Degraded {
+		t.Fatalf("guard did not trip under corruption: %+v", st)
+	}
+	if resets != 1 {
+		t.Fatalf("reset called %d times, want 1", resets)
+	}
+	if got := b.view(e.StudySpace); !reflect.DeepEqual(got, want) {
+		t.Fatal("view built through a guard trip differs from a clean build")
 	}
 }
 
