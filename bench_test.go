@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -528,6 +529,10 @@ func BenchmarkExhaustivePredictParallel(b *testing.B) {
 		sim.Evaluations, sim.Workers))
 }
 
+// baselinePoint is the exploration grid's point nearest arch.Baseline:
+// 18 FO4, 4-wide, GPR 80, BR 12, 64 KB I-L1, 32 KB D-L1, 2 MB L2.
+var baselinePoint = arch.Point{arch.AxisDepth: 2, arch.AxisWidth: 1, arch.AxisRegs: 4, arch.AxisResv: 6, arch.AxisIL1: 2, arch.AxisDL1: 2, arch.AxisL2: 3}
+
 // tripModelGuard sends one corrupted plan prediction through ex's
 // guardrail, which must check every prediction (GuardInterval 1), so ex
 // answers every later prediction and sweep from the interpreted models.
@@ -537,7 +542,7 @@ func tripModelGuard(b *testing.B, ex *core.Explorer, bench string) {
 	fault.Enable(&fault.Plan{Rules: []fault.Rule{
 		{Site: "eval.model.compiled", Kind: fault.KindFlip, Every: 1},
 	}})
-	_, _, err := ex.Predict(ex.StudySpace.Config(arch.BaselinePoint(ex.StudySpace)), bench)
+	_, _, err := ex.Predict(ex.StudySpace.Config(baselinePoint), bench)
 	fault.Enable(prev)
 	if err != nil {
 		b.Fatal(err)
@@ -981,12 +986,14 @@ func BenchmarkExtensionHeuristicSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	obj := func(cfg arch.Config) float64 {
-		pb, pw := eval.PredictInterpreted(perf, pow, cfg)
-		if pb <= 0 || pw <= 0 {
-			return 0
+	obj := func(cfgs []arch.Config) ([]float64, error) {
+		scores := make([]float64, len(cfgs))
+		for i, cfg := range cfgs {
+			if pb, pw := eval.PredictInterpreted(perf, pow, cfg); pb > 0 && pw > 0 {
+				scores[i] = metrics.BIPS3W(pb, pw)
+			}
 		}
-		return metrics.BIPS3W(pb, pw)
+		return scores, nil
 	}
 	// Exhaustive ground truth once.
 	preds, err := e.ExhaustivePredict("mesa")
@@ -1005,7 +1012,7 @@ func BenchmarkExtensionHeuristicSearch(b *testing.B) {
 	var res *search.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = search.HillClimb(e.StudySpace, obj, search.Options{Seed: 7, Restarts: 12})
+		res, err = search.HillClimbBatch(e.StudySpace, obj, search.Options{Seed: 7, Restarts: 12})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1165,8 +1172,10 @@ func BenchmarkRegressionFitFullSpec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	logFigure(b, fmt.Sprintf("gzip performance model: R2=%.4f adjR2=%.4f coefficients=%d",
-		perf.R2(), perf.AdjR2(), perf.NumCoefficients()))
+	// The summary's first two lines: sample and coefficient counts, R2,
+	// adjusted R2, RSE and conditioning.
+	head := strings.SplitN(perf.Summary(), "\n", 3)
+	logFigure(b, "gzip performance model: "+head[0]+"; "+head[1])
 }
 
 // BenchmarkPredictionThroughput measures single-point prediction, the
@@ -1205,7 +1214,7 @@ func BenchmarkCompiledPredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := e.StudySpace.Config(arch.BaselinePoint(e.StudySpace))
+	cfg := e.StudySpace.Config(baselinePoint)
 	wantB, wantW := eval.PredictInterpreted(perf, pow, cfg)
 	want := wantB + wantW
 	// The sinks add the same value b.N times, so they must equal the

@@ -6,10 +6,7 @@
 //
 // Usage:
 //
-//	tracegen [-n instructions] [-out dir] [benchmark ...]
-//
-// With -out, each trace is also serialized to <dir>/<benchmark>.trace in
-// the binary format of internal/trace.
+//	tracegen [-n instructions] [-trace spans.jsonl] [benchmark ...]
 package main
 
 import (
@@ -17,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -34,7 +30,6 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	n := fs.Int("n", 100000, "trace length in instructions")
-	outDir := fs.String("out", "", "directory to write binary .trace files into")
 	traceFile := fs.String("trace", "", "enable span tracing; write the span log (JSONL) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -46,17 +41,9 @@ func run(args []string, out io.Writer) error {
 	if len(benches) == 0 {
 		benches = trace.Benchmarks()
 	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return err
-		}
-	}
 	for _, bench := range benches {
 		sp := obs.Begin("tracegen.bench", obs.String("bench", bench))
 		err := describe(out, bench, *n)
-		if err == nil && *outDir != "" {
-			err = writeTraceFile(out, *outDir, bench, *n)
-		}
 		sp.End()
 		if err != nil {
 			return err
@@ -69,29 +56,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(os.Stderr, "tracegen: wrote %d trace spans to %s\n", len(spans), *traceFile)
 	}
-	return nil
-}
-
-// writeTraceFile serializes one benchmark's trace and reports its size.
-func writeTraceFile(out io.Writer, dir, bench string, n int) error {
-	tr, err := trace.ForBenchmark(bench, n)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, bench+".trace")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	written, err := tr.WriteTo(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "  wrote %s (%.1f KB)\n", path, float64(written)/1024)
 	return nil
 }
 

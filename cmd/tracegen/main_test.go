@@ -2,12 +2,8 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 func TestTracegenAllBenchmarks(t *testing.T) {
@@ -57,29 +53,5 @@ func TestTracegenFootprintsDiffer(t *testing.T) {
 	}
 	if mcfOut.String() == gzipOut.String() {
 		t.Fatal("benchmarks produced identical descriptions")
-	}
-}
-
-func TestTracegenWritesTraceFiles(t *testing.T) {
-	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := run([]string{"-n", "3000", "-out", dir, "gzip"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "gzip.trace")
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("trace file not written: %v", err)
-	}
-	defer f.Close()
-	tr, err := trace.ReadTrace(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Name != "gzip" || tr.Len() != 3000 {
-		t.Fatalf("reloaded trace %q/%d", tr.Name, tr.Len())
-	}
-	if !strings.Contains(out.String(), "wrote") {
-		t.Fatal("size report missing")
 	}
 }

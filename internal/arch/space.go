@@ -311,37 +311,6 @@ func (s *Space) DepthBlock(depthLevel int) (lo, hi int) {
 	return depthLevel * block, (depthLevel + 1) * block
 }
 
-// PointsAtDepth enumerates all points whose depth axis equals the given
-// level index. The exploration space has 37,500 such designs per depth
-// (262,500 / 7), matching the boxplot populations of the paper's
-// Figure 5(a).
-func (s *Space) PointsAtDepth(depthLevel int) []Point {
-	levels := s.Levels()
-	if depthLevel < 0 || depthLevel >= levels[AxisDepth] {
-		panic(fmt.Sprintf("arch: depth level %d out of range", depthLevel))
-	}
-	count := s.Size() / levels[AxisDepth]
-	out := make([]Point, 0, count)
-	var walk func(axis int, p Point)
-	walk = func(axis int, p Point) {
-		if axis == NumAxes {
-			out = append(out, p)
-			return
-		}
-		if axis == AxisDepth {
-			p[axis] = depthLevel
-			walk(axis+1, p)
-			return
-		}
-		for l := 0; l < levels[axis]; l++ {
-			p[axis] = l
-			walk(axis+1, p)
-		}
-	}
-	walk(0, Point{})
-	return out
-}
-
 // Baseline returns the POWER4-like reference architecture of the paper's
 // Table 3, expressed in this repository's configuration terms: a 19 FO4,
 // 4-wide core with 80 GPR / 72 FPR, moderate reservation stations, 64 KB
@@ -357,35 +326,4 @@ func Baseline() Config {
 		ResvBR: 12, ResvFX: 22, ResvFP: 11,
 		IL1KB: 64, DL1KB: 32, L2KB: 2048,
 	}
-}
-
-// BaselinePoint returns the closest point to Baseline within the given
-// space (depth is matched to the nearest level). This is the grid design
-// used when the baseline must live inside the modeled space.
-func BaselinePoint(s *Space) Point {
-	base := Baseline()
-	var p Point
-	// Nearest depth level.
-	bestD, bestDist := 0, 1<<30
-	for i, d := range s.depths {
-		dist := abs(d - base.DepthFO4)
-		if dist < bestDist {
-			bestDist, bestD = dist, i
-		}
-	}
-	p[AxisDepth] = bestD
-	p[AxisWidth] = 1 // 4-wide
-	p[AxisRegs] = 4  // GPR 80 / FPR 72 / SPR 66
-	p[AxisResv] = 6  // BR 12 / FX 22 / FP 11
-	p[AxisIL1] = 2   // 64 KB
-	p[AxisDL1] = 2   // 32 KB
-	p[AxisL2] = 3    // 2 MB
-	return p
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

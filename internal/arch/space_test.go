@@ -94,7 +94,7 @@ func TestFlatIndexPanics(t *testing.T) {
 		func() { s.PointAt(-1) },
 		func() { s.PointAt(s.Size()) },
 		func() { s.Config(Point{0, 0, 0, 0, 0, 0, 99}) },
-		func() { s.PointsAtDepth(7) },
+		func() { s.DepthBlock(7) },
 		func() { s.SampleUAR(-1, 0) },
 	} {
 		func() {
@@ -150,25 +150,6 @@ func TestSampleUARCoversAxes(t *testing.T) {
 	}
 }
 
-func TestPointsAtDepth(t *testing.T) {
-	s := ExplorationSpace()
-	pts := s.PointsAtDepth(2)
-	if len(pts) != 37500 {
-		t.Fatalf("PointsAtDepth count = %d, want 37500", len(pts))
-	}
-	seen := make(map[int]bool, len(pts))
-	for _, p := range pts {
-		if p[AxisDepth] != 2 {
-			t.Fatalf("point %v has wrong depth level", p)
-		}
-		idx := s.FlatIndex(p)
-		if seen[idx] {
-			t.Fatalf("duplicate point %v", p)
-		}
-		seen[idx] = true
-	}
-}
-
 func TestBaseline(t *testing.T) {
 	b := Baseline()
 	if err := b.Validate(); err != nil {
@@ -179,25 +160,6 @@ func TestBaseline(t *testing.T) {
 	}
 	if b.IL1KB != 64 || b.DL1KB != 32 || b.L2KB != 2048 {
 		t.Fatalf("baseline caches = %+v", b)
-	}
-}
-
-func TestBaselinePoint(t *testing.T) {
-	s := ExplorationSpace()
-	p := BaselinePoint(s)
-	if !s.Contains(p) {
-		t.Fatalf("baseline point %v not in space", p)
-	}
-	c := s.Config(p)
-	// Depth 19 snaps to 18 FO4 in the exploration grid.
-	if c.DepthFO4 != 18 {
-		t.Fatalf("baseline point depth = %d, want 18", c.DepthFO4)
-	}
-	if c.Width != 4 || c.GPR != 80 || c.IL1KB != 64 || c.DL1KB != 32 || c.L2KB != 2048 {
-		t.Fatalf("baseline point config = %+v", c)
-	}
-	if c.ResvBR != 12 {
-		t.Fatalf("baseline point ResvBR = %d, want 12", c.ResvBR)
 	}
 }
 
@@ -418,19 +380,9 @@ func TestDepthBlockMatchesPointsAtDepth(t *testing.T) {
 			t.Fatalf("depth %d block [%d,%d) has wrong size", d, lo, hi)
 		}
 		covered += hi - lo
-		// Every enumerated point at this depth must land inside the
-		// block, and the block must contain nothing else.
-		want := make(map[int]bool)
-		for _, p := range space.PointsAtDepth(d) {
-			idx := space.FlatIndex(p)
-			if idx < lo || idx >= hi {
-				t.Fatalf("depth %d: point %v flat index %d outside [%d,%d)", d, p, idx, lo, hi)
-			}
-			want[idx] = true
-		}
-		if len(want) != hi-lo {
-			t.Fatalf("depth %d: %d distinct points for block of %d", d, len(want), hi-lo)
-		}
+		// Every index of the block decodes to this depth, so the blocks
+		// are disjoint; with the coverage check below they partition the
+		// space, and every point at this depth lies in its block.
 		for i := lo; i < hi; i++ {
 			if p := space.PointAt(i); p[AxisDepth] != d {
 				t.Fatalf("index %d in depth-%d block decodes to depth %d", i, d, p[AxisDepth])

@@ -120,11 +120,3 @@ func (p *Predictor) Reset() {
 func (p *Predictor) Stats() (lookups, mispredictions uint64) {
 	return p.lookups, p.misses
 }
-
-// MispredictRate returns misses/lookups, or 0 before any lookup.
-func (p *Predictor) MispredictRate() float64 {
-	if p.lookups == 0 {
-		return 0
-	}
-	return float64(p.misses) / float64(p.lookups)
-}

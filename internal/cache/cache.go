@@ -9,8 +9,6 @@ import "fmt"
 // Cache is one level of set-associative cache. The zero value is not
 // usable; construct with New.
 type Cache struct {
-	name      string
-	sets      int
 	assoc     int
 	blockBits uint
 	setMask   uint32
@@ -66,8 +64,6 @@ func (c *Cache) Configure(name string, capacityBytes, assoc, blockBytes int) err
 	for 1<<blockBits != blockBytes {
 		blockBits++
 	}
-	c.name = name
-	c.sets = sets
 	c.assoc = assoc
 	c.blockBits = blockBits
 	c.setMask = uint32(sets - 1)
@@ -98,12 +94,6 @@ func growUint64(s []uint64, n int) []uint64 {
 	}
 	return s[:n]
 }
-
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
 
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
@@ -278,20 +268,6 @@ func (c *Cache) BlockShift() uint { return c.blockBits }
 // SetMask returns the mask extracting the set index from a block number.
 func (c *Cache) SetMask() uint32 { return c.setMask }
 
-// Probe reports whether the block containing addr is resident without
-// updating replacement state or statistics.
-func (c *Cache) Probe(addr uint32) bool {
-	block := addr >> c.blockBits
-	set := int(block & c.setMask)
-	base := set * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.valid[base+w] && c.tags[base+w] == block {
-			return true
-		}
-	}
-	return false
-}
-
 // ResetStats clears the access counters but keeps cache contents: used
 // after a warmup pass so measured miss rates reflect steady state rather
 // than cold start.
@@ -314,12 +290,4 @@ func (c *Cache) Reset() {
 // Stats returns the access and miss counts since the last Reset.
 func (c *Cache) Stats() (accesses, misses uint64) {
 	return c.accesses, c.misses
-}
-
-// MissRate returns misses/accesses, or 0 before any access.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
 }

@@ -19,11 +19,8 @@ func mustNew(t *testing.T, name string, capacity, assoc, block int) *Cache {
 
 func TestGeometry(t *testing.T) {
 	c := mustNew(t, "l1", 32*1024, 2, 128)
-	if c.Sets() != 128 || c.Assoc() != 2 {
-		t.Fatalf("sets=%d assoc=%d, want 128/2", c.Sets(), c.Assoc())
-	}
-	if c.Name() != "l1" {
-		t.Fatal("name wrong")
+	if sets := c.SetMask() + 1; sets != 128 || c.Assoc() != 2 {
+		t.Fatalf("sets=%d assoc=%d, want 128/2", sets, c.Assoc())
 	}
 }
 
@@ -51,8 +48,8 @@ func TestAssocClampedToFullyAssociative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Assoc() != 2 || c.Sets() != 1 {
-		t.Fatalf("tiny cache geometry: sets=%d assoc=%d", c.Sets(), c.Assoc())
+	if sets := c.SetMask() + 1; c.Assoc() != 2 || sets != 1 {
+		t.Fatalf("tiny cache geometry: sets=%d assoc=%d", sets, c.Assoc())
 	}
 }
 
@@ -101,22 +98,6 @@ func TestLRUOrderWithinSet(t *testing.T) {
 	}
 }
 
-func TestProbeDoesNotDisturb(t *testing.T) {
-	c := mustNew(t, "p", 256, 2, 128)
-	c.Access(0)
-	accBefore, missBefore := c.Stats()
-	if !c.Probe(0) {
-		t.Fatal("probe missed resident block")
-	}
-	if c.Probe(512) {
-		t.Fatal("probe hit absent block")
-	}
-	acc, miss := c.Stats()
-	if acc != accBefore || miss != missBefore {
-		t.Fatal("probe changed statistics")
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := mustNew(t, "r", 1024, 2, 128)
 	c.Access(0)
@@ -128,18 +109,6 @@ func TestReset(t *testing.T) {
 	}
 	if c.Access(0) {
 		t.Fatal("contents survived reset")
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	c := mustNew(t, "mr", 1024, 2, 128)
-	if c.MissRate() != 0 {
-		t.Fatal("miss rate before accesses should be 0")
-	}
-	c.Access(0)
-	c.Access(0)
-	if got := c.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate = %v, want 0.5", got)
 	}
 }
 
@@ -203,7 +172,7 @@ func TestQuickAccountingConsistent(t *testing.T) {
 	}
 }
 
-// Property: after accessing an address, an immediate probe hits.
+// Property: after accessing an address, an immediate re-access hits.
 func TestQuickAccessThenProbe(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -214,7 +183,7 @@ func TestQuickAccessThenProbe(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			addr := uint32(r.Intn(1 << 20))
 			c.Access(addr)
-			if !c.Probe(addr) {
+			if !c.Access(addr) {
 				return false
 			}
 		}

@@ -1,4 +1,4 @@
-// Package cacti provides an analytic cache timing, power and area model
+// Package cacti provides an analytic cache timing and power model
 // in the spirit of CACTI (Shivakumar & Jouppi), which the paper uses to
 // scale cache latency and power with array size. The constants are
 // calibrated to 130 nm-era publications so that a 32 KB L1 hits in about
@@ -41,15 +41,6 @@ func LeakageW(sizeKB int) float64 {
 		panic(fmt.Sprintf("cacti: size %d KB must be positive", sizeKB))
 	}
 	return 0.001 * float64(sizeKB)
-}
-
-// AreaMM2 returns the die area of the array in square millimeters,
-// slightly sublinear in capacity as peripheral overheads amortize.
-func AreaMM2(sizeKB int) float64 {
-	if sizeKB <= 0 {
-		panic(fmt.Sprintf("cacti: size %d KB must be positive", sizeKB))
-	}
-	return 0.03 * math.Pow(float64(sizeKB), 0.95)
 }
 
 // CyclesAt converts an access time in nanoseconds to pipeline cycles at

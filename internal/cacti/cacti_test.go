@@ -63,12 +63,6 @@ func TestLeakageLinear(t *testing.T) {
 	}
 }
 
-func TestAreaGrows(t *testing.T) {
-	if AreaMM2(128) <= AreaMM2(16) {
-		t.Fatal("area should grow with capacity")
-	}
-}
-
 func TestCyclesAtFloor(t *testing.T) {
 	if CyclesAt(0.1, 1.0) != 1 {
 		t.Fatal("cycle floor of 1 violated")
@@ -87,7 +81,6 @@ func TestPanicsOnBadInput(t *testing.T) {
 		func() { AccessTimeNS(32, 0) },
 		func() { EnergyPerAccessNJ(-1, 1) },
 		func() { LeakageW(0) },
-		func() { AreaMM2(0) },
 		func() { CyclesAt(1, 0) },
 	} {
 		func() {

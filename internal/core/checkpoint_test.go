@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -113,15 +114,16 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 
 	// And so must the model fit.
 	for bench, gm := range golden.perf {
-		_, gc := gm.Coefficients()
-		_, rc := resumed.perf[bench].Coefficients()
-		if len(gc) != len(rc) {
-			t.Fatalf("%s perf coefficient counts differ", bench)
+		g, err := json.Marshal(gm)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range gc {
-			if gc[i] != rc[i] {
-				t.Fatalf("%s perf coefficient %d: golden %v, resumed %v", bench, i, gc[i], rc[i])
-			}
+		r, err := json.Marshal(resumed.perf[bench])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g, r) {
+			t.Fatalf("%s perf model differs:\ngolden  %s\nresumed %s", bench, g, r)
 		}
 	}
 }

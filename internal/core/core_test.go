@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -272,16 +273,9 @@ func TestValidationAccuracy(t *testing.T) {
 		if len(be.Perf) != 30 || len(be.Power) != 30 {
 			t.Fatalf("%s has %d/%d validation errors, want 30", be.Benchmark, len(be.Perf), len(be.Power))
 		}
-		box, err := rep.PerfBoxplot(be.Benchmark)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if box.Med < 0 {
+		if slices.Min(be.Perf) < 0 || slices.Min(be.Power) < 0 {
 			t.Fatal("negative error")
 		}
-	}
-	if _, err := rep.PerfBoxplot("nope"); err == nil {
-		t.Fatal("boxplot for unknown benchmark succeeded")
 	}
 }
 

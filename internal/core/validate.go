@@ -25,17 +25,6 @@ type ValidationReport struct {
 	PerBenchmark []BenchmarkErrors
 }
 
-// PerfBoxplot returns the error boxplot for one benchmark's performance
-// predictions.
-func (r *ValidationReport) PerfBoxplot(bench string) (stats.Boxplot, error) {
-	for _, b := range r.PerBenchmark {
-		if b.Benchmark == bench {
-			return stats.NewBoxplot(b.Perf), nil
-		}
-	}
-	return stats.Boxplot{}, fmt.Errorf("core: no validation data for %q", bench)
-}
-
 // OverallMedians returns the suite-wide median performance and power
 // errors, the headline numbers of Section 3.4 (paper: 7.2% and 5.4%).
 func (r *ValidationReport) OverallMedians() (perf, power float64) {

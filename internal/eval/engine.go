@@ -224,9 +224,6 @@ func NewEngine(ev Evaluator, opts Options) *Engine {
 	}
 }
 
-// Workers returns the engine's batch parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
 // warmStatser is probed on the backend so engines over the simulator
 // surface its outcome-memo counters without the engine depending on
 // the sim package.
@@ -329,9 +326,9 @@ func (e *Engine) invokeTraced(ctx context.Context, req Request) (Result, error) 
 }
 
 // Evaluate serves one request on the caller's goroutine with no worker
-// dispatch, so single-point queries (interactive prediction, annealing
-// steps) stay cheap and Evaluate remains safe to call from inside
-// another evaluation. Every call runs the backend.
+// dispatch, so single-point queries (interactive prediction) stay cheap
+// and Evaluate remains safe to call from inside another evaluation.
+// Every call runs the backend.
 func (e *Engine) Evaluate(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err

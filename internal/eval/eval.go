@@ -133,9 +133,6 @@ func NewSimulator(traceLen int) *Simulator {
 // before handing the backend to an engine.
 func (s *Simulator) SetGuardInterval(interval int64) { s.guard = NewGuardrail(interval) }
 
-// Guard exposes the backend's guardrail (tests trip and inspect it).
-func (s *Simulator) Guard() *Guardrail { return s.guard }
-
 // GuardStats implements the guardStatser probe for engine stats.
 func (s *Simulator) GuardStats() (checks, divergences int64, degraded bool) {
 	return s.guard.Stats()

@@ -194,9 +194,10 @@ func TestPredictInterpreted(t *testing.T) {
 	for i, name := range arch.PredictorNames() {
 		vals[name] = arch.Predictors(cfg)[i]
 	}
-	if b, w := PredictInterpreted(perf, pow, cfg); b != perf.PredictMap(vals) || w != pow.PredictMap(vals) {
+	byName := func(name string) float64 { return vals[name] }
+	if b, w := PredictInterpreted(perf, pow, cfg); b != perf.Predict(byName) || w != pow.Predict(byName) {
 		t.Fatalf("PredictInterpreted = (%v, %v), by-name lookup (%v, %v)",
-			b, w, perf.PredictMap(vals), pow.PredictMap(vals))
+			b, w, perf.Predict(byName), pow.Predict(byName))
 	}
 
 	ds := regression.NewDataset(4)

@@ -5,10 +5,7 @@
 // the numerically stable way to do that without forming normal equations.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense, row-major matrix of float64 values.
 type Matrix struct {
@@ -23,22 +20,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: NewMatrix(%d, %d) with non-positive dimension", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// NewMatrixFromRows builds a matrix from row slices, which must be
-// non-empty and of equal length.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: NewMatrixFromRows with empty input")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("linalg: row %d has %d columns, want %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -97,40 +78,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 	return out
 }
 
-// Transpose returns a new transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns the matrix product m * other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.cols != other.rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d",
-			m.rows, m.cols, other.rows, other.cols))
-	}
-	out := NewMatrix(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			krow := other.Row(k)
-			for j, kv := range krow {
-				orow[j] += mv * kv
-			}
-		}
-	}
-	return out
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -141,25 +88,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of a vector.
-func Norm2(v []float64) float64 {
-	// Scaled accumulation avoids overflow for large entries.
-	var scale, ssq float64 = 0, 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }

@@ -32,8 +32,8 @@ func Factor(a *Matrix) (*QR, error) {
 	d := qr.data
 	for k := 0; k < n; k++ {
 		// Norm of the k-th column below (and including) the diagonal,
-		// accumulated in place with Norm2's scaled algorithm in the same
-		// operation order (bit-identical to copying the column out first).
+		// accumulated in place with a running scale so that large entries
+		// cannot overflow the sum of squares.
 		var scale, ssq float64 = 0, 1
 		for i := k; i < m; i++ {
 			x := d[i*n+k]
@@ -219,16 +219,6 @@ func (f *QR) Solve(y []float64) ([]float64, error) {
 		x[i] = s / f.qr.At(i, i)
 	}
 	return x, nil
-}
-
-// LeastSquares is a convenience that factors a and solves for y in one
-// call. Use Factor + Solve when solving repeatedly against one matrix.
-func LeastSquares(a *Matrix, y []float64) ([]float64, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(y)
 }
 
 func max(a, b int) int {

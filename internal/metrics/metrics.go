@@ -19,14 +19,6 @@ func Delay(bips float64) float64 {
 	return TraceInstructions / (bips * 1e9)
 }
 
-// BIPSFromDelay inverts Delay.
-func BIPSFromDelay(delaySeconds float64) float64 {
-	if delaySeconds <= 0 {
-		panic(fmt.Sprintf("metrics: non-positive delay %v", delaySeconds))
-	}
-	return TraceInstructions / (delaySeconds * 1e9)
-}
-
 // BIPS3W returns bips^3 / watts, the paper's efficiency metric. Cubing
 // performance reflects the cubic relationship between power and voltage:
 // the metric is invariant under voltage/frequency scaling. It panics on
@@ -36,10 +28,4 @@ func BIPS3W(bips, watts float64) float64 {
 		panic(fmt.Sprintf("metrics: non-positive inputs bips=%v watts=%v", bips, watts))
 	}
 	return bips * bips * bips / watts
-}
-
-// RelativeEfficiency returns the ratio of a design's bips^3/w to a
-// reference design's, the unit of the paper's Figures 5, 6 and 9.
-func RelativeEfficiency(bips, watts, refBIPS, refWatts float64) float64 {
-	return BIPS3W(bips, watts) / BIPS3W(refBIPS, refWatts)
 }

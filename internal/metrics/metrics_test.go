@@ -9,7 +9,7 @@ import (
 func TestDelayRoundTrip(t *testing.T) {
 	for _, bips := range []float64{0.1, 1, 2.5} {
 		d := Delay(bips)
-		if got := BIPSFromDelay(d); math.Abs(got-bips) > 1e-12 {
+		if got := TraceInstructions / (d * 1e9); math.Abs(got-bips) > 1e-12 {
 			t.Fatalf("round trip %v -> %v -> %v", bips, d, got)
 		}
 	}
@@ -30,12 +30,12 @@ func TestBIPS3W(t *testing.T) {
 
 func TestRelativeEfficiency(t *testing.T) {
 	// Doubling bips at equal power is 8x efficiency.
-	if got := RelativeEfficiency(2, 10, 1, 10); math.Abs(got-8) > 1e-12 {
-		t.Fatalf("RelativeEfficiency = %v, want 8", got)
+	if got := BIPS3W(2, 10) / BIPS3W(1, 10); math.Abs(got-8) > 1e-12 {
+		t.Fatalf("efficiency ratio = %v, want 8", got)
 	}
 	// Halving power at equal bips is 2x.
-	if got := RelativeEfficiency(1, 5, 1, 10); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("RelativeEfficiency = %v, want 2", got)
+	if got := BIPS3W(1, 5) / BIPS3W(1, 10); math.Abs(got-2) > 1e-12 {
+		t.Fatalf("efficiency ratio = %v, want 2", got)
 	}
 }
 
@@ -43,7 +43,6 @@ func TestPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { Delay(0) },
 		func() { Delay(-1) },
-		func() { BIPSFromDelay(0) },
 		func() { BIPS3W(0, 1) },
 		func() { BIPS3W(1, 0) },
 	} {

@@ -47,12 +47,8 @@ func BucketUpperBounds() []time.Duration {
 
 // Counter is a named monotonic counter. Safe for concurrent use.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// Name returns the counter's registry name.
-func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
@@ -69,9 +65,6 @@ type Histogram struct {
 	sumNS   atomic.Int64
 	buckets [NumBuckets]atomic.Int64
 }
-
-// Name returns the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
@@ -98,15 +91,6 @@ type HistogramSnapshot struct {
 	Count   int64         `json:"count"`
 	SumNS   int64         `json:"sum_ns"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// MeanNS returns the mean observed duration in nanoseconds, or 0 with no
-// observations.
-func (s HistogramSnapshot) MeanNS() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.SumNS) / float64(s.Count)
 }
 
 // Snapshot copies the histogram's current state.
@@ -151,7 +135,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c

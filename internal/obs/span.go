@@ -28,11 +28,6 @@ func Int(key string, value int64) Attr {
 	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
 }
 
-// Float builds a float attribute.
-func Float(key string, value float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(value, 'g', -1, 64)}
-}
-
 // SpanRecord is one completed span as stored in the ring and serialized
 // to the trace log. Times are nanoseconds relative to the tracer's
 // epoch, so records from one process compare directly.
@@ -137,14 +132,6 @@ func (t *Tracer) start(parent uint64, name string, attrs []Attr) *Span {
 		start:  time.Now(),
 		attrs:  attrs,
 	}
-}
-
-// SetAttrs appends attributes to the span before End.
-func (s *Span) SetAttrs(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
 }
 
 // End completes the span and publishes its record to the tracer's ring.

@@ -34,7 +34,6 @@ func TestSpanDisabledIsNoOp(t *testing.T) {
 		t.Fatal("disabled tracing derived a new context")
 	}
 	// All methods must be nil-safe.
-	sp.SetAttrs(String("k", "v"))
 	sp.End()
 	if c := sp.Child("child"); c != nil {
 		t.Fatal("child of nil span with tracing off should be nil")

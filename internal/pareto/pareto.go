@@ -16,42 +16,6 @@ type Point struct {
 	Power float64
 }
 
-// Frontier returns the pareto-optimal subset of points, sorted by
-// increasing delay. Among points with identical delay, only the one with
-// minimal power survives. The input is not modified.
-func Frontier(points []Point) []Point {
-	if len(points) == 0 {
-		return nil
-	}
-	sorted := append([]Point(nil), points...)
-	// Sort by delay ascending, power ascending to break ties; a stable ID
-	// tiebreak keeps output deterministic across runs.
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if a.Delay != b.Delay {
-			return a.Delay < b.Delay
-		}
-		if a.Power != b.Power {
-			return a.Power < b.Power
-		}
-		return a.ID < b.ID
-	})
-	var out []Point
-	bestPower := sorted[0].Power + 1
-	lastDelay := sorted[0].Delay - 1
-	for _, p := range sorted {
-		if p.Delay == lastDelay {
-			continue // a cheaper point at this exact delay already kept
-		}
-		if p.Power < bestPower {
-			out = append(out, p)
-			bestPower = p.Power
-			lastDelay = p.Delay
-		}
-	}
-	return out
-}
-
 // IsDominated reports whether p is strictly dominated by q: q is no worse
 // in both objectives and strictly better in at least one.
 func IsDominated(p, q Point) bool {

@@ -1,33 +1,11 @@
 package pareto
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 )
-
-func TestFrontierSimple(t *testing.T) {
-	points := []Point{
-		{ID: 0, Delay: 1, Power: 10},
-		{ID: 1, Delay: 2, Power: 5},
-		{ID: 2, Delay: 3, Power: 7}, // dominated by 1
-		{ID: 3, Delay: 4, Power: 2},
-		{ID: 4, Delay: 0.5, Power: 20},
-	}
-	f := Frontier(points)
-	ids := frontierIDs(f)
-	want := []int{4, 0, 1, 3}
-	if len(ids) != len(want) {
-		t.Fatalf("frontier = %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("frontier = %v, want %v", ids, want)
-		}
-	}
-}
 
 func frontierIDs(f []Point) []int {
 	ids := make([]int, len(f))
@@ -35,56 +13,6 @@ func frontierIDs(f []Point) []int {
 		ids[i] = p.ID
 	}
 	return ids
-}
-
-func TestFrontierEmpty(t *testing.T) {
-	if f := Frontier(nil); f != nil {
-		t.Fatalf("Frontier(nil) = %v", f)
-	}
-}
-
-func TestFrontierSinglePoint(t *testing.T) {
-	f := Frontier([]Point{{ID: 7, Delay: 1, Power: 1}})
-	if len(f) != 1 || f[0].ID != 7 {
-		t.Fatalf("frontier = %v", f)
-	}
-}
-
-func TestFrontierDuplicateDelays(t *testing.T) {
-	points := []Point{
-		{ID: 0, Delay: 1, Power: 5},
-		{ID: 1, Delay: 1, Power: 3}, // same delay, cheaper: keep this one
-		{ID: 2, Delay: 2, Power: 1},
-	}
-	f := Frontier(points)
-	ids := frontierIDs(f)
-	want := []int{1, 2}
-	if len(ids) != 2 || ids[0] != want[0] || ids[1] != want[1] {
-		t.Fatalf("frontier = %v, want %v", ids, want)
-	}
-}
-
-func TestFrontierAllDominatedByOne(t *testing.T) {
-	points := []Point{
-		{ID: 0, Delay: 1, Power: 1},
-		{ID: 1, Delay: 2, Power: 2},
-		{ID: 2, Delay: 3, Power: 3},
-	}
-	f := Frontier(points)
-	if len(f) != 1 || f[0].ID != 0 {
-		t.Fatalf("frontier = %v, want just ID 0", frontierIDs(f))
-	}
-}
-
-func TestFrontierDoesNotMutateInput(t *testing.T) {
-	points := []Point{
-		{ID: 0, Delay: 3, Power: 1},
-		{ID: 1, Delay: 1, Power: 3},
-	}
-	Frontier(points)
-	if points[0].ID != 0 || points[1].ID != 1 {
-		t.Fatal("input reordered")
-	}
 }
 
 func TestIsDominated(t *testing.T) {
@@ -161,78 +89,6 @@ func TestDiscretizedFrontierErrors(t *testing.T) {
 	}
 }
 
-// Property: no frontier point is dominated by any input point, and every
-// non-frontier input point is dominated by (or duplicates) some frontier
-// point.
-func TestQuickFrontierCorrectness(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 2 + r.Intn(60)
-		points := make([]Point, n)
-		for i := range points {
-			points[i] = Point{
-				ID:    i,
-				Delay: float64(r.Intn(20)) / 4, // ties likely
-				Power: float64(r.Intn(20)) / 4,
-			}
-		}
-		front := Frontier(points)
-		onFront := map[int]bool{}
-		for _, fp := range front {
-			onFront[fp.ID] = true
-			for _, q := range points {
-				if IsDominated(fp, q) {
-					return false // frontier point dominated
-				}
-			}
-		}
-		for _, p := range points {
-			if onFront[p.ID] {
-				continue
-			}
-			covered := false
-			for _, fp := range front {
-				if IsDominated(p, fp) || (fp.Delay == p.Delay && fp.Power == p.Power) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: frontier is sorted by delay with strictly decreasing power.
-func TestQuickFrontierMonotone(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(50)
-		points := make([]Point, n)
-		for i := range points {
-			points[i] = Point{ID: i, Delay: r.Float64() * 10, Power: r.Float64() * 100}
-		}
-		front := Frontier(points)
-		if !sort.SliceIsSorted(front, func(i, j int) bool { return front[i].Delay < front[j].Delay }) {
-			return false
-		}
-		for i := 1; i < len(front); i++ {
-			if front[i].Power >= front[i-1].Power {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the discretized frontier is a subset of the input and each
 // selected point is the power minimum of its bin.
 func TestQuickDiscretizedSubset(t *testing.T) {
@@ -261,18 +117,6 @@ func TestQuickDiscretizedSubset(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkFrontier100k(b *testing.B) {
-	r := rng.New(1)
-	points := make([]Point, 100000)
-	for i := range points {
-		points[i] = Point{ID: i, Delay: r.Float64() * 5, Power: r.Float64() * 150}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Frontier(points)
 	}
 }
 

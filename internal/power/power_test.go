@@ -66,7 +66,8 @@ func TestBaselinePowerRange(t *testing.T) {
 
 func TestWiderCostsSuperlinearPower(t *testing.T) {
 	s := arch.ExplorationSpace()
-	base := arch.BaselinePoint(s)
+	// The exploration grid's point nearest arch.Baseline.
+	base := arch.Point{arch.AxisDepth: 2, arch.AxisWidth: 1, arch.AxisRegs: 4, arch.AxisResv: 6, arch.AxisIL1: 2, arch.AxisDL1: 2, arch.AxisL2: 3}
 	narrow := base
 	narrow[arch.AxisWidth] = 0
 	wide := base

@@ -13,9 +13,8 @@ import (
 // Dataset is a column-oriented table of numeric observations. Columns are
 // addressed by name; all columns have the same length.
 type Dataset struct {
-	n     int
-	order []string
-	cols  map[string][]float64
+	n    int
+	cols map[string][]float64
 }
 
 // NewDataset returns an empty dataset expecting columns of length n.
@@ -39,7 +38,6 @@ func (d *Dataset) AddColumn(name string, values []float64) {
 		panic(fmt.Sprintf("regression: duplicate column %q", name))
 	}
 	d.cols[name] = values
-	d.order = append(d.order, name)
 }
 
 // Column returns the named column. It panics if absent.
@@ -55,11 +53,6 @@ func (d *Dataset) Column(name string) []float64 {
 func (d *Dataset) HasColumn(name string) bool {
 	_, ok := d.cols[name]
 	return ok
-}
-
-// Columns returns the column names in insertion order.
-func (d *Dataset) Columns() []string {
-	return append([]string(nil), d.order...)
 }
 
 // distinctSorted returns the sorted distinct values of a column.

@@ -59,52 +59,3 @@ func (m *Model) FStat() (f, p float64, err error) {
 	f = (m.r2 / k) / ((1 - m.r2) / df2)
 	return f, stats.FPValue(f, k, df2), nil
 }
-
-// Residuals returns a copy of the training residuals on the transformed
-// scale (f(y) - f^(y)), or nil for models restored from JSON.
-func (m *Model) Residuals() []float64 {
-	return append([]float64(nil), m.residuals...)
-}
-
-// Fitted returns a copy of the fitted values on the transformed scale,
-// aligned with Residuals, or nil for restored models.
-func (m *Model) Fitted() []float64 {
-	return append([]float64(nil), m.fitted...)
-}
-
-// ResidualDiagnostics summarizes the residual distribution, the paper's
-// "residual analysis": approximately normal, centered residuals with no
-// strong relationship to the fitted values indicate an adequate
-// specification and transformation choice.
-type ResidualDiagnostics struct {
-	N                 int
-	Mean              float64
-	StdDev            float64
-	Skewness          float64
-	ExcessKurtosis    float64
-	FittedCorrelation float64 // Pearson correlation of residuals with fitted values
-	MaxAbs            float64
-}
-
-// ResidualDiagnostics computes the summary. It errs on restored models.
-func (m *Model) ResidualDiagnostics() (ResidualDiagnostics, error) {
-	if len(m.residuals) == 0 {
-		return ResidualDiagnostics{}, fmt.Errorf("regression: residuals unavailable (model was not fit in this process)")
-	}
-	d := ResidualDiagnostics{
-		N:    len(m.residuals),
-		Mean: stats.Mean(m.residuals),
-	}
-	if d.N > 1 {
-		d.StdDev = stats.StdDev(m.residuals)
-		d.Skewness = stats.Skewness(m.residuals)
-		d.ExcessKurtosis = stats.Kurtosis(m.residuals)
-		d.FittedCorrelation = stats.Pearson(m.residuals, m.fitted)
-	}
-	for _, r := range m.residuals {
-		if a := math.Abs(r); a > d.MaxAbs {
-			d.MaxAbs = a
-		}
-	}
-	return d, nil
-}

@@ -89,90 +89,6 @@ func TestFStat(t *testing.T) {
 	}
 }
 
-func TestResidualsAndFitted(t *testing.T) {
-	m := fitWithNoise(t, 80)
-	res := m.Residuals()
-	fit := m.Fitted()
-	if len(res) != 80 || len(fit) != 80 {
-		t.Fatalf("lengths %d/%d", len(res), len(fit))
-	}
-	// Residuals are fresh copies: mutating must not affect the model.
-	res[0] = 1e9
-	if m.Residuals()[0] == 1e9 {
-		t.Fatal("Residuals returned internal slice")
-	}
-	var sum float64
-	for _, r := range m.Residuals() {
-		sum += r
-	}
-	if math.Abs(sum)/80 > 1e-9 {
-		t.Fatalf("residual mean = %v, want ~0", sum/80)
-	}
-}
-
-func TestResidualDiagnosticsWellSpecified(t *testing.T) {
-	m := fitWithNoise(t, 300)
-	d, err := m.ResidualDiagnostics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N != 300 {
-		t.Fatalf("N = %d", d.N)
-	}
-	if math.Abs(d.Mean) > 1e-9 {
-		t.Fatalf("residual mean = %v", d.Mean)
-	}
-	// Gaussian noise: modest skewness and kurtosis; no fitted trend.
-	if math.Abs(d.Skewness) > 0.5 {
-		t.Fatalf("skewness = %v", d.Skewness)
-	}
-	if math.Abs(d.ExcessKurtosis) > 1 {
-		t.Fatalf("kurtosis = %v", d.ExcessKurtosis)
-	}
-	if math.Abs(d.FittedCorrelation) > 0.05 {
-		t.Fatalf("residual-fitted correlation = %v", d.FittedCorrelation)
-	}
-	if d.MaxAbs <= 0 {
-		t.Fatal("MaxAbs not populated")
-	}
-}
-
-func TestMisspecifiedModelShowsResidualStructure(t *testing.T) {
-	// Fit y = x^2 with a linear model: residual analysis must flag it
-	// through heavy tails / curvature, visible as high |MaxAbs| relative
-	// to the spread and strong kurtosis deviation.
-	r := rng.New(71)
-	n := 200
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = r.Float64()*10 - 5
-		y[i] = x[i] * x[i]
-	}
-	d := NewDataset(n)
-	d.AddColumn("x", x)
-	d.AddColumn("y", y)
-	lin, err := Fit(NewSpec("y", Identity).Linear("x"), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spl, err := Fit(NewSpec("y", Identity).Spline("x", 5), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl, err := lin.ResidualDiagnostics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := spl.ResidualDiagnostics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.StdDev >= dl.StdDev {
-		t.Fatalf("spline residual spread %v should beat linear %v", ds.StdDev, dl.StdDev)
-	}
-}
-
 func TestSummaryIncludesInference(t *testing.T) {
 	m := fitWithNoise(t, 90)
 	s := m.Summary()

@@ -106,11 +106,9 @@ type Model struct {
 	rse       float64 // residual standard error on the transformed scale
 	cond      float64 // QR condition estimate
 
-	// Inference artifacts; populated by Fit, absent on models restored
-	// from JSON (they require the training design matrix).
-	gramDiag  []float64 // diagonal of (X'X)^{-1}
-	residuals []float64 // transformed-scale residuals
-	fitted    []float64 // transformed-scale fitted values
+	// Inference artifact; populated by Fit, absent on models restored
+	// from JSON (it requires the training design matrix).
+	gramDiag []float64 // diagonal of (X'X)^{-1}
 }
 
 // Fit resolves the spec against the dataset and estimates coefficients by
@@ -200,18 +198,14 @@ func Fit(spec *Spec, data *Dataset) (*Model, error) {
 
 	// Diagnostics on the transformed scale.
 	fitted := x.MulVec(beta)
-	resid := make([]float64, n)
 	ybar := stats.Mean(y)
 	var ssTot, ssRes float64
 	for i := range y {
 		dt := y[i] - ybar
 		dr := y[i] - fitted[i]
-		resid[i] = dr
 		ssTot += dt * dt
 		ssRes += dr * dr
 	}
-	m.fitted = fitted
-	m.residuals = resid
 	if gd, err := qr.GramInverseDiag(); err == nil {
 		m.gramDiag = gd
 	}
@@ -235,53 +229,12 @@ func splineColumnNames(base string, knots int) []string {
 	return names
 }
 
-// Predictors returns the distinct predictor variable names the model
-// needs, in first-use order.
-func (m *Model) Predictors() []string {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(v string) {
-		if v != "" && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for _, t := range m.terms {
-		add(t.spec.Var)
-		add(t.spec.Var2)
-	}
-	return out
-}
-
 // Response returns the name of the modeled response variable.
 func (m *Model) Response() string { return m.spec.Response }
 
-// Coefficients returns the design-matrix column names and the fitted
-// coefficients, intercept first. The slices are copies.
-func (m *Model) Coefficients() ([]string, []float64) {
-	return append([]string(nil), m.colNames...), append([]float64(nil), m.beta...)
-}
-
-// R2 returns the coefficient of determination on the transformed scale.
-func (m *Model) R2() float64 { return m.r2 }
-
-// AdjR2 returns the adjusted R-squared.
-func (m *Model) AdjR2() float64 { return m.adjR2 }
-
-// RSE returns the residual standard error on the transformed scale.
-func (m *Model) RSE() float64 { return m.rse }
-
-// ConditionEstimate returns the design-matrix conditioning estimate from
-// the QR factorization.
-func (m *Model) ConditionEstimate() float64 { return m.cond }
-
-// NumCoefficients returns the number of fitted coefficients including the
-// intercept.
-func (m *Model) NumCoefficients() int { return len(m.beta) }
-
 // Predict evaluates the model for predictor values supplied by get and
 // returns the prediction on the original response scale. get must return a
-// value for every name in Predictors().
+// value for every predictor the model's terms name.
 func (m *Model) Predict(get func(string) float64) float64 {
 	// Stack-allocate the design row for typical model sizes.
 	var buf [64]float64
@@ -291,17 +244,6 @@ func (m *Model) Predict(get func(string) float64) float64 {
 		row = m.terms[t].appendColumns(row, get)
 	}
 	return m.spec.Transform.Inverse(linalg.Dot(row, m.beta))
-}
-
-// PredictMap is a convenience wrapper over Predict for map inputs.
-func (m *Model) PredictMap(vals map[string]float64) float64 {
-	return m.Predict(func(name string) float64 {
-		v, ok := vals[name]
-		if !ok {
-			panic(fmt.Sprintf("regression: predictor %q missing from input", name))
-		}
-		return v
-	})
 }
 
 // Summary renders a human-readable coefficient table with diagnostics.

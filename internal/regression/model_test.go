@@ -43,9 +43,6 @@ func TestDatasetBasics(t *testing.T) {
 	if d.N() != 3 {
 		t.Fatal("N wrong")
 	}
-	if cols := d.Columns(); len(cols) != 1 || cols[0] != "x" {
-		t.Fatalf("Columns = %v", cols)
-	}
 }
 
 func TestDatasetPanics(t *testing.T) {
@@ -136,15 +133,15 @@ func TestFitRecoversLinearModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, beta := m.Coefficients()
+	beta := m.beta
 	want := []float64{3, 2, -1}
 	for i := range want {
 		if math.Abs(beta[i]-want[i]) > 1e-9 {
 			t.Fatalf("beta = %v, want %v", beta, want)
 		}
 	}
-	if m.R2() < 0.999999 {
-		t.Fatalf("R2 = %v, want ~1", m.R2())
+	if m.r2 < 0.999999 {
+		t.Fatalf("R2 = %v, want ~1", m.r2)
 	}
 }
 
@@ -165,12 +162,12 @@ func TestFitInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, beta := m.Coefficients()
+	beta := m.beta
 	if math.Abs(beta[3]-0.5) > 1e-9 {
 		t.Fatalf("interaction coefficient = %v, want 0.5", beta[3])
 	}
 	// Predict at a fresh point.
-	got := m.PredictMap(map[string]float64{"a": 2, "b": 3})
+	got := m.Predict(byName(map[string]float64{"a": 2, "b": 3}))
 	want := 1.0 + 2 + 3 + 0.5*6
 	if math.Abs(got-want) > 1e-8 {
 		t.Fatalf("Predict = %v, want %v", got, want)
@@ -197,11 +194,11 @@ func TestFitSplineCapturesNonlinearity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spl.R2() <= lin.R2() {
-		t.Fatalf("spline R2 %v should beat linear R2 %v", spl.R2(), lin.R2())
+	if spl.r2 <= lin.r2 {
+		t.Fatalf("spline R2 %v should beat linear R2 %v", spl.r2, lin.r2)
 	}
-	if spl.R2() < 0.95 {
-		t.Fatalf("spline R2 = %v, want > 0.95", spl.R2())
+	if spl.r2 < 0.95 {
+		t.Fatalf("spline R2 = %v, want > 0.95", spl.r2)
 	}
 }
 
@@ -220,11 +217,11 @@ func TestFitLogTransformForExponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, beta := m.Coefficients()
+	beta := m.beta
 	if math.Abs(beta[1]-0.5) > 1e-9 {
 		t.Fatalf("slope on log scale = %v, want 0.5", beta[1])
 	}
-	got := m.PredictMap(map[string]float64{"x": 4})
+	got := m.Predict(byName(map[string]float64{"x": 4}))
 	if math.Abs(got-math.Exp(2)) > 1e-6 {
 		t.Fatalf("Predict = %v, want e^2", got)
 	}
@@ -246,7 +243,7 @@ func TestFitSqrtTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.PredictMap(map[string]float64{"x": 1})
+	got := m.Predict(byName(map[string]float64{"x": 1}))
 	if math.Abs(got-9) > 1e-8 {
 		t.Fatalf("Predict = %v, want 9", got)
 	}
@@ -268,8 +265,8 @@ func TestFitSplineDegradesWithFewLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumCoefficients() != 2 {
-		t.Fatalf("degraded spline should have 2 coefficients, got %d", m.NumCoefficients())
+	if len(m.beta) != 2 {
+		t.Fatalf("degraded spline should have 2 coefficients, got %d", len(m.beta))
 	}
 }
 
@@ -310,27 +307,9 @@ func TestPredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := m.Predictors()
-	if len(p) != 2 || p[0] != "a" || p[1] != "b" {
-		t.Fatalf("Predictors = %v", p)
-	}
 	if m.Response() != "y" {
 		t.Fatalf("Response = %q", m.Response())
 	}
-}
-
-func TestPredictMapMissingPanics(t *testing.T) {
-	d := makeDataset(t, 10, map[string][]float64{"x": seq(10, 1), "y": seq(10, 2)})
-	m, err := Fit(NewSpec("y", Identity).Linear("x"), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PredictMap with missing key did not panic")
-		}
-	}()
-	m.PredictMap(map[string]float64{})
 }
 
 func TestSummaryContainsDiagnostics(t *testing.T) {
@@ -405,7 +384,7 @@ func TestQuickR2Bounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return m.R2() >= 0 && m.R2() <= 1 && m.AdjR2() <= m.R2()
+		return m.r2 >= 0 && m.r2 <= 1 && m.adjR2 <= m.r2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -440,7 +419,7 @@ func TestValidationErrorMetricIntegration(t *testing.T) {
 	vx1, vx2, vy := gen(100)
 	errs := make([]float64, len(vy))
 	for i := range vy {
-		pred := m.PredictMap(map[string]float64{"x1": vx1[i], "x2": vx2[i]})
+		pred := m.Predict(byName(map[string]float64{"x1": vx1[i], "x2": vx2[i]}))
 		errs[i] = stats.RelErr(vy[i], pred)
 	}
 	med := stats.Median(errs)
@@ -502,4 +481,9 @@ func BenchmarkPredict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = m.Predict(get)
 	}
+}
+
+// byName looks predictor values up in vals.
+func byName(vals map[string]float64) func(string) float64 {
+	return func(name string) float64 { return vals[name] }
 }

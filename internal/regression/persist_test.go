@@ -46,21 +46,17 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	for x1 := 0.0; x1 <= 10; x1 += 0.7 {
 		for x2 := 0.0; x2 <= 2; x2++ {
 			vals := map[string]float64{"x1": x1, "x2": x2}
-			if got, want := restored.PredictMap(vals), m.PredictMap(vals); got != want {
+			if got, want := restored.Predict(byName(vals)), m.Predict(byName(vals)); got != want {
 				t.Fatalf("prediction differs after round trip at (%v,%v): %v vs %v", x1, x2, got, want)
 			}
 		}
 	}
 	// Diagnostics survive.
-	if restored.R2() != m.R2() || restored.RSE() != m.RSE() || restored.AdjR2() != m.AdjR2() {
+	if restored.r2 != m.r2 || restored.rse != m.rse || restored.adjR2 != m.adjR2 {
 		t.Fatal("diagnostics lost in round trip")
 	}
 	if restored.Response() != "y" {
 		t.Fatal("response lost")
-	}
-	p := restored.Predictors()
-	if len(p) != 2 || p[0] != "x1" || p[1] != "x2" {
-		t.Fatalf("predictors = %v", p)
 	}
 }
 
@@ -118,16 +114,10 @@ func TestModelJSONSummaryAfterReload(t *testing.T) {
 	// Significance requires the training design matrix, so a restored
 	// model renders estimates only — but the headline diagnostics and
 	// coefficient values must match.
-	if restored.R2() != m.R2() || restored.NumCoefficients() != m.NumCoefficients() {
+	if restored.r2 != m.r2 || len(restored.beta) != len(m.beta) {
 		t.Fatal("diagnostics differ after reload")
 	}
 	if _, err := restored.Significance(); err == nil {
 		t.Fatal("restored model offered significance table")
-	}
-	if _, err := restored.ResidualDiagnostics(); err == nil {
-		t.Fatal("restored model offered residual diagnostics")
-	}
-	if restored.Residuals() != nil || restored.Fitted() != nil {
-		t.Fatal("restored model offered residuals")
 	}
 }

@@ -230,13 +230,6 @@ func (p *SweepPlan) factor(levels [][]float64) {
 	}
 }
 
-// NumPredictors returns the predictor-vector length the plan was laid
-// out against (the length each level vector must have).
-func (p *SweepPlan) NumPredictors() int { return p.nPred }
-
-// NumColumns returns the number of non-intercept design columns.
-func (p *SweepPlan) NumColumns() int { return len(p.cols) }
-
 // Congruent reports whether two plans share column structure — the same
 // predictor layout (count and levels per predictor) and, column by
 // column, the same driving axes, stride and table length — and with it

@@ -97,11 +97,11 @@ func TestCompileBitIdenticalToPredict(t *testing.T) {
 	for _, tr := range []Transform{Identity, Sqrt, Log} {
 		m, names, levels := compileFixture(t, tr)
 		p := mustCompile(t, m, names, levels)
-		if p.NumPredictors() != len(names) {
-			t.Fatalf("NumPredictors = %d, want %d", p.NumPredictors(), len(names))
+		if p.nPred != len(names) {
+			t.Fatalf("nPred = %d, want %d", p.nPred, len(names))
 		}
-		if p.NumColumns() != m.NumCoefficients()-1 {
-			t.Fatalf("NumColumns = %d, want %d", p.NumColumns(), m.NumCoefficients()-1)
+		if len(p.cols) != len(m.beta)-1 {
+			t.Fatalf("%d plan columns, want %d", len(p.cols), len(m.beta)-1)
 		}
 		for _, lev := range planGrid(levels) {
 			want := m.Predict(levelGetter(t, names, levels, lev))

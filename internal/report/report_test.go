@@ -43,17 +43,6 @@ func TestTableShortRowPads(t *testing.T) {
 	}
 }
 
-func TestAddRowfFormats(t *testing.T) {
-	tbl := NewTable("", "s", "f", "i")
-	tbl.AddRowf("str", 1.23456, 42)
-	s := tbl.String()
-	for _, want := range []string{"str", "1.23", "42"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("missing %q in:\n%s", want, s)
-		}
-	}
-}
-
 func TestRenderBoxplot(t *testing.T) {
 	b := stats.NewBoxplot([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	s := RenderBoxplot(b, 0, 10, 40)

@@ -37,23 +37,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row formatting each value with the verb given per
-// cell as a (format, value) convenience. Values format with %v.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.3g", v))
-		default:
-			row = append(row, fmt.Sprintf("%v", c))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

@@ -134,89 +134,3 @@ func (r *Source) Exponential(mean float64) float64 {
 	}
 	return -mean * math.Log(u)
 }
-
-// Perm returns a random permutation of [0, n), Fisher-Yates shuffled.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Discrete samples an index in [0, len(weights)) with probability
-// proportional to weights[i]. Weights must be non-negative with a positive
-// sum; Discrete panics otherwise. For repeated sampling from the same
-// weights, build a Table instead.
-func (r *Source) Discrete(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: Discrete with negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: Discrete with non-positive weight sum")
-	}
-	u := r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// Table is a precomputed cumulative-distribution table for fast repeated
-// discrete sampling.
-type Table struct {
-	cdf []float64
-}
-
-// NewTable builds a sampling table from non-negative weights.
-func NewTable(weights []float64) *Table {
-	cdf := make([]float64, len(weights))
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: NewTable with negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: NewTable with non-positive weight sum")
-	}
-	var acc float64
-	for i, w := range weights {
-		acc += w / total
-		cdf[i] = acc
-	}
-	cdf[len(cdf)-1] = 1 // guard against rounding
-	return &Table{cdf: cdf}
-}
-
-// Sample draws an index from the table using the given source.
-func (t *Table) Sample(r *Source) int {
-	u := r.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(t.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Len returns the number of outcomes in the table.
-func (t *Table) Len() int { return len(t.cdf) }

@@ -154,81 +154,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(31)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestDiscreteRespectsWeights(t *testing.T) {
-	r := New(37)
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 40000; i++ {
-		counts[r.Discrete(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight outcome sampled %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Fatalf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestDiscretePanics(t *testing.T) {
-	for _, weights := range [][]float64{{-1, 2}, {0, 0}, {math.NaN()}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Discrete(%v) did not panic", weights)
-				}
-			}()
-			New(1).Discrete(weights)
-		}()
-	}
-}
-
-func TestTableMatchesDiscrete(t *testing.T) {
-	weights := []float64{2, 5, 1, 8}
-	tab := NewTable(weights)
-	r := New(41)
-	counts := make([]int, len(weights))
-	const n = 160000
-	for i := 0; i < n; i++ {
-		idx := tab.Sample(r)
-		if idx < 0 || idx >= len(weights) {
-			t.Fatalf("Table.Sample out of range: %d", idx)
-		}
-		counts[idx]++
-	}
-	total := 16.0
-	for i, w := range weights {
-		got := float64(counts[i]) / n
-		want := w / total
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("outcome %d frequency = %v, want ~%v", i, got, want)
-		}
-	}
-}
-
-func TestTableLen(t *testing.T) {
-	if got := NewTable([]float64{1, 2, 3}).Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
-}
-
 // Property: Float64 is always in [0,1) regardless of seed.
 func TestQuickFloat64InRange(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -240,25 +165,6 @@ func TestQuickFloat64InRange(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Perm always returns a valid permutation.
-func TestQuickPerm(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		size := int(n % 64)
-		p := New(seed).Perm(size)
-		seen := make(map[int]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == size
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -286,14 +192,5 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
-	}
-}
-
-func BenchmarkTableSample(b *testing.B) {
-	tab := NewTable([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	r := New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tab.Sample(r)
 	}
 }

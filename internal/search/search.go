@@ -7,9 +7,8 @@
 // are effectively free, and one trained model serves every optimization
 // problem.
 //
-// Two optimizers are provided: steepest-ascent hill climbing with random
-// restarts, and simulated annealing. Both walk the design space's level
-// grid through single-axis moves.
+// The optimizer is steepest-ascent hill climbing with random restarts,
+// walking the design space's level grid through single-axis moves.
 package search
 
 import (
@@ -20,11 +19,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Objective scores a configuration; optimizers maximize it. Objectives
-// typically wrap regression predictions (e.g. modeled bips^3/w), but any
-// function works, including simulator-backed ones for comparison.
-type Objective func(arch.Config) float64
-
 // BatchObjective scores many configurations at once, enabling concurrent
 // evaluation: hill climbing submits each step's whole neighborhood as one
 // batch (typically to an eval.Engine), so neighbor scoring parallelizes
@@ -32,55 +26,31 @@ type Objective func(arch.Config) float64
 // input order.
 type BatchObjective func([]arch.Config) ([]float64, error)
 
-// Batch lifts a single-point objective to a BatchObjective.
-func Batch(obj Objective) BatchObjective {
-	return func(cfgs []arch.Config) ([]float64, error) {
-		out := make([]float64, len(cfgs))
-		for i, cfg := range cfgs {
-			out[i] = obj(cfg)
-		}
-		return out, nil
-	}
-}
-
 // Result reports the outcome of a search.
 type Result struct {
 	Best      arch.Point
 	BestScore float64
 	// Evaluations counts objective calls, the search's cost unit.
 	Evaluations int
-	// Restarts or annealing steps actually performed.
+	// Restarts actually performed.
 	Iterations int
 }
 
-// Options configures the optimizers.
+// Options configures the optimizer.
 type Options struct {
 	// Seed drives all randomness; fixed seed, fixed result.
 	Seed uint64
-	// Restarts for hill climbing (default 10); Steps for annealing
-	// (default 2000).
+	// Restarts for hill climbing (default 10).
 	Restarts int
-	Steps    int
-	// InitialTemp for annealing as a fraction of the first score's
-	// magnitude (default 0.5); cooling is geometric to ~1e-3 of it.
-	InitialTemp float64
 }
 
-// HillClimb runs steepest-ascent hill climbing with random restarts: from
-// a random point, repeatedly move to the best scoring neighbor (one level
-// up or down on one axis) until no neighbor improves.
-func HillClimb(space *arch.Space, obj Objective, opts Options) (*Result, error) {
-	if space == nil || obj == nil {
-		return nil, fmt.Errorf("search: nil space or objective")
-	}
-	return HillClimbBatch(space, Batch(obj), opts)
-}
-
-// HillClimbBatch is HillClimb over a batch objective: each step's full
-// neighborhood (up to two neighbors per axis) is scored in one call.
-// With a deterministic objective the walk — and therefore the result —
-// is identical to HillClimb's, whatever parallelism the batch objective
-// uses underneath.
+// HillClimbBatch runs steepest-ascent hill climbing with random
+// restarts: from a random point, repeatedly move to the best scoring
+// neighbor (one level up or down on one axis) until no neighbor
+// improves. Each step's full neighborhood (up to two neighbors per axis)
+// is scored in one call. With a deterministic objective the walk, and
+// therefore the result, does not depend on whatever parallelism the
+// batch objective uses underneath.
 func HillClimbBatch(space *arch.Space, obj BatchObjective, opts Options) (*Result, error) {
 	if space == nil || obj == nil {
 		return nil, fmt.Errorf("search: nil space or objective")
@@ -146,59 +116,6 @@ func HillClimbBatch(space *arch.Space, obj BatchObjective, opts Options) (*Resul
 		if curScore > res.BestScore {
 			res.BestScore, res.Best = curScore, cur
 		}
-	}
-	return res, nil
-}
-
-// Anneal runs simulated annealing: random single-axis moves are always
-// accepted when improving and accepted with Boltzmann probability when
-// not, under a geometrically cooling temperature.
-func Anneal(space *arch.Space, obj Objective, opts Options) (*Result, error) {
-	if space == nil || obj == nil {
-		return nil, fmt.Errorf("search: nil space or objective")
-	}
-	steps := opts.Steps
-	if steps <= 0 {
-		steps = 2000
-	}
-	r := rng.New(opts.Seed ^ 0x616e6e65)
-	levels := space.Levels()
-
-	cur := randomPoint(space, r)
-	curScore := obj(space.Config(cur))
-	res := &Result{Best: cur, BestScore: curScore, Evaluations: 1}
-
-	t0 := opts.InitialTemp
-	if t0 <= 0 {
-		t0 = 0.5
-	}
-	temp := t0 * math.Abs(curScore)
-	if temp == 0 {
-		temp = t0
-	}
-	cool := math.Pow(1e-3, 1/float64(steps)) // reach temp*1e-3 at the end
-
-	for i := 0; i < steps; i++ {
-		axis := r.Intn(arch.NumAxes)
-		delta := 1
-		if r.Bool(0.5) {
-			delta = -1
-		}
-		nb := cur
-		nb[axis] += delta
-		if nb[axis] < 0 || nb[axis] >= levels[axis] {
-			continue
-		}
-		s := obj(space.Config(nb))
-		res.Evaluations++
-		res.Iterations++
-		if s >= curScore || r.Bool(math.Exp((s-curScore)/temp)) {
-			cur, curScore = nb, s
-			if curScore > res.BestScore {
-				res.Best, res.BestScore = cur, curScore
-			}
-		}
-		temp *= cool
 	}
 	return res, nil
 }

@@ -3,7 +3,9 @@ package search
 import (
 	"errors"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -20,9 +22,18 @@ func smoothObjective(c arch.Config) float64 {
 	return 100 - d*d/4 - w*w - g*g/100 - l*l
 }
 
+// sequential scores smoothObjective over a batch one config at a time.
+func sequential(cfgs []arch.Config) ([]float64, error) {
+	out := make([]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i] = smoothObjective(cfg)
+	}
+	return out, nil
+}
+
 func TestHillClimbFindsSmoothOptimum(t *testing.T) {
 	space := arch.ExplorationSpace()
-	res, err := HillClimb(space, smoothObjective, Options{Seed: 1, Restarts: 5})
+	res, err := HillClimbBatch(space, sequential, Options{Seed: 1, Restarts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +43,6 @@ func TestHillClimbFindsSmoothOptimum(t *testing.T) {
 	}
 	if res.Evaluations >= space.Size()/10 {
 		t.Fatalf("search used %d evaluations; exhaustive would use %d", res.Evaluations, space.Size())
-	}
-}
-
-func TestAnnealFindsSmoothOptimumRegion(t *testing.T) {
-	space := arch.ExplorationSpace()
-	res, err := Anneal(space, smoothObjective, Options{Seed: 2, Steps: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Annealing should land within a small margin of the true optimum.
-	best := smoothObjective(space.Config(res.Best))
-	if best < 95 {
-		t.Fatalf("annealing score %v too far from optimum 100", best)
 	}
 }
 
@@ -58,7 +56,7 @@ func TestSearchMatchesExhaustiveOnSmooth(t *testing.T) {
 			bestScore = s
 		}
 	}
-	res, err := HillClimb(space, smoothObjective, Options{Seed: 3, Restarts: 8})
+	res, err := HillClimbBatch(space, sequential, Options{Seed: 3, Restarts: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,63 +67,65 @@ func TestSearchMatchesExhaustiveOnSmooth(t *testing.T) {
 
 func TestSearchDeterministic(t *testing.T) {
 	space := arch.ExplorationSpace()
-	a, err := HillClimb(space, smoothObjective, Options{Seed: 9})
+	a, err := HillClimbBatch(space, sequential, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := HillClimb(space, smoothObjective, Options{Seed: 9})
+	b, err := HillClimbBatch(space, sequential, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Best != b.Best || a.Evaluations != b.Evaluations {
 		t.Fatal("same seed produced different searches")
 	}
-	c, err := Anneal(space, smoothObjective, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Anneal(space, smoothObjective, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Best != d.Best {
-		t.Fatal("annealing not deterministic")
-	}
 }
 
 // TestHillClimbBatchMatchesScalar pins the equivalence contract: a batch
-// objective (however parallel underneath) must walk exactly the same
-// path as the scalar objective it wraps.
+// objective that scores each config on its own goroutine must walk
+// exactly the same path, batch for batch, as a sequential one.
 func TestHillClimbBatchMatchesScalar(t *testing.T) {
 	space := arch.ExplorationSpace()
-	scalar, err := HillClimb(space, smoothObjective, Options{Seed: 4, Restarts: 6})
+	var seqWalk [][]arch.Config
+	seq, err := HillClimbBatch(space, func(cfgs []arch.Config) ([]float64, error) {
+		seqWalk = append(seqWalk, append([]arch.Config(nil), cfgs...))
+		return sequential(cfgs)
+	}, Options{Seed: 4, Restarts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batches, scored int
-	batched, err := HillClimbBatch(space, func(cfgs []arch.Config) ([]float64, error) {
-		batches++
+	var conWalk [][]arch.Config
+	var scored int
+	con, err := HillClimbBatch(space, func(cfgs []arch.Config) ([]float64, error) {
+		conWalk = append(conWalk, append([]arch.Config(nil), cfgs...))
 		scored += len(cfgs)
 		out := make([]float64, len(cfgs))
+		var wg sync.WaitGroup
 		for i, cfg := range cfgs {
-			out[i] = smoothObjective(cfg)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i] = smoothObjective(cfg)
+			}()
 		}
+		wg.Wait()
 		return out, nil
 	}, Options{Seed: 4, Restarts: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scalar.Best != batched.Best || scalar.BestScore != batched.BestScore ||
-		scalar.Evaluations != batched.Evaluations || scalar.Iterations != batched.Iterations {
-		t.Fatalf("batched walk diverged: scalar %+v, batched %+v", scalar, batched)
+	if *seq != *con {
+		t.Fatalf("concurrent walk diverged: sequential %+v, concurrent %+v", seq, con)
 	}
-	if scored != batched.Evaluations {
-		t.Fatalf("objective scored %d configs, result reports %d", scored, batched.Evaluations)
+	if !reflect.DeepEqual(seqWalk, conWalk) {
+		t.Fatal("concurrent objective was asked for different batches than the sequential one")
+	}
+	if scored != con.Evaluations {
+		t.Fatalf("objective scored %d configs, result reports %d", scored, con.Evaluations)
 	}
 	// Neighborhoods batch up to 2*NumAxes configs per call, so the walk
 	// needs far fewer calls than evaluations.
-	if batches >= scored {
-		t.Fatalf("batching degenerated to scalar calls: %d batches for %d scores", batches, scored)
+	if len(conWalk) >= scored {
+		t.Fatalf("batching degenerated to scalar calls: %d batches for %d scores", len(conWalk), scored)
 	}
 }
 
@@ -147,16 +147,10 @@ func TestHillClimbBatchPropagatesObjectiveError(t *testing.T) {
 }
 
 func TestSearchErrors(t *testing.T) {
-	if _, err := HillClimb(nil, smoothObjective, Options{}); err == nil {
+	if _, err := HillClimbBatch(nil, sequential, Options{}); err == nil {
 		t.Fatal("nil space accepted")
 	}
-	if _, err := HillClimb(arch.ExplorationSpace(), nil, Options{}); err == nil {
-		t.Fatal("nil objective accepted")
-	}
-	if _, err := Anneal(nil, smoothObjective, Options{}); err == nil {
-		t.Fatal("nil space accepted")
-	}
-	if _, err := Anneal(arch.ExplorationSpace(), nil, Options{}); err == nil {
+	if _, err := HillClimbBatch(arch.ExplorationSpace(), nil, Options{}); err == nil {
 		t.Fatal("nil objective accepted")
 	}
 }
@@ -166,18 +160,11 @@ func TestSearchErrors(t *testing.T) {
 func TestQuickSearchInvariants(t *testing.T) {
 	space := arch.ExplorationSpace()
 	f := func(seed uint64) bool {
-		hc, err := HillClimb(space, smoothObjective, Options{Seed: seed, Restarts: 2})
+		hc, err := HillClimbBatch(space, sequential, Options{Seed: seed, Restarts: 2})
 		if err != nil || !space.Contains(hc.Best) {
 			return false
 		}
-		if smoothObjective(space.Config(hc.Best)) != hc.BestScore {
-			return false
-		}
-		an, err := Anneal(space, smoothObjective, Options{Seed: seed, Steps: 300})
-		if err != nil || !space.Contains(an.Best) {
-			return false
-		}
-		return smoothObjective(space.Config(an.Best)) == an.BestScore
+		return smoothObjective(space.Config(hc.Best)) == hc.BestScore
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -190,7 +177,7 @@ func TestQuickHillClimbLocalOptimality(t *testing.T) {
 	space := arch.ExplorationSpace()
 	levels := space.Levels()
 	f := func(seed uint64) bool {
-		res, err := HillClimb(space, smoothObjective, Options{Seed: seed, Restarts: 1})
+		res, err := HillClimbBatch(space, sequential, Options{Seed: seed, Restarts: 1})
 		if err != nil {
 			return false
 		}
@@ -216,7 +203,7 @@ func TestQuickHillClimbLocalOptimality(t *testing.T) {
 func BenchmarkHillClimb(b *testing.B) {
 	space := arch.ExplorationSpace()
 	for i := 0; i < b.N; i++ {
-		if _, err := HillClimb(space, smoothObjective, Options{Seed: uint64(i)}); err != nil {
+		if _, err := HillClimbBatch(space, sequential, Options{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -161,15 +161,6 @@ func (r *Runner) reserve(size int64) bool {
 	return true
 }
 
-// Run simulates through the Runner and returns a fresh Result.
-func (r *Runner) Run(cfg arch.Config, tr *trace.Trace) (*Result, error) {
-	res := new(Result)
-	if err := r.RunInto(res, cfg, tr); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // RunInto simulates through the Runner into caller-owned storage. Once
 // its key's mask is memoized it performs zero steady-state heap
 // allocations; output is bit-identical to Run's full-warmup path.

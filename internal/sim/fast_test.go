@@ -47,7 +47,8 @@ func TestFastPathGolden(t *testing.T) {
 			// (miss) and the second replays the memoized one (hit); both
 			// must match the seed.
 			for pass := 0; pass < 2; pass++ {
-				got, err := r.Run(cfg, tr)
+				got := new(Result)
+				err := r.RunInto(got, cfg, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +80,8 @@ func TestWarmStateCrossGeometry(t *testing.T) {
 	r := NewRunner()
 	for i, cfg := range cfgs {
 		want := fullRun(t, cfg, tr)
-		got, err := r.Run(cfg, tr)
+		got := new(Result)
+		err := r.RunInto(got, cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +112,7 @@ func TestWarmBudgetFallback(t *testing.T) {
 	// charge less the mask's one byte per timed instruction is what the
 	// passes alone cost.
 	full := NewRunner()
-	if _, err := full.Run(cfg, tr); err != nil {
+	if err := full.RunInto(new(Result), cfg, tr); err != nil {
 		t.Fatal(err)
 	}
 	timed := int64(tr.Len() - warmupLen(tr.Len()))
@@ -125,7 +127,8 @@ func TestWarmBudgetFallback(t *testing.T) {
 		r := NewRunner()
 		r.budget = c.budget
 		for i := 0; i < 3; i++ {
-			got, err := r.Run(cfg, tr)
+			got := new(Result)
+			err := r.RunInto(got, cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +256,8 @@ func TestReplayAcrossConfigs(t *testing.T) {
 	r := NewRunner()
 	for i, cfg := range []arch.Config{base, wide, deep, base} {
 		want := fullRun(t, cfg, tr)
-		got, err := r.Run(cfg, tr)
+		got := new(Result)
+		err := r.RunInto(got, cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +360,8 @@ func TestReplayMatchesReferenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, r := range runners {
-					got, err := r.Run(cfg, tr)
+					got := new(Result)
+					err := r.RunInto(got, cfg, tr)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -73,6 +73,10 @@ func (s *Scratch) outcomes(p Params, tr *trace.Trace, mask []byte) (Activity, er
 	return act, nil
 }
 
+// baselinePoint is the exploration grid's point nearest arch.Baseline:
+// 18 FO4, 4-wide, GPR 80, BR 12, 64 KB I-L1, 32 KB D-L1, 2 MB L2.
+var baselinePoint = arch.Point{arch.AxisDepth: 2, arch.AxisWidth: 1, arch.AxisRegs: 4, arch.AxisResv: 6, arch.AxisIL1: 2, arch.AxisDL1: 2, arch.AxisL2: 3}
+
 // geometries returns one configuration per cache geometry of the
 // exploration space, 5 IL1 × 5 DL1 × 5 L2 = 125, every other axis at the
 // baseline.
@@ -83,7 +87,7 @@ func geometries(t testing.TB) []Params {
 	for a := 0; a < levels[arch.AxisIL1]; a++ {
 		for b := 0; b < levels[arch.AxisDL1]; b++ {
 			for c := 0; c < levels[arch.AxisL2]; c++ {
-				pt := arch.BaselinePoint(space)
+				pt := baselinePoint
 				pt[arch.AxisIL1], pt[arch.AxisDL1], pt[arch.AxisL2] = a, b, c
 				p, err := Derive(space.Config(pt))
 				if err != nil {
@@ -184,7 +188,8 @@ func TestL2InclusionProperty(t *testing.T) {
 			for l2 := 0; l2 < levels[arch.AxisL2]; l2++ {
 				pt[arch.AxisL2] = l2
 				cfg.L2KB = space.Config(pt).L2KB
-				res, err := r.Run(cfg, tr)
+				res := new(Result)
+				err := r.RunInto(res, cfg, tr)
 				if err != nil {
 					t.Fatal(err)
 				}

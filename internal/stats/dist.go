@@ -121,53 +121,3 @@ func FPValue(f, df1, df2 float64) float64 {
 	x := df2 / (df2 + df1*f)
 	return BetaInc(df2/2, df1/2, x)
 }
-
-// NormalCDF returns the standard normal cumulative distribution at x.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// Skewness returns the sample skewness (biased, moment-based). It panics
-// for fewer than two observations or zero variance data.
-func Skewness(data []float64) float64 {
-	if len(data) < 2 {
-		panic("stats: Skewness needs at least two observations")
-	}
-	mean := Mean(data)
-	var m2, m3 float64
-	for _, v := range data {
-		d := v - mean
-		m2 += d * d
-		m3 += d * d * d
-	}
-	n := float64(len(data))
-	m2 /= n
-	m3 /= n
-	if m2 == 0 {
-		panic("stats: Skewness of constant data")
-	}
-	return m3 / math.Pow(m2, 1.5)
-}
-
-// Kurtosis returns the sample excess kurtosis (biased, moment-based):
-// zero for a normal distribution.
-func Kurtosis(data []float64) float64 {
-	if len(data) < 2 {
-		panic("stats: Kurtosis needs at least two observations")
-	}
-	mean := Mean(data)
-	var m2, m4 float64
-	for _, v := range data {
-		d := v - mean
-		d2 := d * d
-		m2 += d2
-		m4 += d2 * d2
-	}
-	n := float64(len(data))
-	m2 /= n
-	m4 /= n
-	if m2 == 0 {
-		panic("stats: Kurtosis of constant data")
-	}
-	return m4/(m2*m2) - 3
-}

@@ -116,44 +116,8 @@ func TestFTSquaredEquivalence(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1.96, 0.975},
-		{-1.96, 0.025},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.x); math.Abs(got-c.want) > 1e-3 {
-			t.Fatalf("Phi(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestSkewnessKurtosis(t *testing.T) {
-	symmetric := []float64{-2, -1, 0, 1, 2}
-	if got := Skewness(symmetric); math.Abs(got) > 1e-12 {
-		t.Fatalf("skewness of symmetric data = %v", got)
-	}
-	rightSkewed := []float64{1, 1, 1, 1, 10}
-	if Skewness(rightSkewed) <= 0 {
-		t.Fatal("right-skewed data should have positive skewness")
-	}
-	// Uniform-ish data has negative excess kurtosis.
-	if Kurtosis(symmetric) >= 0 {
-		t.Fatalf("kurtosis of short-tailed data = %v", Kurtosis(symmetric))
-	}
-	heavy := []float64{-10, -0.1, -0.05, 0, 0.05, 0.1, 10}
-	if Kurtosis(heavy) <= 0 {
-		t.Fatal("heavy-tailed data should have positive excess kurtosis")
-	}
-}
-
 func TestMomentPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { Skewness([]float64{1}) },
-		func() { Skewness([]float64{2, 2, 2}) },
-		func() { Kurtosis([]float64{1}) },
-		func() { Kurtosis([]float64{3, 3}) },
 		func() { StudentTPValue(1, 0) },
 		func() { FPValue(1, 0, 2) },
 	} {

@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics used throughout the
 // design-space studies: quantiles, boxplot summaries (the paper reports most
-// error distributions as boxplots), correlation coefficients, histograms,
-// and the relative-error metric |obs - pred| / pred used in model validation.
+// error distributions as boxplots), correlation coefficients, and the
+// relative-error metric |obs - pred| / pred used in model validation.
 package stats
 
 import (
@@ -54,20 +54,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quantiles evaluates multiple probabilities with a single sort.
-func Quantiles(data []float64, ps ...float64) []float64 {
-	if len(data) == 0 {
-		panic("stats: Quantiles of empty data")
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = QuantileSorted(sorted, p)
-	}
-	return out
-}
-
 // Median returns the 0.5 quantile.
 func Median(data []float64) float64 { return Quantile(data, 0.5) }
 
@@ -117,34 +103,6 @@ func Variance(data []float64) float64 {
 
 // StdDev returns the sample standard deviation.
 func StdDev(data []float64) float64 { return math.Sqrt(Variance(data)) }
-
-// Min returns the smallest element. It panics on empty data.
-func Min(data []float64) float64 {
-	if len(data) == 0 {
-		panic("stats: Min of empty data")
-	}
-	m := data[0]
-	for _, v := range data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest element. It panics on empty data.
-func Max(data []float64) float64 {
-	if len(data) == 0 {
-		panic("stats: Max of empty data")
-	}
-	m := data[0]
-	for _, v := range data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 // Boxplot summarizes a distribution the way the paper's figures do:
 // median and quartiles, whiskers extending to the most extreme points
@@ -268,26 +226,6 @@ func Ranks(data []float64) []float64 {
 	return ranks
 }
 
-// CorrMatrix returns the matrix of pairwise Pearson correlations between
-// the given equal-length columns. Entry [i][j] is the correlation of
-// columns i and j; the diagonal is 1. Constant columns yield NaN entries.
-func CorrMatrix(cols [][]float64) [][]float64 {
-	n := len(cols)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		out[i][i] = 1
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			r := Pearson(cols[i], cols[j])
-			out[i][j] = r
-			out[j][i] = r
-		}
-	}
-	return out
-}
-
 // RelErr returns the paper's prediction-error metric |obs - pred| / pred.
 // The denominator is the prediction, matching Section 3.4. It panics if
 // pred is zero.
@@ -307,58 +245,6 @@ func SignedRelErr(obs, pred float64) float64 {
 	return (pred - obs) / obs
 }
 
-// RelErrs computes RelErr element-wise over two parallel slices.
-func RelErrs(obs, pred []float64) []float64 {
-	if len(obs) != len(pred) {
-		panic("stats: RelErrs length mismatch")
-	}
-	out := make([]float64, len(obs))
-	for i := range obs {
-		out[i] = RelErr(obs[i], pred[i])
-	}
-	return out
-}
-
-// Histogram counts data into nbins equal-width bins spanning [min, max].
-// Values exactly at max land in the last bin. It panics if nbins < 1 or
-// min >= max.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of the data.
-func NewHistogram(data []float64, nbins int, min, max float64) Histogram {
-	if nbins < 1 {
-		panic("stats: NewHistogram with nbins < 1")
-	}
-	if min >= max {
-		panic("stats: NewHistogram with min >= max")
-	}
-	h := Histogram{Min: min, Max: max, Counts: make([]int, nbins)}
-	width := (max - min) / float64(nbins)
-	for _, v := range data {
-		if v < min || v > max {
-			continue
-		}
-		bin := int((v - min) / width)
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		h.Counts[bin]++
-	}
-	return h
-}
-
-// Total returns the number of values counted into the histogram.
-func (h Histogram) Total() int {
-	var t int
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // Summary holds a compact numeric description of a sample.
 type Summary struct {
 	N            int
@@ -374,21 +260,4 @@ func Summarize(data []float64) Summary {
 		N: b.N, Mean: b.Mean, StdDev: b.StdDev,
 		Min: b.Min, Q1: b.Q1, Med: b.Med, Q3: b.Q3, Max: b.Max,
 	}
-}
-
-// Normalize rescales data to [0, 1] by min/max. A constant slice maps to
-// all zeros. The result is a fresh slice.
-func Normalize(data []float64) []float64 {
-	if len(data) == 0 {
-		return nil
-	}
-	lo, hi := Min(data), Max(data)
-	out := make([]float64, len(data))
-	if hi == lo {
-		return out
-	}
-	for i, v := range data {
-		out[i] = (v - lo) / (hi - lo)
-	}
-	return out
 }
